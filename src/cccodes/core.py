@@ -8,9 +8,8 @@ elsewhere.  All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "AmbientLengthError",
@@ -23,6 +22,7 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "composition_of",
+    "conflict_pairs",
     "gdc_type",
     "hamming_distance",
     "read_code_text",
@@ -30,9 +30,6 @@ __all__ = [
     "verify_gdc",
     "write_code_text",
 ]
-
-# Pair scans switch to the numpy kernel above this word count.
-_NUMPY_PAIR_THRESHOLD = 300
 
 
 class AmbientLengthError(ValueError):
@@ -321,6 +318,7 @@ def gdc_type(g: Gdc) -> GdcType:
 
 
 def _pair_scan_python(words: Sequence[Codeword], distance: int) -> list[Violation]:
+    # Brute-force reference for conflict_pairs; tests compare the two.
     out = []
     for i in range(len(words)):
         wi = words[i]
@@ -333,51 +331,51 @@ def _pair_scan_python(words: Sequence[Codeword], distance: int) -> list[Violatio
     return out
 
 
-def _pair_scan_numpy(words: Sequence[Codeword], distance: int, n: int) -> list[Violation]:
-    # Gram-matrix distance kernel: d(u,v) = w_u + w_v - overlap - agreements.
-    nclasses = max(len(w.supports) for w in words)
+def conflict_pairs(words: Sequence[Codeword],
+                   distance: int) -> Iterator[tuple[int, int, int]]:
+    """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
+    at Hamming distance d < distance.
+
+    This is the one definition of conflicting words, shared by the verifier
+    and the search.  Since d = w_u + w_v - overlap - agreements and
+    agreements <= overlap, two words closer than ``distance`` share at least
+    t = ceil((2 w_min - distance + 1) / 2) points, so only pairs that share a
+    t-subset of their supports are measured.  As equal words always conflict,
+    ``distance`` counts as at least 1, which keeps t <= w_min.  For t <= 0
+    every pair is measured.  Yields in (i, j) order, without holding the
+    pairs; raises AmbientLengthError on the first pair of different lengths.
+    """
+    for w in words:
+        if w.n != words[0].n:
+            raise AmbientLengthError(f"ambient lengths differ: {words[0].n} != {w.n}")
+    distance = max(distance, 1)
     nw = len(words)
-    mats = []
-    for s in range(nclasses):
-        m = np.zeros((nw, n), dtype=np.float32)
-        for i, w in enumerate(words):
-            if s < len(w.supports):
-                for x in w.supports[s]:
-                    m[i, x] = 1.0
-        mats.append(m)
-    total = mats[0].copy()
-    for m in mats[1:]:
-        total += m
-    weights = total.sum(axis=1)
-    out: list[Violation] = []
-    block = 512
-    for lo in range(0, nw, block):
-        hi = min(lo + block, nw)
-        overlap = total[lo:hi] @ total.T
-        agree = mats[0][lo:hi] @ mats[0].T
-        for m in mats[1:]:
-            agree += m[lo:hi] @ m.T
-        dist = weights[lo:hi, None] + weights[None, :] - overlap - agree
-        bad = np.argwhere(dist < distance - 0.5)
-        for bi, j in bad:
-            i = lo + int(bi)
-            j = int(j)
-            if j <= i:
-                continue
-            d = int(round(dist[bi, j]))
-            if d == 0:
-                out.append(Violation("duplicate", (i, j), 0))
-            else:
-                out.append(Violation("distance", (i, j), d))
-    out.sort(key=lambda v: v.witness)
-    return out
+    w_min = min((w.weight for w in words), default=0)
+    t = (2 * w_min - distance + 2) // 2
+    if t <= 0:
+        neighbours: Iterable[Iterable[int]] = (range(i + 1, nw) for i in range(nw))
+    else:
+        keys = [list(combinations(w.support(), t)) for w in words]
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for i, ks in enumerate(keys):
+            for key in ks:
+                buckets.setdefault(key, []).append(i)
+        neighbours = (set().union(*(buckets[key] for key in ks)) for ks in keys)
+    for i, near in enumerate(neighbours):
+        wi = words[i]
+        for j in sorted(near):
+            if j > i:
+                d = hamming_distance(wi, words[j])
+                if d < distance:
+                    yield i, j, d
 
 
 def verify_code(c: Code) -> VerificationReport:
     """Exhaustively check composition, length and all pairwise distances.
 
     Failures are report entries, never exceptions; the report is complete
-    (the scan does not stop at the first violation).
+    (the scan does not stop at the first violation).  Words of different
+    ambient lengths cannot be compared and raise AmbientLengthError.
     """
     violations: list[Violation] = []
     comp = c.composition.weights
@@ -388,10 +386,8 @@ def verify_code(c: Code) -> VerificationReport:
             violations.append(
                 Violation("composition", (i,),
                           str(tuple(len(cls) for cls in w.supports))))
-    if len(c.words) >= _NUMPY_PAIR_THRESHOLD and len({w.n for w in c.words}) == 1:
-        violations.extend(_pair_scan_numpy(c.words, c.distance, c.n))
-    else:
-        violations.extend(_pair_scan_python(c.words, c.distance))
+    for i, j, d in conflict_pairs(c.words, c.distance):
+        violations.append(Violation("distance" if d else "duplicate", (i, j), d))
     return VerificationReport(tuple(violations))
 
 

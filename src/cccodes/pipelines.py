@@ -115,7 +115,7 @@ def _run_op(tokens: list[str], env: dict, build_code):
 def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
     """Execute a pipeline; the result is verified against any expect line."""
     env: dict[str, object] = {}
-    result = None
+    result = verified = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,11 +142,14 @@ def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
                 rep = verify_gdc(result, GdcType.parse(kv["type"]), None)
                 if not rep.ok:
                     raise PipelineError(f"pipeline verify failed: {rep.summary()}")
+                verified = result
         else:
             raise PipelineError(f"unparseable pipeline line: {line!r}")
     if result is None:
         raise PipelineError("pipeline has no result step")
-    # always verify the final object
+    # Verify the final object once: a passing type expectation already did.
+    if result is verified:
+        return result
     if isinstance(result, Gdc):
         rep = verify_gdc(result)
     else:

@@ -1,12 +1,13 @@
 """Exact maximum-code computation by branch and bound over the compatibility graph.
 
 Vertices are all canonical codewords of the requested composition; two words
-are compatible when their Hamming distance is at least d.  Codes of minimum
-distance d are exactly the cliques, so the maximum code size is the clique
-number, computed here with a Tomita-style search using greedy-coloring upper
-bounds.  One symmetry reduction is applied: coordinate permutations act
-transitively on codewords of a fixed composition, so some maximum code may be
-assumed to contain the lexicographically first codeword.
+are compatible unless they conflict in the verifier's sense (Hamming distance
+below d, see :func:`cccodes.core.conflict_pairs`).  Codes of minimum distance
+d are exactly the cliques, so the maximum code size is the clique number,
+computed here with a Tomita-style search using greedy-coloring upper bounds.
+One symmetry reduction is applied: coordinate permutations act transitively
+on codewords of a fixed composition, so some maximum code may be assumed to
+contain the lexicographically first codeword.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Code, Codeword, Composition
+from .core import Code, Codeword, Composition, conflict_pairs
 
 __all__ = [
     "SearchBudget",
@@ -64,36 +65,19 @@ def enumerate_codewords(n: int, comp: Composition) -> list[Codeword]:
 
 
 def compatible(u: Codeword, v: Codeword, d: int) -> bool:
-    """Distance test via support bitmasks (weight-w words: d = 2w - overlap - agreements)."""
-    overlap = (u._mask_all & v._mask_all).bit_count()
-    agree = 0
-    for mu, mv in zip(u._masks, v._masks):
-        agree += (mu & mv).bit_count()
-    return u.weight + v.weight - overlap - agree >= d
+    """True unless the two words conflict in the sense of :func:`conflict_pairs`."""
+    return next(conflict_pairs((u, v), d), None) is None
 
 
 def _adjacency(words: list[Codeword], d: int) -> list[int]:
-    nv = len(words)
-    masks_all = [w._mask_all for w in words]
-    masks_cls = [w._masks for w in words]
-    weight2 = 2 * words[0].weight
-    adj = [0] * nv
-    for i in range(nv):
-        mi = masks_all[i]
-        ci = masks_cls[i]
-        row = adj[i]
-        for j in range(i + 1, nv):
-            overlap = (mi & masks_all[j]).bit_count()
-            if weight2 - overlap < d:
-                continue
-            agree = 0
-            for a, b in zip(ci, masks_cls[j]):
-                agree += (a & b).bit_count()
-            if weight2 - overlap - agree >= d:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
-    return adj
+    # The complement of the verifier's conflicts; each row starts with its own
+    # bit so that no word is adjacent to itself.
+    conflicts = [1 << i for i in range(len(words))]
+    for i, j, _ in conflict_pairs(words, d):
+        conflicts[i] |= 1 << j
+        conflicts[j] |= 1 << i
+    full = (1 << len(words)) - 1
+    return [full ^ m for m in conflicts]
 
 
 class _BudgetExceeded(Exception):

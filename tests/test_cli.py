@@ -1,8 +1,13 @@
 """CLI behaviour: exit codes, deterministic output, round-trips."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import cccodes
 from cccodes.cli import main
 
 
@@ -106,3 +111,10 @@ def test_pipeline_build():
                        str(data_root() / "recipes" / "c22" / "n77.pipe")])
     assert status == 0
     assert "size 962 OK" in out
+
+
+def test_cli_start_up_does_not_import_numpy():
+    src = str(Path(cccodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import cccodes.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

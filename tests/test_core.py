@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccodes.core import (
     AmbientLengthError,
@@ -12,7 +14,9 @@ from cccodes.core import (
     Gdc,
     GdcType,
     GroupPartition,
+    _pair_scan_python,
     composition_of,
+    conflict_pairs,
     gdc_type,
     hamming_distance,
     read_code_text,
@@ -128,8 +132,16 @@ def test_verify_gdc_size_and_type_mismatch():
     assert verify_gdc(g, expected_type=GdcType.parse("2^4"), expected_size=1).ok
 
 
-def test_numpy_pair_scan_agrees_with_python():
-    # Cross-check the two pair-scan paths on a code straddling the threshold.
+def triples(violations):
+    return [(v.kind, v.witness, v.measured) for v in violations]
+
+
+def pair_violations(code):
+    return triples(v for v in verify_code(code).violations if v.kind != "composition")
+
+
+def test_conflict_pairs_agree_with_python():
+    # The pair-bucket kernel against the brute-force scan, on 350 words.
     rng = random.Random(3)
     words = []
     seen = set()
@@ -140,12 +152,73 @@ def test_numpy_pair_scan_agrees_with_python():
             seen.add(w)
             words.append(w)
     c = Code(40, Composition((2, 2)), 6, words)
-    from cccodes.core import _pair_scan_numpy, _pair_scan_python
-    a = _pair_scan_python(words, 6)
-    b = _pair_scan_numpy(words, 6, 40)
-    assert [(v.kind, v.witness, v.measured) for v in a] == \
-           [(v.kind, v.witness, v.measured) for v in b]
+    a = triples(_pair_scan_python(words, 6))
+    assert pair_violations(c) == a
+    assert [(i, j, d) for _, (i, j), d in a] == list(conflict_pairs(words, 6))
     assert len(a) > 0
+
+
+def _random_word(rng, n, classes):
+    pts = rng.sample(range(n), sum(classes))
+    out, k = [], 0
+    for size in classes:
+        out.append(tuple(pts[k:k + size]))
+        k += size
+    return Codeword(out, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 40),
+       st.integers(0, 9), st.integers(5, 12))
+def test_conflict_pairs_match_brute_force(rng, size, distance, n):
+    # Mixed compositions (weights 0 to 5, so the bucket size comes from the
+    # lightest word), duplicates, codes of 0 and 1 words, d from 0 to 9.
+    shapes = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,)]
+    words = []
+    for _ in range(size):
+        if words and rng.random() < 0.2:
+            words.append(rng.choice(words))
+        else:
+            words.append(_random_word(rng, n, rng.choice(shapes)))
+    c = Code(n, Composition((2, 2)), distance, words)
+    assert pair_violations(c) == triples(_pair_scan_python(words, distance))
+
+
+@pytest.mark.parametrize("distance", [0, -1])
+def test_duplicates_reported_at_nonpositive_distance(distance):
+    # Large enough for the old dense kernel, which missed these at d <= 0.
+    rng = random.Random(5)
+    words = list(dict.fromkeys(_random_word(rng, 40, (2, 2)) for _ in range(320)))
+    words.append(words[17])
+    rep = verify_code(Code(40, Composition((2, 2)), distance, words))
+    assert triples(rep.violations) == [("duplicate", (17, len(words) - 1), 0)]
+
+
+def test_mixed_ambient_lengths_raise_for_first_pair():
+    far = [w22(0, 1, 2, 3, n=10), w22(4, 5, 6, 7, n=11)]  # no shared point
+    with pytest.raises(AmbientLengthError, match="^ambient lengths differ: 10 != 11$"):
+        verify_code(Code(10, Composition((2, 2)), 6, far))
+    for lengths, message in [((10, 10, 11, 12), "10 != 11"), ((11, 10, 10), "11 != 10")]:
+        words = [w22(0, 1, 2, 3, n=m) for m in lengths] * 100
+        c = Code(10, Composition((2, 2)), 6, words)
+        with pytest.raises(AmbientLengthError, match=f"^ambient lengths differ: {message}$"):
+            verify_code(c)
+        with pytest.raises(AmbientLengthError, match=f"^ambient lengths differ: {message}$"):
+            _pair_scan_python(words, 6)
+
+
+def test_words_off_the_composition_are_still_scanned():
+    words = [w22(0, 1, 2, 3, n=10), Codeword(((0, 1), (2,)), 10),
+             Codeword(((), ()), 10), w22(4, 5, 6, 7, n=10)]
+    rep = verify_code(Code(10, Composition((2, 2)), 6, words))
+    assert triples(rep.violations) == [
+        ("composition", (1,), "(2, 1)"),
+        ("composition", (2,), "(0, 0)"),
+        ("distance", (0, 1), 1),
+        ("distance", (0, 2), 4),
+        ("distance", (1, 2), 3),
+        ("distance", (2, 3), 4),
+    ]
 
 
 def test_relabeling_one_word_breaks_the_21_word_code():

@@ -1,9 +1,11 @@
 """Exact-search oracle: enumeration, small exact values, budgets, witnesses."""
 
 from cccodes.bounds import upper_bound
-from cccodes.core import Composition, verify_code
+from cccodes.core import Composition, hamming_distance, verify_code
 from cccodes.search import (
     SearchBudget,
+    _adjacency,
+    compatible,
     enumerate_codewords,
     greedy_lower,
     max_code,
@@ -73,3 +75,24 @@ def test_determinism():
     b = max_code(8, 6, C22)
     assert a.size == b.size
     assert a.witness.words == b.witness.words
+
+
+def test_compatibility_graph_is_complement_of_conflicts():
+    for n, comp in ((7, C22), (7, C31)):
+        words = enumerate_codewords(n, comp)
+        for d in (5, 6, 7):
+            adj = _adjacency(words, d)
+            for i, u in enumerate(words):
+                want = 0
+                for j, v in enumerate(words):
+                    if hamming_distance(u, v) >= max(d, 1):
+                        want |= 1 << j
+                assert adj[i] == want, (n, comp, d, i)
+                assert compatible(u, words[-1], d) == bool((want >> (len(words) - 1)) & 1)
+
+
+def test_node_counts_fixed():
+    # Branch and bound over the same graph explores the same tree.
+    for n, comp, size, nodes in ((8, C22, 5, 455), (9, C31, 6, 214), (10, C31, 10, 515)):
+        out = max_code(n, 6, comp)
+        assert (out.size, out.nodes) == (size, nodes), (n, comp)
