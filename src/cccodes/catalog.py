@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import upper_bound
-from .core import Code, Codeword, Composition, Gdc, verify_code
-from . import dataio, pipelines
+from .core import Code, Composition
+from . import pipelines
 
 __all__ = [
     "RecipeInfo",
@@ -79,10 +79,6 @@ class SpectrumEntry:
         return self.lo if self.kind == "exact" else None
 
 
-def _entry(n: int, comp: Composition, kind: str, lo: int, hi: int, source: str):
-    return SpectrumEntry(n, comp, kind, lo, hi, source)
-
-
 def spectrum(n: int, comp: Composition | tuple[int, ...]) -> SpectrumEntry:
     key = comp.weights if isinstance(comp, Composition) else tuple(comp)
     return _spectrum(n, key)
@@ -97,22 +93,24 @@ def _spectrum(n: int, comp_key: tuple[int, ...]) -> SpectrumEntry:
     if comp_key == (2, 2):
         if n in LITERAL_22:
             v = LITERAL_22[n]
-            return _entry(n, comp, "exact", v, v, "literal-exception")
+            return SpectrumEntry(n, comp, "exact", v, v, "literal-exception")
         if n in Q_OPEN_22:
-            return _entry(n, comp, "open", _open_lower(n, comp_key), hi, "open-case")
+            return SpectrumEntry(n, comp, "open", _open_lower(n, comp_key), hi,
+                                 "open-case")
         if n in Q_MINUS1_22:
-            return _entry(n, comp, "range", hi - 1, hi, "one-below-table")
+            return SpectrumEntry(n, comp, "range", hi - 1, hi, "one-below-table")
         if n in Q_MINUS2_22:
-            return _entry(n, comp, "range", hi - 2, hi, "two-below-table")
-        return _entry(n, comp, "exact", hi, hi, "closed-form")
+            return SpectrumEntry(n, comp, "range", hi - 2, hi, "two-below-table")
+        return SpectrumEntry(n, comp, "exact", hi, hi, "closed-form")
     if comp_key == (3, 1):
         if n in LITERAL_31:
             v = LITERAL_31[n]
-            return _entry(n, comp, "exact", v, v, "literal-exception")
+            return SpectrumEntry(n, comp, "exact", v, v, "literal-exception")
         t, i = divmod(n, 9)
         if t in OPEN_T_31.get(i, frozenset()):
-            return _entry(n, comp, "open", _open_lower(n, comp_key), hi, "open-case")
-        return _entry(n, comp, "exact", hi, hi, "closed-form")
+            return SpectrumEntry(n, comp, "open", _open_lower(n, comp_key), hi,
+                                 "open-case")
+        return SpectrumEntry(n, comp, "exact", hi, hi, "closed-form")
     raise ValueError(f"spectrum covers compositions [2,2] and [3,1], got [{comp}]")
 
 
@@ -142,8 +140,10 @@ class RecipeInfo:
 
 
 # kind: manifest (develop, read as a plain code) | witness (shipped code file)
-#     | pipeline (declarative construction file) | shorten (delete last point
-#       of the optimal code one longer)
+#     | pipeline (declarative construction file) | shorten (delete the last
+#       point of the optimal code one longer).  Every kind runs through the
+#       pipeline runner: a pipeline kind from its file, the others from the
+#       steps in _STEPS.
 _R22: dict[int, tuple[str, str, str]] = {}
 _R31: dict[int, tuple[str, str, str]] = {}
 
@@ -231,41 +231,34 @@ class RecipeError(ValueError):
     pass
 
 
+_STEPS = {
+    "witness": "result codefile {arg}",
+    "manifest": "result manifest {arg}",
+    "shorten": "let src = code {arg} {comp}\nresult shorten src {n}",
+}
+
+
 @lru_cache(maxsize=None)
-def _build(n: int, comp_key: tuple[int, ...]) -> Code:
-    comp = Composition(comp_key)
+def _build(n: int, comp: Composition) -> Code:
+    """Run the recipe for (n, comp) as a pipeline, which verifies the result;
+    the cache makes that one verification per code and process."""
     reg = _registry(comp)
     if n not in reg:
         raise RecipeError(f"no recipe for ({n}, [{comp}])")
     kind, arg, _note = reg[n]
-    if kind == "witness":
-        obj = dataio.load_code(arg)
-        code = obj.as_code() if isinstance(obj, Gdc) else obj
-    elif kind == "manifest":
-        code = dataio.develop_manifest(arg).as_code()
-    elif kind == "shorten":
-        src = _build(int(arg), comp_key)
-        point = src.n - 1
-        keep = [Codeword(w.supports, src.n - 1) for w in src.words
-                if point not in w.support()]
-        code = Code(src.n - 1, src.composition, src.distance, keep)
-    elif kind == "pipeline":
-        obj = pipelines.run_pipeline(
-            arg, build_code=lambda m, c: _build(m, c.weights))
-        code = obj.as_code() if isinstance(obj, Gdc) else obj
+    if kind == "pipeline":
+        obj = pipelines.run_pipeline(arg, build_code=_build)
     else:
-        raise RecipeError(f"unknown recipe kind {kind!r}")
-    return code
+        text = _STEPS[kind].format(arg=arg, comp=comp, n=n)
+        obj = pipelines.run_pipeline_text(text, build_code=_build)
+    return obj.as_code()
 
 
 def build_optimal(n: int, comp: Composition) -> Code:
-    """Execute the recipe for (n, comp), verify the result, and check the size
-    against the spectrum (the exact value, or the recorded bound for lengths
-    whose exact value is open)."""
-    code = _build(n, comp.weights)
-    rep = verify_code(code)
-    if not rep.ok:
-        raise RecipeError(f"recipe ({n},[{comp}]) fails verification: {rep.summary()}")
+    """Execute the recipe for (n, comp), verified by the pipeline runner, and
+    check the size against the spectrum (the exact value, or the recorded
+    bound for lengths whose exact value is open)."""
+    code = _build(n, comp)
     entry = spectrum(n, comp.weights)
     if entry.kind == "exact":
         if len(code) != entry.exact:

@@ -287,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,7 @@
 """Code-building combinators: direct constructions from skew Room frames and
 difference matrices, and the four recursive constructions (filling groups,
-adjoining points, Wilson-style weighting, inflation by a transversal design).
+adjoining points, Wilson-style weighting, inflation by a transversal design),
+and shortening by one point.
 
 Point naming under combination is deterministic: outputs are relabeled onto
 dense indices via sorted group order and sorted points, so repeated runs are
@@ -25,6 +26,7 @@ __all__ = [
     "fill_groups",
     "fundamental",
     "inflate",
+    "shorten",
     "srf_to_gdc",
 ]
 
@@ -104,7 +106,7 @@ def dm_to_gdc(d: DifferenceMatrix, distance: int = 6) -> Gdc:
 def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Codeword], list[tuple[int, ...]]]:
     """Map a filler's points [0, len(targets)) onto ``targets`` (in order);
     returns relabeled words and relabeled groups (singletons for a Code)."""
-    code = obj.code if isinstance(obj, Gdc) else obj
+    code = obj.as_code()
     if code.n != len(targets):
         raise ConstructionError(
             f"filler length {code.n} does not match slot of size {len(targets)}")
@@ -134,7 +136,7 @@ def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
         if size not in fillers:
             raise ConstructionError(f"no filler for group size {size}")
         filler = fillers[size]
-        fcode = filler.code if isinstance(filler, Gdc) else filler
+        fcode = filler.as_code()
         if fcode.composition != code.composition and len(fcode.words) > 0:
             raise ConstructionError("filler composition mismatch")
         w, grps = _relabel_onto(filler, list(grp), code.n)
@@ -177,7 +179,6 @@ def adjoin_points(g: Gdc, y: int, first_group: int,
                 raise ConstructionError(f"no filler for group size {size}")
             filler = fillers[size]
             if y > 1:
-                fcode = filler.code if isinstance(filler, Gdc) else filler
                 if isinstance(filler, Gdc):
                     ygroups = [grp2 for grp2 in filler.partition.groups
                                if len(grp2) == y]
@@ -192,6 +193,17 @@ def adjoin_points(g: Gdc, y: int, first_group: int,
         w, _ = _relabel_onto(filler, targets, n_new)
         words.extend(w)
     return Code(n_new, code.composition, code.distance, words)
+
+
+def shorten(code: Code, point: int) -> Code:
+    """Delete ``point``: drop the words that use it and relabel every point
+    above it one lower, giving a code of length n-1."""
+    if not 0 <= point < code.n:
+        raise ConstructionError(f"point {point} outside [0, {code.n})")
+    mapping = [x if x < point else x - 1 for x in range(code.n)]
+    words = [w.relabel(mapping, code.n - 1) for w in code.words
+             if point not in w.support()]
+    return Code(code.n - 1, code.composition, code.distance, words)
 
 
 class IngredientProvider:

@@ -69,10 +69,6 @@ class Composition:
         return ",".join(str(x) for x in self.weights)
 
 
-COMP_22 = Composition((2, 2))
-COMP_31 = Composition((3, 1))
-
-
 class Codeword:
     """A sparse ternary (or general q-ary) word: one sorted support per symbol.
 
@@ -117,12 +113,6 @@ class Codeword:
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(x for cls in self.supports for x in cls))
-
-    def symbol_at(self, x: int) -> int:
-        for j, cls in enumerate(self.supports):
-            if x in cls:
-                return j + 1
-        return 0
 
     def relabel(self, mapping: Sequence[int], n: int | None = None) -> "Codeword":
         """Map every point through ``mapping`` (old index -> new index)."""
@@ -209,8 +199,9 @@ class Code:
     def __len__(self) -> int:
         return len(self.words)
 
-    def word_set(self) -> frozenset[Codeword]:
-        return frozenset(self.words)
+    def as_code(self) -> "Code":
+        """The code itself (the counterpart of :meth:`Gdc.as_code`)."""
+        return self
 
     def __repr__(self) -> str:
         return (f"Code(n={self.n}, comp=[{self.composition}], d={self.distance}, "
@@ -301,12 +292,6 @@ class GdcType:
 
     def total_points(self) -> int:
         return sum(s * m for s, m in self.factors)
-
-    def sizes(self) -> list[int]:
-        out: list[int] = []
-        for s, m in self.factors:
-            out.extend([s] * m)
-        return out
 
     def __str__(self) -> str:
         return " ".join(f"{s}^{m}" for s, m in self.factors)
@@ -429,7 +414,7 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
 # ---------------------------------------------------------------------------
 
 def write_code_text(obj: Code | Gdc) -> str:
-    code = obj.code if isinstance(obj, Gdc) else obj
+    code = obj.as_code()
     lines = [f"n={code.n}", f"composition={code.composition}", f"distance={code.distance}"]
     if isinstance(obj, Gdc):
         lines.append("groups=")

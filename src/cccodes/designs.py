@@ -208,22 +208,8 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
 
 
 def verify_pbd(p: Pbd) -> VerificationReport:
-    violations: list[Violation] = []
-    counts: dict[tuple[int, int], int] = {}
-    for bi, block in enumerate(p.blocks):
-        if len(block) not in p.block_sizes:
-            violations.append(Violation("size-mismatch", (bi,), len(block)))
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                a, b = sorted((block[i], block[j]))
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-    for a in range(p.v):
-        for b in range(a + 1, p.v):
-            c = counts.get((a, b), 0)
-            if c != p.index:
-                violations.append(Violation("distance", (a, b), f"covered {c}x"))
-    violations.sort(key=lambda v: (v.witness, v.kind))
-    return VerificationReport(tuple(violations))
+    """Pair coverage of an index-1 PBD, read as a GDD with singleton groups."""
+    return verify_gdd(pbd_as_gdd(p))
 
 
 def gdd_as_pbd(d: Gdd) -> Pbd:

@@ -87,9 +87,6 @@ class Permutation:
         img = self.image
         return Codeword(tuple(tuple(img[x] for x in cls) for cls in w.supports), w.n)
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.image))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.n
         out = []

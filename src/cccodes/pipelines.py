@@ -15,8 +15,10 @@ Operations: ``manifest REL``, ``design REL``, ``codefile REL``,
 ``inflate REF M``, ``fundamental REF w=W ingredients=REF,...``,
 ``fill REF SIZE:REF ...`` (``SIZE:empty`` for an empty filler),
 ``adjoin REF y=Y first=G code=REF fill=SIZE:REF,...``, ``ascode REF``,
-``shorten REF POINT``.  ``expect`` lines assert size/type of the result,
-and every pipeline result is verified exhaustively before it is returned.
+``shorten REF POINT`` (delete the point and relabel the points above it).
+``expect`` lines assert size/type of the result, and every pipeline result is
+verified exhaustively, once, before it is returned.  The catalog builds every
+recipe through this runner, so its codes are certified here too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
                    verify_code, verify_gdc)
 from .constructions import (IngredientProvider,
                             adjoin_points, dm_to_gdc, empty_code, fill_groups,
-                            fundamental, inflate, srf_to_gdc)
+                            fundamental, inflate, shorten, srf_to_gdc)
 from .designs import build_dm, build_td, read_design_text
 from . import dataio
 
@@ -46,11 +48,6 @@ def _parse_fillers(spec: str, env: dict, comp: Composition) -> dict:
         else:
             fillers[size] = env[ref]
     return fillers
-
-
-def _composition_of(obj) -> Composition:
-    code = obj.code if isinstance(obj, Gdc) else obj
-    return code.composition
 
 
 def _run_op(tokens: list[str], env: dict, build_code):
@@ -89,26 +86,20 @@ def _run_op(tokens: list[str], env: dict, build_code):
         return fundamental(master, weights, provider)
     if op == "fill":
         target = env[args[0]]
-        fillers = _parse_fillers(",".join(args[1:]), env, _composition_of(target))
+        fillers = _parse_fillers(",".join(args[1:]), env,
+                                 target.as_code().composition)
         return fill_groups(target, fillers)
     if op == "adjoin":
         target = env[args[0]]
         kv = dict(a.split("=", 1) for a in args[1:])
         fillers = _parse_fillers(kv.get("fill", ""), env,
-                                 _composition_of(target)) if kv.get("fill") else {}
+                                 target.as_code().composition) if kv.get("fill") else {}
         return adjoin_points(target, int(kv["y"]), int(kv.get("first", "0")),
                              env[kv["code"]], fillers)
     if op == "ascode":
-        obj = env[args[0]]
-        return obj.as_code() if isinstance(obj, Gdc) else obj
+        return env[args[0]].as_code()
     if op == "shorten":
-        obj = env[args[0]]
-        code = obj.as_code() if isinstance(obj, Gdc) else obj
-        point = int(args[1])
-        keep = [w for w in code.words if point not in w.support()]
-        mapping = [x if x < point else x - 1 for x in range(code.n)]
-        words = [w.relabel(mapping, code.n - 1) for w in keep]
-        return Code(code.n - 1, code.composition, code.distance, words)
+        return shorten(env[args[0]].as_code(), int(args[1]))
     raise PipelineError(f"unknown pipeline op {op!r}")
 
 
@@ -132,7 +123,7 @@ def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
             if result is None:
                 raise PipelineError("expect before result")
             kv = dict(a.split("=", 1) for a in tokens[1:])
-            code = result.code if isinstance(result, Gdc) else result
+            code = result.as_code()
             if "size" in kv and len(code.words) != int(kv["size"]):
                 raise PipelineError(
                     f"pipeline size {len(code.words)} != expected {kv['size']}")

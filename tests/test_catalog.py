@@ -2,10 +2,12 @@
 
 import pytest
 
+from cccodes import catalog, core
 from cccodes.bounds import upper_22, upper_31
 from cccodes.catalog import (RecipeError, build_optimal, list_recipes,
                              spectrum)
 from cccodes.core import Composition, verify_code
+from cccodes.dataio import data_root
 
 C22 = Composition((2, 2))
 C31 = Composition((3, 1))
@@ -93,3 +95,37 @@ def test_every_recipe_builds_and_verifies():
             assert len(code) == e.exact, (r.n, r.composition)
         else:
             assert e.lo <= len(code) <= e.hi, (r.n, r.composition)
+
+
+@pytest.fixture
+def cold_build():
+    catalog._build.cache_clear()
+    yield
+    catalog._build.cache_clear()
+
+
+def test_build_scans_each_artefact_once(cold_build, monkeypatch):
+    scanned = []
+    real = core.conflict_pairs
+
+    def counting(words, distance):
+        scanned.append(words)
+        return real(words, distance)
+
+    monkeypatch.setattr(core, "conflict_pairs", counting)
+    code = build_optimal(23, C22)
+    # n23.pipe: the 1-word sub-code `code 5 2,2`, then the 79-word result
+    assert sorted(len(words) for words in scanned) == [1, 79]
+    assert any(words is code.words for words in scanned)
+    build_optimal(23, C22)
+    assert len(scanned) == 2
+
+
+def test_corrupt_recipe_file_is_rejected(cold_build, monkeypatch, tmp_path):
+    text = (data_root() / "codes" / "n9-22.code").read_text()
+    bad = tmp_path / "n9-22.code"
+    bad.write_text(text.replace("7,8 ; 2,4", "0,1 ; 2,3"))
+    monkeypatch.setitem(catalog._R22, 9, ("witness", str(bad), "corrupted"))
+    with pytest.raises(ValueError, match=r"^pipeline result fails verification: "
+                                         r"1 violation\(s\): duplicate at \(0, 8\): 0$"):
+        build_optimal(9, C22)

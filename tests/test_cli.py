@@ -97,6 +97,14 @@ def test_design_build_srf_nonexistence_exit_code():
     assert "none" in out
 
 
+def test_design_verify_pbd_index_two_is_a_data_error(tmp_path, capsys):
+    pbd = tmp_path / "pbd-3-3-2.design"
+    pbd.write_text("kind=pbd\nv=3\nlambda=2\nk=3\nblocks=\n0,1,2\n0,1,2\n")
+    status, _ = run(["design", "verify", str(pbd)])
+    assert status == 2
+    assert capsys.readouterr().err == "error: only index-1 PBDs read as GDDs\n"
+
+
 def test_search_emit_roundtrip(tmp_path):
     out_file = tmp_path / "w9.code"
     status, out = run(["search", "9", "--comp", "2,2", "--emit", str(out_file)])

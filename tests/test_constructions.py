@@ -12,10 +12,11 @@ from cccodes.constructions import (
     fill_groups,
     fundamental,
     inflate,
+    shorten,
     srf_to_gdc,
 )
-from cccodes.core import (Composition, GdcType, gdc_type, verify_code,
-                          verify_gdc)
+from cccodes.core import (Code, Codeword, Composition, GdcType, gdc_type,
+                          verify_code, verify_gdc)
 from cccodes.dataio import data_root, develop_manifest, load_code
 from cccodes.designs import RoomFrame, build_dm, build_td, read_design_text
 
@@ -107,6 +108,37 @@ def test_adjoin_zero_points_equals_fill():
     adjoined = adjoin_points(g, 0, 0, empty2, {2: empty2})
     assert set(filled.words) == set(adjoined.words)
     assert filled.n == adjoined.n
+
+
+def test_shorten_interior_point_relabels():
+    code = Code(6, C22, 6, [Codeword(((0, 1), (2, 3)), 6),
+                            Codeword(((1, 2), (4, 5)), 6),
+                            Codeword(((0, 4), (3, 5)), 6)])
+    short = shorten(code, 2)
+    assert (short.n, short.composition, short.distance) == (5, C22, 6)
+    assert short.words == (Codeword(((0, 3), (2, 4)), 5),)
+
+
+def test_shorten_last_point_keeps_labels():
+    code = develop_manifest("c22/code-n19.man").as_code()
+    last = code.n - 1
+    kept = [Codeword(w.supports, last) for w in code.words
+            if last not in w.support()]
+    assert shorten(code, last).words == tuple(kept)
+
+
+@pytest.mark.parametrize("point", [0, 9, 18])
+def test_shorten_verified_code_verifies(point):
+    code = develop_manifest("c22/code-n19.man").as_code()
+    assert verify_code(code).ok
+    short = shorten(code, point)
+    assert short.n == 18 and 0 < len(short) < len(code)
+    assert verify_code(short).ok
+
+
+def test_shorten_rejects_point_outside_code():
+    with pytest.raises(ConstructionError, match="outside"):
+        shorten(empty_code(5, C22), 5)
 
 
 def test_fundamental_uniform_weight_4():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cccodes.core import GroupPartition
+from cccodes.core import GroupPartition, Violation
 from cccodes.dataio import data_root
 from cccodes.designs import (
     DesignError,
@@ -154,7 +154,21 @@ def test_pbd_trivial_and_shipped():
     p = load_design("pbd-13-4.design")
     assert verify_pbd(p).ok
     broken = Pbd(13, p.blocks[1:], p.block_sizes, 1)
-    assert not verify_pbd(broken).ok
+    a, b, c, d = p.blocks[0]
+    pairs = sorted([(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)])
+    assert verify_pbd(broken).violations == tuple(
+        Violation("distance", pair, "covered 0x") for pair in pairs)
+
+
+def test_pbd_repeated_point_is_duplicate():
+    p = Pbd(3, ((0, 1, 2), (0, 0)), frozenset({2, 3}), 1)
+    assert verify_pbd(p).violations == (
+        Violation("duplicate", (1,), "repeated point in block"),)
+
+
+def test_pbd_index_above_one_is_rejected():
+    with pytest.raises(DesignError, match="index-1"):
+        verify_pbd(Pbd(3, ((0, 1, 2), (0, 1, 2)), frozenset({3}), 2))
 
 
 def test_shipped_gdd_2x7():

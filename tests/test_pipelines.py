@@ -3,6 +3,8 @@
 import pytest
 
 from cccodes import pipelines
+from cccodes.constructions import shorten
+from cccodes.dataio import develop_manifest
 from cccodes.pipelines import PipelineError, run_pipeline_text
 
 MANIFEST = "result manifest c22/type-2^10.man\n"
@@ -38,3 +40,9 @@ def test_failing_type_expectation_message():
     with pytest.raises(PipelineError, match=r"^pipeline verify failed: 1 violation\(s\): "
                                             r"type-mismatch at \(\): 2\^10 != 4\^5$"):
         run_pipeline_text(MANIFEST + "expect type=4^5\n")
+
+
+def test_shorten_step_is_the_construction():
+    code = run_pipeline_text("let c = manifest c22/code-n19.man\nresult shorten c 7\n")
+    want = shorten(develop_manifest("c22/code-n19.man").as_code(), 7)
+    assert (code.n, code.words) == (want.n, want.words)
