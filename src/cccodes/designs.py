@@ -182,9 +182,12 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
             violations.append(Violation("size-mismatch", (bi,), len(block)))
         if len(set(block)) != len(block):
             violations.append(Violation("duplicate", (bi,), "repeated point in block"))
-        if hid is not None:
-            hseen: set[int] = set()
-            for x in block:
+        hseen: set[int] = set()
+        for x in block:
+            if not 0 <= x < d.n:
+                violations.append(Violation("type-mismatch", (bi,),
+                                            f"point {x} outside [0, {d.n})"))
+            elif hid is not None:
                 if hid[x] in hseen:
                     violations.append(Violation("group-hit", (bi,), f"hole {hid[x]} twice"))
                 hseen.add(hid[x])

@@ -160,10 +160,11 @@ class _ClassSpec:
         return out
 
 
-def _parse_sections(text: str) -> dict[str, list[str]]:
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for raw in text.splitlines():
+def _parse_sections(text: str) -> dict[str, list[tuple[int, str]]]:
+    """Section name -> (line number, stripped line) for each content line."""
+    sections: dict[str, list[tuple[int, str]]] = {}
+    current: list[tuple[int, str]] | None = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -172,8 +173,8 @@ def _parse_sections(text: str) -> dict[str, list[str]]:
             current = sections.setdefault(name, [])
             continue
         if current is None:
-            raise ManifestError(f"content before first section: {line!r}")
-        current.append(line)
+            raise ManifestError(f"line {lineno}: content before first section: {line!r}")
+        current.append((lineno, line))
     return sections
 
 
@@ -200,9 +201,9 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             raise ManifestError(f"missing [{required}] section")
 
     meta: dict[str, str] = {}
-    for line in sections["meta"]:
+    for lineno, line in sections["meta"]:
         if "=" not in line:
-            raise ManifestError(f"bad meta line: {line!r}")
+            raise ManifestError(f"line {lineno}: bad meta line: {line!r}")
         k, v = line.split("=", 1)
         meta[k.strip()] = v.strip()
     if "composition" not in meta or "distance" not in meta:
@@ -216,9 +217,11 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
     offset = 0
     plain_offset = 0
     ring_tag = 0
-    for line in sections["classes"]:
+    for lineno, line in sections["classes"]:
         toks = line.split()
         if toks[0] == "plain":
+            if len(toks) < 2:
+                raise ManifestError(f"line {lineno}: bad plain class: {line!r}")
             m = int(toks[1])
             classes.append(_ClassSpec("plain", offset, m, m, plain_offset))
             plain_offset += m
@@ -229,7 +232,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             elif len(toks) == 2:
                 m, k = int(toks[1]), 1
             else:
-                raise ManifestError(f"bad ring class: {line!r}")
+                raise ManifestError(f"line {lineno}: bad ring class: {line!r}")
             for _ in range(k):
                 classes.append(_ClassSpec("ring", offset, m, m, ring_tag))
                 ring_tag += 1
@@ -239,7 +242,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             classes.append(_ClassSpec("inf", offset, k, 1, 0))
             offset += k
         else:
-            raise ManifestError(f"unknown class kind: {line!r}")
+            raise ManifestError(f"line {lineno}: unknown class kind: {line!r}")
     n = offset
     labels: dict[str, int] = {}
     for spec in classes:
@@ -256,15 +259,15 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             raise ManifestError(f"class reference {ref!r} out of range")
         return classes[idx]
 
-    def build_generator(lines: list[str]) -> Permutation:
+    def build_generator(lines: list[tuple[int, str]]) -> Permutation:
         image = list(range(n))
-        for line in lines:
+        for lineno, line in lines:
             toks = line.split()
             if toks[0] == "shift":
                 # shift s on cK
+                if len(toks) < 3 or toks[2] != "on":
+                    raise ManifestError(f"line {lineno}: bad shift line: {line!r}")
                 s = int(toks[1])
-                if toks[2] != "on":
-                    raise ManifestError(f"bad shift line: {line!r}")
                 for ref in toks[3:]:
                     spec = class_by_ref(ref)
                     if spec.kind == "inf":
@@ -287,7 +290,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                     for i in range(a.size):
                         image[a.start + i] = b.start + i
             else:
-                raise ManifestError(f"unknown generator directive: {line!r}")
+                raise ManifestError(f"line {lineno}: unknown generator directive: {line!r}")
         return Permutation(image)
 
     generator = (build_generator(sections["generator"])
@@ -298,9 +301,11 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
     partition: GroupPartition | None = None
     if "groups" in sections:
         groups: list[tuple[int, ...]] = []
-        for line in sections["groups"]:
+        for lineno, line in sections["groups"]:
             toks = line.split()
             if toks[0] == "coset":
+                if len(toks) < 4:
+                    raise ManifestError(f"line {lineno}: bad coset line: {line!r}")
                 step = int(toks[1])
                 if toks[2] == "on":
                     spec = class_by_ref(toks[3])
@@ -315,7 +320,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                             grp.extend(spec.start + j for j in range(i, spec.size, step))
                         groups.append(tuple(grp))
                 else:
-                    raise ManifestError(f"bad coset line: {line!r}")
+                    raise ManifestError(f"line {lineno}: bad coset line: {line!r}")
             elif toks[0] == "whole":
                 grp = []
                 for ref in toks[1:]:
@@ -336,22 +341,25 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                     grp.append(labels[tok])
                 groups.append(tuple(grp))
             else:
-                raise ManifestError(f"unknown groups directive: {line!r}")
+                raise ManifestError(f"line {lineno}: unknown groups directive: {line!r}")
         partition = GroupPartition.of(groups)
         partition.validate(n)
 
     orbits: list[OrbitDecl] = []
-    for line in sections["orbits"]:
+    for lineno, line in sections["orbits"]:
         if ":" not in line:
-            raise ManifestError(f"bad orbit line: {line!r}")
+            raise ManifestError(f"line {lineno}: bad orbit line: {line!r}")
         head, body = line.split(":", 1)
         head = head.strip()
         word = _parse_word(body.strip(), labels, n)
         if tuple(len(c) for c in word.supports) != composition.weights:
-            raise ManifestError(f"codeword arity does not match composition: {line!r}")
+            raise ManifestError(
+                f"line {lineno}: codeword arity does not match composition: {line!r}")
         if head == "full":
             orbits.append(OrbitDecl(word, "full"))
         elif head.startswith("short"):
+            if len(head.split()) < 2:
+                raise ManifestError(f"line {lineno}: bad orbit line: {line!r}")
             orbits.append(OrbitDecl(word, "short", int(head.split()[1])))
         elif head == "fixed":
             orbits.append(OrbitDecl(word, "fixed"))

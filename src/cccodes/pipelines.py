@@ -38,6 +38,13 @@ class PipelineError(ValueError):
     pass
 
 
+class _Env(dict):
+    """Names bound by earlier steps; reading an unbound one is a PipelineError."""
+
+    def __missing__(self, name: str):
+        raise PipelineError(f"unbound name {name!r}")
+
+
 def _parse_fillers(spec: str, env: dict, comp: Composition) -> dict:
     fillers = {}
     for item in spec.split(","):
@@ -105,7 +112,7 @@ def _run_op(tokens: list[str], env: dict, build_code):
 
 def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
     """Execute a pipeline; the result is verified against any expect line."""
-    env: dict[str, object] = {}
+    env = _Env()
     result = verified = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

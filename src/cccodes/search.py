@@ -8,6 +8,20 @@ computed here with a Tomita-style search using greedy-coloring upper bounds.
 One symmetry reduction is applied: coordinate permutations act transitively
 on codewords of a fixed composition, so some maximum code may be assumed to
 contain the lexicographically first codeword.
+
+When w >= 2 and d >= 2w-2 (the paper's weight 4, distance 6), two words with
+the same symbol s at a point x share no other point, since sharing a second
+point would bring their distance to at most 2w-3.  So the words of a code
+carrying s at x have disjoint supports apart from x, and each such (x, s)
+cell holds at most cap = (n-1)//(w-1) words.  Every node is first tested
+against this incidence-capacity bound: with candidates P and chosen words R
+(word 0 included), the code extends by at most
+
+    min over s of  floor( sum over x of min(|P & M(x,s)|, cap - |R & M(x,s)|) / w_s )
+
+words, where M(x,s) is the set of words with symbol s at x.  The bound only
+cuts subtrees that cannot beat the incumbent, so the search finds the same
+witness with fewer nodes; for other parameters it is not used.
 """
 
 from __future__ import annotations
@@ -85,10 +99,19 @@ class _BudgetExceeded(Exception):
 
 
 class _CliqueSearch:
-    """Max clique with greedy-coloring bounds on int-bitset adjacency."""
+    """Max clique with incidence-capacity and greedy-coloring bounds on
+    int-bitset adjacency.
 
-    def __init__(self, adj: list[int], budget: SearchBudget, start: float):
+    ``incidence`` holds, per symbol, its multiplicity w_s and one
+    ``(mask, room)`` cell per point x: the candidates with that symbol at x
+    and how many words other than word 0 the cell may hold.  It is empty
+    when the capacity premise does not hold.
+    """
+
+    def __init__(self, adj: list[int], budget: SearchBudget, start: float,
+                 incidence: list[tuple[int, list[tuple[int, int]]]]):
         self.adj = adj
+        self.incidence = incidence
         self.budget = budget
         self.start = start
         self.nodes = 0
@@ -114,6 +137,19 @@ class _CliqueSearch:
     def expand(self, pmask: int, rmask: int, rsize: int) -> None:
         self.nodes += 1
         self._check_budget()
+        # k more words put k*w_s entries of symbol s into cells that each take
+        # at most min(candidates, room left): prune when some symbol cannot
+        # take best - rsize + 1 more words.
+        for ws, cells in self.incidence:
+            need = (self.best - rsize + 1) * ws
+            for m, room in cells:
+                avail = (pmask & m).bit_count()
+                left = room - (rmask & m).bit_count()
+                need -= avail if avail < left else left
+                if need <= 0:
+                    break
+            else:
+                return
         adj = self.adj
         # Greedy coloring: vertices listed in increasing color; the color is an
         # upper bound on the clique extendable inside the remaining candidates.
@@ -213,7 +249,22 @@ def max_code(n: int, d: int, comp: Composition,
             m |= 1 << inv[u]
         radj[inv[old]] = m
 
-    searcher = _CliqueSearch(radj, budget, t0)
+    # The incidence-capacity cells of the module docstring, indexed like radj.
+    # Word 0 is always chosen, so its own cells start with one word in them.
+    incidence: list[tuple[int, list[tuple[int, int]]]] = []
+    w = comp.weight
+    if w >= 2 and d >= 2 * w - 2:
+        cap = (n - 1) // (w - 1)
+        for s, ws in enumerate(comp.weights):
+            masks = [0] * n
+            for i, old in enumerate(perm):
+                for x in words[sub[old]].supports[s]:
+                    masks[x] |= 1 << i
+            first = words[0].supports[s]
+            incidence.append((ws, [(m, cap - (x in first))
+                                   for x, m in enumerate(masks)]))
+
+    searcher = _CliqueSearch(radj, budget, t0, incidence)
     # Seed the incumbent greedily (independent of any catalog data).
     g = _greedy_clique(radj, list(range(len(sub))))
     searcher.seed(g, g.bit_count())

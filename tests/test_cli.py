@@ -126,3 +126,20 @@ def test_cli_start_up_does_not_import_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import cccodes.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):
+    man = tmp_path / "bad.man"
+    man.write_text("[meta]\ncomposition = 2,2\ndistance = 6\n[classes]\nplain 20\n"
+                   "[generator]\nshift\n[orbits]\nfull: 0,5 ; 3,7\n")
+    status, _ = run(["verify", str(man)])
+    assert status == 2
+    assert capsys.readouterr().err == "error: line 7: bad shift line: 'shift'\n"
+
+
+def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
+    pipe = tmp_path / "bad.pipe"
+    pipe.write_text("result fill nosuch 19:empty\n")
+    status, _ = run(["build", "--pipeline", str(pipe)])
+    assert status == 2
+    assert capsys.readouterr().err == "error: unbound name 'nosuch'\n"

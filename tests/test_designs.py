@@ -166,6 +166,18 @@ def test_pbd_repeated_point_is_duplicate():
         Violation("duplicate", (1,), "repeated point in block"),)
 
 
+def test_point_outside_the_design_is_reported():
+    p = Pbd(3, ((0, 1, 2), (1, 5)), frozenset({2, 3}), 1)
+    assert verify_pbd(p).violations == (
+        Violation("type-mismatch", (1,), "point 5 outside [0, 3)"),)
+    # With holes the point is not looked up in the hole partition either.
+    g = Gdd(4, GroupPartition.singletons(4),
+            ((0, 2), (0, 3), (1, 2), (1, 3), (0, 7)), frozenset({2}))
+    holes = GroupPartition.of([[0, 1], [2, 3]])
+    assert verify_gdd(g, holes=holes).violations == (
+        Violation("type-mismatch", (4,), "point 7 outside [0, 4)"),)
+
+
 def test_pbd_index_above_one_is_rejected():
     with pytest.raises(DesignError, match="index-1"):
         verify_pbd(Pbd(3, ((0, 1, 2), (0, 1, 2)), frozenset({3}), 2))

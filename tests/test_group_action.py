@@ -198,3 +198,15 @@ def test_default_partition_is_singletons():
     m = parse_manifest(MINIMAL)
     g = develop(m)
     assert str(gdc_type(g)) == "1^20"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("shift 1 on c0", "shift", "line 8: bad shift line: 'shift'"),
+    ("plain 20", "plain", "line 6: bad plain class: 'plain'"),
+    ("shift 1 on c0", "shift 1 on c0\n[groups]\ncoset 5", "line 10: bad coset line: 'coset 5'"),
+    ("full:", "short:", "line 10: bad orbit line: 'short: 0,5 ; 3,7'"),
+])
+def test_truncated_line_is_a_manifest_error_with_its_number(old, new, message):
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(MINIMAL.replace(old, new))
+    assert str(err.value) == message

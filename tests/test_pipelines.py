@@ -46,3 +46,11 @@ def test_shorten_step_is_the_construction():
     code = run_pipeline_text("let c = manifest c22/code-n19.man\nresult shorten c 7\n")
     want = shorten(develop_manifest("c22/code-n19.man").as_code(), 7)
     assert (code.n, code.words) == (want.n, want.words)
+
+
+@pytest.mark.parametrize("text", ["result ascode nosuch\n",
+                                  "let g = manifest c22/type-2^10.man\nresult fill g 2:nosuch\n"])
+def test_unbound_name_is_a_pipeline_error(text):
+    with pytest.raises(PipelineError) as err:
+        run_pipeline_text(text)
+    assert str(err.value) == "unbound name 'nosuch'"

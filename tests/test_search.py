@@ -1,5 +1,7 @@
 """Exact-search oracle: enumeration, small exact values, budgets, witnesses."""
 
+import networkx as nx
+
 from cccodes.bounds import upper_bound
 from cccodes.core import Composition, hamming_distance, verify_code
 from cccodes.search import (
@@ -64,10 +66,11 @@ def test_exact_n11_31():
 
 
 def test_budget_exhaustion_returns_lower_bound():
-    out = max_code(9, 6, C22, budget=SearchBudget(nodes=10))
+    # n = 8 [2,2] needs 455 nodes (n = 9 [2,2] ends at the root).
+    out = max_code(8, 6, C22, budget=SearchBudget(nodes=10))
     assert out.status == "lower-bound-only"
     assert verify_code(out.witness).ok
-    assert 1 <= out.size <= 9
+    assert 1 <= out.size <= SMALL_22[8]
 
 
 def test_determinism():
@@ -92,7 +95,51 @@ def test_compatibility_graph_is_complement_of_conflicts():
 
 
 def test_node_counts_fixed():
-    # Branch and bound over the same graph explores the same tree.
-    for n, comp, size, nodes in ((8, C22, 5, 455), (9, C31, 6, 214), (10, C31, 10, 515)):
+    # Branch and bound over the same graph explores the same tree.  With the
+    # greedy-coloring bound alone these took 455, 214, 515 and 732,679 nodes;
+    # the incidence-capacity bound settles n = 9, 10 [3,1] at the root.
+    for n, comp, size, nodes in ((8, C22, 5, 455), (9, C31, 6, 1), (10, C31, 10, 1),
+                                 (11, C31, 11, 7415)):
         out = max_code(n, 6, comp)
         assert (out.size, out.nodes) == (size, nodes), (n, comp)
+
+
+def _graph(adj):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((i, j) for i, row in enumerate(adj)
+                     for j in range(i + 1, len(adj)) if (row >> j) & 1)
+    return g
+
+
+def test_max_code_matches_networkx_clique_number():
+    # The first distance of each row is below 2w-2, where the search runs
+    # without the incidence bound; it stops at n = 7 because networkx needs
+    # minutes for [2,2] at n = 8, d = 5.  [2,1] checks the bound at weight 3.
+    for comp, ds, top in ((C22, (5, 6, 7, 8), 8), (C31, (5, 6, 7, 8), 8),
+                          (Composition((2, 1)), (3, 4, 5, 6), 7)):
+        for n in range(comp.weight, top + 1):
+            words = enumerate_codewords(n, comp)
+            for d in ds:
+                if n == 8 and d == ds[0]:
+                    continue
+                _, want = nx.max_weight_clique(_graph(_adjacency(words, d)), weight=None)
+                out = max_code(n, d, comp)
+                assert out.status == "exact" and out.size == want, (comp, n, d)
+                assert verify_code(out.witness).ok
+
+
+def test_incidence_capacity_premise():
+    # At d >= 2w-2 the words with symbol s at point x form no clique larger
+    # than (n-1)//(w-1) in the verifier's compatibility graph.
+    for comp in (C22, C31, Composition((2, 1)), Composition((1, 1))):
+        w = comp.weight
+        for n in range(w, 9):
+            words = enumerate_codewords(n, comp)
+            cap = (n - 1) // (w - 1)
+            for d in range(2 * w - 2, 2 * w + 1):
+                for s in range(len(comp.weights)):
+                    for x in range(n):
+                        cell = [u for u in words if x in u.supports[s]]
+                        g = _graph(_adjacency(cell, d))
+                        assert nx.max_weight_clique(g, weight=None)[1] <= cap, (comp, n, d, s, x)
