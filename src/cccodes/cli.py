@@ -52,6 +52,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _head(obj) -> str:
+    if isinstance(obj, Gdc):
+        return f"type {gdc_type(obj)} size {len(obj)}"
+    return f"n {obj.n} size {len(obj)}"
+
+
+def _print_failure(obj, rep) -> int:
+    print(f"{_head(obj)} FAIL")
+    for v in rep.violations:
+        print(f"  {v}")
+    return 1
+
+
 def cmd_verify(args) -> int:
     text = _read_text(args.file)
     if args.file.endswith(".man") or "[orbits]" in text:
@@ -61,17 +74,10 @@ def cmd_verify(args) -> int:
     else:
         obj = read_code_text(text)
         rep = verify_gdc(obj) if isinstance(obj, Gdc) else verify_code(obj)
-    if isinstance(obj, Gdc):
-        head = f"type {gdc_type(obj)} size {len(obj)}"
-    else:
-        head = f"n {obj.n} size {len(obj)}"
-    if rep.ok:
-        print(f"{head} OK")
-        return 0
-    print(f"{head} FAIL")
-    for v in rep.violations:
-        print(f"  {v}")
-    return 1
+    if not rep.ok:
+        return _print_failure(obj, rep)
+    print(f"{_head(obj)} OK")
+    return 0
 
 
 def cmd_develop(args) -> int:
@@ -79,11 +85,10 @@ def cmd_develop(args) -> int:
     g = develop(m)
     rep = verify_gdc(g, m.expected_type, m.expected_size)
     if not rep.ok:
-        print(f"developed but verification failed: {rep.summary()}")
-        return 1
+        return _print_failure(g, rep)
     _emit(write_code_text(g), args.emit)
     if args.emit:
-        print(f"type {gdc_type(g)} size {len(g)} OK -> {args.emit}")
+        print(f"{_head(g)} OK -> {args.emit}")
     return 0
 
 
@@ -118,23 +123,15 @@ def cmd_search(args) -> int:
 
 def cmd_build(args) -> int:
     if args.pipeline:
-        obj = pipelines.run_pipeline_text(
-            _read_text(args.pipeline),
-            build_code=lambda n, c: catalog.build_optimal(n, c))
-        if isinstance(obj, Gdc):
-            print(f"type {gdc_type(obj)} size {len(obj)} OK")
-        else:
-            print(f"n {obj.n} size {len(obj)} OK")
-        if args.emit:
-            Path(args.emit).write_text(write_code_text(obj))
-        return 0
-    if args.n is None:
+        obj = pipelines.run_pipeline_text(_read_text(args.pipeline),
+                                          build_code=catalog.build_optimal)
+    elif args.n is None:
         raise CliError("build needs <n> or --pipeline")
-    comp = _comp(args.comp)
-    code = catalog.build_optimal(args.n, comp)
-    print(f"n {code.n} size {len(code)} OK")
+    else:
+        obj = catalog.build_optimal(args.n, _comp(args.comp))
+    print(f"{_head(obj)} OK")
     if args.emit:
-        Path(args.emit).write_text(write_code_text(code))
+        Path(args.emit).write_text(write_code_text(obj))
     return 0
 
 
@@ -185,16 +182,8 @@ def cmd_table(args) -> int:
 def cmd_design(args) -> int:
     if args.action == "verify":
         obj = read_design_text(_read_text(args.args[0]))
-        if isinstance(obj, Gdd):
-            rep = verify_gdd(obj)
-        elif isinstance(obj, Pbd):
-            rep = verify_pbd(obj)
-        elif isinstance(obj, DifferenceMatrix):
-            rep = verify_dm(obj)
-        elif isinstance(obj, RoomFrame):
-            rep = verify_skew_room_frame(obj)
-        else:
-            raise CliError("unknown design kind")
+        rep = {Gdd: verify_gdd, Pbd: verify_pbd, DifferenceMatrix: verify_dm,
+               RoomFrame: verify_skew_room_frame}[type(obj)](obj)
         print("OK" if rep.ok else f"FAIL {rep.summary()}")
         return 0 if rep.ok else 1
     # build

@@ -27,6 +27,7 @@ __all__ = [
     "hamming_distance",
     "read_code_text",
     "verify_code",
+    "verify_expectations",
     "verify_gdc",
     "write_code_text",
 ]
@@ -376,9 +377,24 @@ def verify_code(c: Code) -> VerificationReport:
     return VerificationReport(tuple(violations))
 
 
+def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
+                        expected_size: int | None = None) -> VerificationReport:
+    """Size and type of ``obj`` against those that a manifest or a pipeline
+    ``expect`` line declares; scans no pairs.  A plain code has no type."""
+    out = []
+    if expected_size is not None and len(obj) != expected_size:
+        out.append(Violation("size-mismatch", (), f"{len(obj)} != {expected_size}"))
+    if expected_type is not None:
+        actual = (GdcType.of_sizes(len(grp) for grp in obj.partition.groups)
+                  if isinstance(obj, Gdc) else "a plain code")
+        if actual != expected_type:
+            out.append(Violation("type-mismatch", (), f"{actual} != {expected_type}"))
+    return VerificationReport(tuple(out))
+
+
 def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
                expected_size: int | None = None) -> VerificationReport:
-    """verify_code plus the group-hit constraint and optional type/size checks."""
+    """verify_code, the group-hit constraint and :func:`verify_expectations`."""
     violations = list(verify_code(g.code).violations)
     try:
         g.partition.validate(g.n)
@@ -394,12 +410,7 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
                 violations.append(Violation("group-hit", (i, k), f"points {seen[k]} and {x}"))
             else:
                 seen[k] = x
-    if expected_size is not None and len(g.code.words) != expected_size:
-        violations.append(Violation("size-mismatch", (), f"{len(g.code.words)} != {expected_size}"))
-    if expected_type is not None:
-        actual = gdc_type(g)
-        if actual != expected_type:
-            violations.append(Violation("type-mismatch", (), f"{actual} != {expected_type}"))
+    violations += verify_expectations(g, expected_type, expected_size).violations
     violations.sort(key=lambda v: (v.witness, v.kind))
     return VerificationReport(tuple(violations))
 

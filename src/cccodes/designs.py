@@ -170,10 +170,12 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
     never.  With ``holes`` the design is read as a double GDD: pairs inside a
     hole are exempt from coverage and blocks may meet a hole at most once."""
     violations: list[Violation] = []
-    try:
-        d.partition.validate(d.n)
-    except ValueError as e:
-        return VerificationReport((Violation("type-mismatch", (), str(e)),))
+    for prefix, part in (("", d.partition), ("holes: ", holes)):
+        try:
+            if part is not None:
+                part.validate(d.n)
+        except ValueError as e:
+            return VerificationReport((Violation("type-mismatch", (), prefix + str(e)),))
     gid = d.partition.group_of()
     hid = holes.group_of() if holes is not None else None
     counts: dict[tuple[int, int], int] = {}
@@ -557,6 +559,9 @@ def write_design_text(obj: Gdd | Pbd | DifferenceMatrix | RoomFrame) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = {"gdd": ("n", "k"), "pbd": ("v", "k"), "dm": ("g", "k")}
+
+
 def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
     header: dict[str, str] = {}
     section = None
@@ -576,6 +581,9 @@ def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
                 raise DesignError(f"content before any section: {line!r}")
             body[section].append(line)
     kind = header.get("kind")
+    for key in _HEADER_KEYS.get(kind, ()):
+        if key not in header:
+            raise DesignError(f"missing header {key}=")
     if kind == "gdd":
         groups = GroupPartition.of(
             tuple(int(x) for x in g.split(",")) for g in body.get("groups", []))

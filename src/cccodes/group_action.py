@@ -4,16 +4,17 @@ A manifest describes a point set built from labeled classes, one generator
 permutation (optionally two commuting ones for product actions), a group
 partition, and base codewords with orbit declarations.  Developing a manifest
 produces a group divisible code whose size is the exact sum of the declared
-orbit lengths; any mismatch is an error rather than a silent dedup, because
-transcription bugs show up precisely as collapsed or colliding orbits.
+orbit lengths: words are never deduplicated, because transcription bugs show
+up precisely as collapsed or colliding orbits, which the verifier then reports
+as duplicates next to any size or type that differs from the declared one.
 
 Manifest grammar (sections in square brackets, `#` comments)::
 
     [meta]
     composition = 2,2        # or 3,1
     distance = 6
-    expected_size = 60       # optional
-    expected_type = 2^10     # optional
+    expected_size = 60       # optional; the verifier checks it
+    expected_type = 2^10     # optional; the verifier checks it
     [classes]
     plain 20                 # absolute integer labels 0..19; offsets stack
     ring 12 x 3              # labels x_0, x_1, x_2 with x in Z_12
@@ -58,7 +59,7 @@ class ManifestError(ValueError):
 
 
 class DevelopmentError(ValueError):
-    """Orbit-length mismatch, cross-orbit duplicate, or expectation failure."""
+    """A short orbit whose declared length does not divide its full orbit."""
 
 
 class Permutation:
@@ -358,7 +359,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
         if head == "full":
             orbits.append(OrbitDecl(word, "full"))
         elif head.startswith("short"):
-            if len(head.split()) < 2:
+            if len(head.split()) < 2 or int(head.split()[1]) < 1:
                 raise ManifestError(f"line {lineno}: bad orbit line: {line!r}")
             orbits.append(OrbitDecl(word, "short", int(head.split()[1])))
         elif head == "fixed":
@@ -397,52 +398,29 @@ def _group_orbit(base: Codeword, g1: Permutation, g2: Permutation | None) -> lis
 
 
 def develop(m: Manifest) -> Gdc:
-    """Union of all declared orbits, with exact bookkeeping.
+    """Union of all declared orbits, in declaration order.
 
-    Raises :class:`DevelopmentError` on a short-orbit length mismatch, a
-    duplicate across different orbits, or a failed size/type expectation.
+    Only builds the words: the declared size and type, and duplicates across
+    orbits, are checked by :func:`cccodes.core.verify_gdc`.  Raises
+    :class:`DevelopmentError` when a short orbit's declared length does not
+    divide the base word's full orbit length, a fact about the manifest text
+    that no check on the developed code can see.
     """
     words: list[Codeword] = []
-    owner: dict[Codeword, int] = {}
     for k, decl in enumerate(m.orbits):
         if decl.kind == "fixed":
-            produced = [decl.base]
+            words.append(decl.base)
         elif decl.kind == "short":
-            # Truncated development: the first k images of the base.  The
-            # declared length must divide the base word's true orbit length
-            # (so consecutive truncated orbits tile the full orbit).
-            assert decl.length is not None
-            produced = [decl.base]
-            w = decl.base
-            for _ in range(decl.length - 1):
-                w = m.generator.apply_word(w)
-                produced.append(w)
-            if len(set(produced)) != decl.length:
-                raise DevelopmentError(
-                    f"{m.name}: short orbit {k} repeats within its declared "
-                    f"length {decl.length}")
-            full = len(orbit(decl.base, m.generator))
-            if full % decl.length != 0:
+            # Truncated development: the first L images of the base, where L
+            # divides the full orbit length (so consecutive truncated orbits
+            # tile the full orbit).
+            full = orbit(decl.base, m.generator)
+            if len(full) % decl.length != 0:
                 raise DevelopmentError(
                     f"{m.name}: short orbit {k} declares length {decl.length} "
-                    f"which does not divide the full orbit length {full}")
+                    f"which does not divide the full orbit length {len(full)}")
+            words.extend(full[:decl.length])
         else:
-            produced = _group_orbit(decl.base, m.generator, m.generator2)
-        for w in produced:
-            if w in owner:
-                raise DevelopmentError(
-                    f"{m.name}: word {w!r} appears in orbits {owner[w]} and {k}")
-            owner[w] = k
-            words.append(w)
-    if m.expected_size is not None and len(words) != m.expected_size:
-        raise DevelopmentError(
-            f"{m.name}: developed size {len(words)} != expected {m.expected_size}")
+            words.extend(_group_orbit(decl.base, m.generator, m.generator2))
     partition = m.partition if m.partition is not None else GroupPartition.singletons(m.n)
-    gdc = Gdc(Code(m.n, m.composition, m.distance, words), partition)
-    if m.expected_type is not None:
-        from .core import gdc_type
-        actual = gdc_type(gdc)
-        if actual != m.expected_type:
-            raise DevelopmentError(
-                f"{m.name}: developed type {actual} != expected {m.expected_type}")
-    return gdc
+    return Gdc(Code(m.n, m.composition, m.distance, words), partition)

@@ -10,25 +10,24 @@ calls), a single ``result OP ARGS...``, and optional ``expect`` assertions::
     result adjoin g y=1 first=0 code=c20 fill=19:c20
     expect size=962
 
-Operations: ``manifest REL``, ``design REL``, ``codefile REL``,
-``code N COMP``, ``dm G``, ``td K M``, ``dm2gdc REF``, ``srf2gdc REF``,
-``inflate REF M``, ``fundamental REF w=W ingredients=REF,...``,
-``fill REF SIZE:REF ...`` (``SIZE:empty`` for an empty filler),
-``adjoin REF y=Y first=G code=REF fill=SIZE:REF,...``, ``ascode REF``,
-``shorten REF POINT`` (delete the point and relabel the points above it).
-``expect`` lines assert size/type of the result, and every pipeline result is
-verified exhaustively, once, before it is returned.  The catalog builds every
-recipe through this runner, so its codes are certified here too.
+The operations and their arguments are listed in ``_SIGNATURES``; a step
+that lacks one is a PipelineError quoting the line.  A ``manifest`` step
+checks the manifest's declared size and type, and ``expect size=N type=T``
+lines check the result's, both with :func:`cccodes.core.verify_expectations`
+(no pair scan).  The result itself is verified exhaustively, once, before it
+is returned.  The catalog builds every recipe through this runner, so its
+codes are certified here too.
 """
 
 from __future__ import annotations
 
 from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
-                   verify_code, verify_gdc)
+                   verify_code, verify_expectations, verify_gdc)
 from .constructions import (IngredientProvider,
                             adjoin_points, dm_to_gdc, empty_code, fill_groups,
                             fundamental, inflate, shorten, srf_to_gdc)
 from .designs import build_dm, build_td, read_design_text
+from .group_action import develop
 from . import dataio
 
 __all__ = ["PipelineError", "run_pipeline", "run_pipeline_text"]
@@ -45,10 +44,22 @@ class _Env(dict):
         raise PipelineError(f"unbound name {name!r}")
 
 
-def _parse_fillers(spec: str, env: dict, comp: Composition) -> dict:
+# op -> its positional, then required key=value arguments.  Optional: adjoin's
+# first=G and fill=SIZE:REF,...  A SIZE:empty filler is an empty code.
+_SIGNATURES = {
+    "manifest": "REL", "design": "REL", "codefile": "REL", "code": "N COMP",
+    "dm": "G", "td": "K M", "dm2gdc": "REF", "srf2gdc": "REF", "inflate": "REF M",
+    "fundamental": "REF w=W ingredients=REF,...", "fill": "REF SIZE:REF...",
+    "adjoin": "REF y=Y code=REF", "ascode": "REF", "shorten": "REF POINT",
+}
+
+
+def _parse_fillers(spec: str, env: dict, comp: Composition, line: str) -> dict:
     fillers = {}
     for item in spec.split(","):
-        size_s, ref = item.split(":")
+        if ":" not in item:
+            raise PipelineError(f"bad filler {item!r}, want SIZE:REF: {line!r}")
+        size_s, ref = item.split(":", 1)
         size = int(size_s)
         if ref == "empty":
             fillers[size] = empty_code(size, comp)
@@ -57,11 +68,23 @@ def _parse_fillers(spec: str, env: dict, comp: Composition) -> dict:
     return fillers
 
 
-def _run_op(tokens: list[str], env: dict, build_code):
-    op = tokens[0]
-    args = tokens[1:]
+def _run_op(tokens: list[str], env: dict, build_code, line: str):
+    if not tokens or tokens[0] not in _SIGNATURES:
+        raise PipelineError(f"want one of {', '.join(_SIGNATURES)}: {line!r}")
+    op, args = tokens[0], tokens[1:]
+    sig = _SIGNATURES[op].split()
+    keys = [a.split("=")[0] for a in sig if "=" in a]
+    kv = dict(a.split("=", 1) for a in args if "=" in a)
+    if len(args) - len(kv) < len(sig) - len(keys) or not all(k in kv for k in keys):
+        raise PipelineError(f"want {op} {_SIGNATURES[op]}: {line!r}")
     if op == "manifest":
-        return dataio.develop_manifest(args[0])
+        m = dataio.load_manifest(args[0])
+        g = develop(m)
+        rep = verify_expectations(g, m.expected_type, m.expected_size)
+        if not rep.ok:
+            raise PipelineError(f"manifest {args[0]} differs from its declaration: "
+                                f"{rep.summary()}")
+        return g
     if op == "design":
         path = dataio.data_root() / "designs" / args[0]
         return read_design_text(path.read_text())
@@ -86,7 +109,6 @@ def _run_op(tokens: list[str], env: dict, build_code):
         return inflate(obj, int(args[1]))
     if op == "fundamental":
         master = env[args[0]]
-        kv = dict(a.split("=", 1) for a in args[1:])
         w = int(kv["w"])
         weights = [w] * master.n
         provider = IngredientProvider([env[r] for r in kv["ingredients"].split(",")])
@@ -94,64 +116,52 @@ def _run_op(tokens: list[str], env: dict, build_code):
     if op == "fill":
         target = env[args[0]]
         fillers = _parse_fillers(",".join(args[1:]), env,
-                                 target.as_code().composition)
+                                 target.as_code().composition, line)
         return fill_groups(target, fillers)
     if op == "adjoin":
         target = env[args[0]]
-        kv = dict(a.split("=", 1) for a in args[1:])
-        fillers = _parse_fillers(kv.get("fill", ""), env,
-                                 target.as_code().composition) if kv.get("fill") else {}
+        fillers = _parse_fillers(kv["fill"], env, target.as_code().composition,
+                                 line) if kv.get("fill") else {}
         return adjoin_points(target, int(kv["y"]), int(kv.get("first", "0")),
                              env[kv["code"]], fillers)
     if op == "ascode":
         return env[args[0]].as_code()
-    if op == "shorten":
-        return shorten(env[args[0]].as_code(), int(args[1]))
-    raise PipelineError(f"unknown pipeline op {op!r}")
+    # op == "shorten"
+    return shorten(env[args[0]].as_code(), int(args[1]))
 
 
 def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
-    """Execute a pipeline; the result is verified against any expect line."""
+    """Execute a pipeline; check each expect line, then verify the result once."""
     env = _Env()
-    result = verified = None
+    result = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if tokens[0] == "let":
-            if tokens[2] != "=":
+            if len(tokens) < 3 or tokens[2] != "=":
                 raise PipelineError(f"bad let line: {line!r}")
-            env[tokens[1]] = _run_op(tokens[3:], env, build_code)
+            env[tokens[1]] = _run_op(tokens[3:], env, build_code, line)
         elif tokens[0] == "result":
-            result = _run_op(tokens[1:], env, build_code)
+            result = _run_op(tokens[1:], env, build_code, line)
             env["result"] = result
         elif tokens[0] == "expect":
             if result is None:
                 raise PipelineError("expect before result")
-            kv = dict(a.split("=", 1) for a in tokens[1:])
-            code = result.as_code()
-            if "size" in kv and len(code.words) != int(kv["size"]):
-                raise PipelineError(
-                    f"pipeline size {len(code.words)} != expected {kv['size']}")
-            if "type" in kv:
-                if not isinstance(result, Gdc):
-                    raise PipelineError("type expectation on a plain code")
-                rep = verify_gdc(result, GdcType.parse(kv["type"]), None)
-                if not rep.ok:
-                    raise PipelineError(f"pipeline verify failed: {rep.summary()}")
-                verified = result
+            kv = dict(a.partition("=")[::2] for a in tokens[1:])
+            if not set(kv) <= {"size", "type"} or "" in kv.values():
+                raise PipelineError(f"want expect size=N type=T: {line!r}")
+            rep = verify_expectations(
+                result, GdcType.parse(kv["type"]) if "type" in kv else None,
+                int(kv["size"]) if "size" in kv else None)
+            if not rep.ok:
+                raise PipelineError(f"pipeline verify failed: {rep.summary()}")
         else:
             raise PipelineError(f"unparseable pipeline line: {line!r}")
     if result is None:
         raise PipelineError("pipeline has no result step")
-    # Verify the final object once: a passing type expectation already did.
-    if result is verified:
-        return result
-    if isinstance(result, Gdc):
-        rep = verify_gdc(result)
-    else:
-        rep = verify_code(result)
+    rep = verify_gdc(result) if isinstance(result, Gdc) else verify_code(result)
     if not rep.ok:
         raise PipelineError(f"pipeline result fails verification: {rep.summary()}")
     return result

@@ -55,8 +55,8 @@ def test_criterion_2_all_manifests_develop_and_verify():
     for path in paths:
         m = load_manifest(path)
         assert m.expected_size is not None and m.expected_type is not None, path
-        g = develop(m)  # enforces declared orbit lengths, size and type
-        rep = verify_gdc(g, m.expected_type, m.expected_size)
+        g = develop(m)  # raises only on a short orbit that does not divide
+        rep = verify_gdc(g, m.expected_type, m.expected_size)  # size and type
         assert rep.ok, (path.name, rep.summary())
         sizes[path.name] = (len(g), str(gdc_type(g)))
         checked += 1

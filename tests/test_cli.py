@@ -7,6 +7,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import cccodes
 from cccodes.cli import main
 
@@ -143,3 +145,43 @@ def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
     status, _ = run(["build", "--pipeline", str(pipe)])
     assert status == 2
     assert capsys.readouterr().err == "error: unbound name 'nosuch'\n"
+
+
+def test_verify_manifest_with_a_wrong_declared_size_lists_it(tmp_path, capsys):
+    from cccodes.dataio import data_root
+    text = (data_root() / "manifests" / "c22" / "type-2^10.man").read_text()
+    man = tmp_path / "wrong-size.man"
+    man.write_text(text.replace("expected_size = 60", "expected_size = 61"))
+    for cmd in (["verify", str(man)], ["develop", str(man)]):
+        status, out = run(cmd)
+        assert status == 1
+        assert out == "type 2^10 size 60 FAIL\n  size-mismatch at (): 60 != 61\n"
+    assert capsys.readouterr().err == ""
+
+
+G10 = "let g = manifest c22/type-2^10.man\n"
+
+
+@pytest.mark.parametrize("text", [
+    "result dm\n", "result\n", "let x\n", "let x =\n",
+    G10 + "result adjoin g code=g\n", G10 + "result adjoin g y=1\n",
+    G10 + "result adjoin y=1 code=g\n",
+    G10 + "result fundamental g ingredients=g\n", G10 + "result fundamental g w=2\n",
+    G10 + "result fill g 2\n", G10 + "result fill g\n",
+    G10 + "result ascode g\nexpect size\n",
+])
+def test_pipeline_missing_argument_is_a_data_error(tmp_path, capsys, text):
+    pipe = tmp_path / "bad.pipe"
+    pipe.write_text(text)
+    status, _ = run(["build", "--pipeline", str(pipe)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ") and err.endswith(f": {text.splitlines()[-1]!r}\n")
+
+
+def test_design_missing_header_key_is_a_data_error(tmp_path, capsys):
+    gdd = tmp_path / "no-k.design"
+    gdd.write_text("kind=gdd\nn=2\ngroups=\n0\n1\nblocks=\n0,1\n")
+    status, _ = run(["design", "verify", str(gdd)])
+    assert status == 2
+    assert capsys.readouterr().err == "error: missing header k=\n"

@@ -207,3 +207,29 @@ def test_design_text_roundtrip():
         again = read_design_text(write_design_text(obj))
         assert type(again) is type(obj)
         assert write_design_text(again) == write_design_text(obj)
+
+
+@pytest.mark.parametrize("holes, message", [
+    ([[0, 1]], "holes: groups do not partition [0, n)"),
+    ([[0, 1], [1, 2, 3]], "holes: groups do not partition [0, n)"),
+    ([[0, 1], [2, 3], []], "holes: empty group in partition"),
+])
+def test_hole_partition_must_cover_the_points(holes, message):
+    g = Gdd(4, GroupPartition.singletons(4), ((0, 2), (0, 3), (1, 2), (1, 3)),
+            frozenset({2}))
+    assert verify_gdd(g, holes=GroupPartition.of([[0, 1], [2, 3]])).ok
+    assert verify_gdd(g, holes=GroupPartition.of(holes)).violations == (
+        Violation("type-mismatch", (), message),)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind=gdd\nn=2\ngroups=\n0\n1\nblocks=\n0,1\n", "k"),
+    ("kind=gdd\nk=2\ngroups=\n0\n1\nblocks=\n0,1\n", "n"),
+    ("kind=pbd\nk=2\nblocks=\n0,1\n", "v"),
+    ("kind=dm\nk=3\nrows=\n0,0,0\n", "g"),
+    ("kind=dm\ng=2\nrows=\n0,0,0\n", "k"),
+])
+def test_missing_header_key_is_a_design_error(text, key):
+    with pytest.raises(DesignError) as err:
+        read_design_text(text)
+    assert str(err.value) == f"missing header {key}="

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cccodes.core import Codeword, GdcType, gdc_type, verify_gdc
+from cccodes.core import Codeword, GdcType, Violation, gdc_type, verify_gdc
 from cccodes.dataio import develop_manifest, load_manifest
 from cccodes.group_action import (
     DevelopmentError,
@@ -160,10 +160,19 @@ def test_size_is_sum_of_orbit_lengths():
     assert total == len(g) == 648
 
 
+def verify_declared(text):
+    """Develop a manifest and verify it against its declared size and type."""
+    m = parse_manifest(text)
+    return verify_gdc(develop(m), m.expected_type, m.expected_size).violations
+
+
 def test_cross_orbit_duplicate_is_error():
-    dup = MINIMAL + "full: 1,6 ; 4,8\n"  # same orbit as the first base word
-    with pytest.raises(DevelopmentError, match="orbits 0 and 1"):
-        develop(parse_manifest(dup))
+    # The second base word is the first one shifted once, so its orbit
+    # repeats the first: word 20 + k equals word k + 1 (mod 20).
+    dup = MINIMAL + "full: 1,6 ; 4,8\n"
+    want = sorted((Violation("duplicate", ((k + 1) % 20, 20 + k), 0) for k in range(20)),
+                  key=lambda v: v.witness)
+    assert list(verify_declared(dup)) == want
 
 
 def test_short_orbit_length_mismatch_is_error():
@@ -180,18 +189,20 @@ short 5: 0,6 ; 1,7
 """
     with pytest.raises(DevelopmentError, match="does not divide"):
         develop(parse_manifest(text))
+    # longer than the full orbit (length 6): it would repeat its own words
+    with pytest.raises(DevelopmentError, match="length 24 which does not divide "
+                                               "the full orbit length 6"):
+        develop(parse_manifest(text.replace("short 5", "short 24")))
 
 
 def test_expected_size_mismatch_is_error():
     text = MINIMAL.replace("distance = 6", "distance = 6\nexpected_size = 21")
-    with pytest.raises(DevelopmentError, match="size"):
-        develop(parse_manifest(text))
+    assert verify_declared(text) == (Violation("size-mismatch", (), "20 != 21"),)
 
 
 def test_expected_type_mismatch_is_error():
     text = MINIMAL.replace("distance = 6", "distance = 6\nexpected_type = 4^5")
-    with pytest.raises(DevelopmentError, match="type"):
-        develop(parse_manifest(text))
+    assert verify_declared(text) == (Violation("type-mismatch", (), "1^20 != 4^5"),)
 
 
 def test_default_partition_is_singletons():
@@ -205,6 +216,7 @@ def test_default_partition_is_singletons():
     ("plain 20", "plain", "line 6: bad plain class: 'plain'"),
     ("shift 1 on c0", "shift 1 on c0\n[groups]\ncoset 5", "line 10: bad coset line: 'coset 5'"),
     ("full:", "short:", "line 10: bad orbit line: 'short: 0,5 ; 3,7'"),
+    ("full:", "short 0:", "line 10: bad orbit line: 'short 0: 0,5 ; 3,7'"),
 ])
 def test_truncated_line_is_a_manifest_error_with_its_number(old, new, message):
     with pytest.raises(ManifestError) as err:

@@ -4,7 +4,7 @@ import pytest
 
 from cccodes import pipelines
 from cccodes.constructions import shorten
-from cccodes.dataio import develop_manifest
+from cccodes.dataio import data_root, develop_manifest
 from cccodes.pipelines import PipelineError, run_pipeline_text
 
 MANIFEST = "result manifest c22/type-2^10.man\n"
@@ -31,9 +31,37 @@ def test_result_is_verified_once(verify_calls, expect):
     assert verify_calls == [g]
 
 
-def test_a_new_result_after_an_expectation_is_verified_again(verify_calls):
-    run_pipeline_text(MANIFEST + "expect type=2^10\n" + MANIFEST)
-    assert len(verify_calls) == 2 and verify_calls[0] is not verify_calls[1]
+def test_only_the_returned_result_is_verified(verify_calls):
+    g = run_pipeline_text(MANIFEST + "expect type=2^10\n" + MANIFEST)
+    assert verify_calls == [g] and verify_calls[0] is g
+
+
+@pytest.mark.parametrize("expect, message", [
+    ("expect size=61\n", "size-mismatch at (): 60 != 61"),
+    ("expect size=61 type=4^5\n",
+     "size-mismatch at (): 60 != 61; type-mismatch at (): 2^10 != 4^5"),
+])
+def test_failing_expectations_are_listed(verify_calls, expect, message):
+    with pytest.raises(PipelineError) as err:
+        run_pipeline_text(MANIFEST + expect)
+    n = message.count(";") + 1
+    assert str(err.value) == f"pipeline verify failed: {n} violation(s): {message}"
+    assert verify_calls == []  # an expectation scans no pairs
+
+
+def test_type_expectation_on_a_plain_code():
+    with pytest.raises(PipelineError, match=r"type-mismatch at \(\): a plain code != 2\^10$"):
+        run_pipeline_text("result codefile n9-22.code\nexpect type=2^10\n")
+
+
+def test_manifest_step_checks_the_declared_size(tmp_path):
+    text = (data_root() / "manifests" / "c22" / "type-2^10.man").read_text()
+    man = tmp_path / "wrong-size.man"
+    man.write_text(text.replace("expected_size = 60", "expected_size = 61"))
+    with pytest.raises(PipelineError) as err:
+        run_pipeline_text(f"let g = manifest {man}\nresult ascode g\n")
+    assert str(err.value) == (f"manifest {man} differs from its declaration: "
+                              "1 violation(s): size-mismatch at (): 60 != 61")
 
 
 def test_failing_type_expectation_message():
