@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, catalog, dataio, pipelines, search
-from .core import (Composition, Gdc, gdc_type, read_code_text, verify_code,
+from .core import (Composition, Gdc, GdcType, read_code_text, verify_code,
                    verify_gdc, write_code_text)
 from .designs import (DifferenceMatrix, Gdd, Pbd, RoomFrame, build_dm,
                       build_td, read_design_text, search_skew_room_frame,
@@ -53,8 +53,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _head(obj) -> str:
+    # Unvalidated type: a bad partition is a violation that verify_gdc lists.
     if isinstance(obj, Gdc):
-        return f"type {gdc_type(obj)} size {len(obj)}"
+        typ = GdcType.of_sizes(len(grp) for grp in obj.partition.groups)
+        return f"type {typ} size {len(obj)}"
     return f"n {obj.n} size {len(obj)}"
 
 
@@ -180,27 +182,29 @@ def cmd_table(args) -> int:
 
 
 def cmd_design(args) -> int:
+    a = args.args
     if args.action == "verify":
-        obj = read_design_text(_read_text(args.args[0]))
+        if len(a) != 1:
+            raise CliError("design verify wants: <file>")
+        obj = read_design_text(_read_text(a[0]))
         rep = {Gdd: verify_gdd, Pbd: verify_pbd, DifferenceMatrix: verify_dm,
                RoomFrame: verify_skew_room_frame}[type(obj)](obj)
         print("OK" if rep.ok else f"FAIL {rep.summary()}")
         return 0 if rep.ok else 1
-    # build
-    what = args.args[0] if args.args else ""
+    # Word count of each build form, the kind included.
+    if not a or len(a) != {"td": 3, "dm": 2, "srf": 3}.get(a[0]):
+        raise CliError("design build wants: td <k> <m> | dm <g> | srf <t> <u>")
+    what, nums = a[0], [int(x) for x in a[1:]]
     if what == "td":
-        obj = build_td(int(args.args[1]), int(args.args[2]))
+        obj = build_td(*nums)
     elif what == "dm":
-        obj = build_dm(int(args.args[1]))
-    elif what == "srf":
-        sizes = [int(args.args[1])] * int(args.args[2])
-        found = search_skew_room_frame(sizes)
+        obj = build_dm(*nums)
+    else:
+        found = search_skew_room_frame([nums[0]] * nums[1])
         if found is None:
             print("none (search space exhausted)")
             return 1
         obj = found
-    else:
-        raise CliError("design build wants: td <k> <m> | dm <g> | srf <t> <u>")
     if args.emit:
         Path(args.emit).write_text(write_design_text(obj))
         print(f"OK -> {args.emit}")

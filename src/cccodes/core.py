@@ -122,9 +122,6 @@ class Codeword:
             self.n if n is None else n,
         )
 
-    def canonical(self) -> "Codeword":
-        return self
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Codeword)

@@ -24,7 +24,6 @@ __all__ = [
     "SearchExhausted",
     "build_dm",
     "build_td",
-    "gdd_as_pbd",
     "pbd_as_gdd",
     "read_design_text",
     "search_skew_room_frame",
@@ -215,12 +214,6 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
 def verify_pbd(p: Pbd) -> VerificationReport:
     """Pair coverage of an index-1 PBD, read as a GDD with singleton groups."""
     return verify_gdd(pbd_as_gdd(p))
-
-
-def gdd_as_pbd(d: Gdd) -> Pbd:
-    if any(len(g) != 1 for g in d.partition.groups):
-        raise DesignError("only a GDD with singleton groups reads as a PBD")
-    return Pbd(d.n, d.blocks, d.block_sizes, 1)
 
 
 def pbd_as_gdd(p: Pbd) -> Gdd:

@@ -1,13 +1,15 @@
 """Exact maximum-code computation by branch and bound over the compatibility graph.
 
-Vertices are all canonical codewords of the requested composition; two words
-are compatible unless they conflict in the verifier's sense (Hamming distance
-below d, see :func:`cccodes.core.conflict_pairs`).  Codes of minimum distance
-d are exactly the cliques, so the maximum code size is the clique number,
-computed here with a Tomita-style search using greedy-coloring upper bounds.
-One symmetry reduction is applied: coordinate permutations act transitively
-on codewords of a fixed composition, so some maximum code may be assumed to
-contain the lexicographically first codeword.
+Two codewords are compatible unless they conflict in the verifier's sense
+(Hamming distance below d, see :func:`cccodes.core.conflict_pairs`).  Codes of
+minimum distance d are exactly the cliques of the compatibility graph, so the
+maximum code size is its clique number, computed here with a Tomita-style
+search using greedy-coloring upper bounds.  One symmetry reduction is applied:
+coordinate permutations act transitively on codewords of a fixed composition,
+so some maximum code may be assumed to contain word 0, the lexicographically
+first codeword.  The graph is therefore built only on word 0's candidates
+(the later words compatible with it), kept in enumeration order, and the
+incumbent is seeded with their lexicographic greedy clique.
 
 When w >= 2 and d >= 2w-2 (the paper's weight 4, distance 6), two words with
 the same symbol s at a point x share no other point, since sharing a second
@@ -37,7 +39,6 @@ __all__ = [
     "SearchOutcome",
     "compatible",
     "enumerate_codewords",
-    "greedy_lower",
     "max_code",
 ]
 
@@ -182,33 +183,14 @@ class _CliqueSearch:
                 self.expand(newp, nm, nr)
 
 
-def _greedy_clique(adj: list[int], order: list[int]) -> int:
+def _greedy_clique(adj: list[int]) -> int:
+    # Lexicographic greedy: each vertex in index order joins when it is
+    # adjacent to every vertex already taken.
     mask = 0
-    chosen: list[int] = []
-    for v in order:
-        ok = True
-        for u in chosen:
-            if not (adj[u] >> v) & 1:
-                ok = False
-                break
-        if ok:
-            chosen.append(v)
+    for v, row in enumerate(adj):
+        if mask & row == mask:
             mask |= 1 << v
     return mask
-
-
-def greedy_lower(n: int, d: int, comp: Composition,
-                 order: list[int] | None = None) -> Code:
-    """Greedy maximal compatible set in a deterministic vertex order."""
-    words = enumerate_codewords(n, comp)
-    if order is None:
-        order = list(range(len(words)))
-    chosen: list[Codeword] = []
-    for idx in order:
-        w = words[idx]
-        if all(compatible(w, u, d) for u in chosen):
-            chosen.append(w)
-    return Code(n, comp, d, chosen)
 
 
 def max_code(n: int, d: int, comp: Composition,
@@ -218,38 +200,12 @@ def max_code(n: int, d: int, comp: Composition,
     t0 = time.monotonic()
     budget = budget or SearchBudget()
     words = enumerate_codewords(n, comp)
-    nv = len(words)
-    adj = _adjacency(words, d)
+    # Symmetry reduction: search only codes through word 0, over its
+    # candidates in enumeration order.
+    cand = [u for u in words[1:] if compatible(words[0], u, d)]
+    adj = _adjacency(cand, d)
 
-    # Symmetry reduction: search only codes through vertex 0.
-    sub = [v for v in range(1, nv) if (adj[0] >> v) & 1]
-    submask_of = {v: i for i, v in enumerate(sub)}
-    sadj = [0] * len(sub)
-    for i, v in enumerate(sub):
-        row = adj[v]
-        m = 0
-        for u in sub:
-            if (row >> u) & 1:
-                m |= 1 << submask_of[u]
-        sadj[i] = m
-
-    # Reorder by descending degree (ties: lexicographic codeword = index order).
-    degs = [r.bit_count() for r in sadj]
-    perm = sorted(range(len(sub)), key=lambda i: (-degs[i], i))
-    inv = [0] * len(sub)
-    for newpos, old in enumerate(perm):
-        inv[old] = newpos
-    radj = [0] * len(sub)
-    for old, row in enumerate(sadj):
-        m = 0
-        rr = row
-        while rr:
-            u = (rr & -rr).bit_length() - 1
-            rr &= rr - 1
-            m |= 1 << inv[u]
-        radj[inv[old]] = m
-
-    # The incidence-capacity cells of the module docstring, indexed like radj.
+    # The incidence-capacity cells of the module docstring, indexed like cand.
     # Word 0 is always chosen, so its own cells start with one word in them.
     incidence: list[tuple[int, list[tuple[int, int]]]] = []
     w = comp.weight
@@ -257,31 +213,27 @@ def max_code(n: int, d: int, comp: Composition,
         cap = (n - 1) // (w - 1)
         for s, ws in enumerate(comp.weights):
             masks = [0] * n
-            for i, old in enumerate(perm):
-                for x in words[sub[old]].supports[s]:
+            for i, u in enumerate(cand):
+                for x in u.supports[s]:
                     masks[x] |= 1 << i
             first = words[0].supports[s]
             incidence.append((ws, [(m, cap - (x in first))
                                    for x, m in enumerate(masks)]))
 
-    searcher = _CliqueSearch(radj, budget, t0, incidence)
+    searcher = _CliqueSearch(adj, budget, t0, incidence)
     # Seed the incumbent greedily (independent of any catalog data).
-    g = _greedy_clique(radj, list(range(len(sub))))
+    g = _greedy_clique(adj)
     searcher.seed(g, g.bit_count())
     status = "exact"
     try:
-        if sub:
-            searcher.run((1 << len(sub)) - 1)
+        if cand:
+            searcher.run((1 << len(cand)) - 1)
     except _BudgetExceeded:
         status = "lower-bound-only"
 
-    chosen = [words[0]]
+    # cand follows word 0 in enumeration order, so the witness stays sorted.
     bm = searcher.best_mask
-    while bm:
-        i = (bm & -bm).bit_length() - 1
-        bm &= bm - 1
-        chosen.append(words[sub[perm[i]]])
-    chosen_sorted = sorted(chosen, key=lambda w: w.supports)
-    witness = Code(n, comp, d, chosen_sorted)
+    witness = Code(n, comp, d, [words[0]] + [u for i, u in enumerate(cand)
+                                             if (bm >> i) & 1])
     return SearchOutcome(status, 1 + searcher.best, witness,
                          searcher.nodes, time.monotonic() - t0)

@@ -185,3 +185,28 @@ def test_design_missing_header_key_is_a_data_error(tmp_path, capsys):
     status, _ = run(["design", "verify", str(gdd)])
     assert status == 2
     assert capsys.readouterr().err == "error: missing header k=\n"
+
+
+def test_verify_code_with_a_bad_group_partition_lists_it(tmp_path, capsys):
+    bad = tmp_path / "bad-groups.code"
+    bad.write_text("n=4\ncomposition=2,2\ndistance=6\ngroups=\n0,1\n2\n0,2 ; 1,3\n")
+    status, out = run(["verify", str(bad)])
+    assert status == 1
+    assert out == ("type 1^1 2^1 size 1 FAIL\n"
+                   "  group-hit at (): groups do not partition [0, n)\n")
+    assert capsys.readouterr().err == ""
+
+
+BUILD_USAGE = "design build wants: td <k> <m> | dm <g> | srf <t> <u>"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["design", "verify"], "design verify wants: <file>"),
+    (["design", "build", "td", "4"], BUILD_USAGE),
+    (["design", "build", "dm"], BUILD_USAGE),
+    (["design", "build", "srf", "2"], BUILD_USAGE),
+])
+def test_design_missing_argument_is_a_usage_error(capsys, argv, usage):
+    status, _ = run(argv)
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {usage}\n"

@@ -9,7 +9,6 @@ from cccodes.search import (
     _adjacency,
     compatible,
     enumerate_codewords,
-    greedy_lower,
     max_code,
 )
 
@@ -32,29 +31,28 @@ def test_enumeration_counts_and_order():
 
 
 def test_exact_small_values():
-    for n, expect in SMALL_22.items():
-        out = max_code(n, 6, C22)
-        assert out.status == "exact" and out.size == expect, n
-        assert verify_code(out.witness).ok and len(out.witness) == out.size
-    for n, expect in SMALL_31.items():
-        out = max_code(n, 6, C31)
-        assert out.status == "exact" and out.size == expect, n
-
-
-def test_greedy_lower_and_sandwich():
     for comp, table in ((C22, SMALL_22), (C31, SMALL_31)):
-        for n, exact in table.items():
-            g = greedy_lower(n, 6, comp)
-            assert verify_code(g).ok
-            assert 1 <= len(g) <= exact
-            assert exact <= upper_bound(n, comp).value
+        for n, expect in table.items():
+            out = max_code(n, 6, comp)
+            assert out.status == "exact" and out.size == expect, (comp, n)
+            assert out.size <= upper_bound(n, comp).value
+            assert verify_code(out.witness).ok and len(out.witness) == out.size
+            words = list(out.witness.words)
+            assert words == sorted(words, key=lambda w: w.supports)
 
 
-def test_greedy_regression_constant():
-    # lexicographic greedy at (10, 6, [2,2]); frozen after first measurement
-    g = greedy_lower(10, 6, C22)
-    assert verify_code(g).ok
-    assert len(g) == 9
+def test_greedy_seed_is_the_lexicographic_greedy_code():
+    # With no node to spend, the witness is the seed: each word in enumeration
+    # order joins when compatible with every word already taken.
+    words = enumerate_codewords(10, C22)
+    greedy = []
+    for u in words:
+        if all(compatible(u, v, 6) for v in greedy):
+            greedy.append(u)
+    out = max_code(10, 6, C22, SearchBudget(nodes=0))
+    assert out.status == "lower-bound-only" and out.size == 9
+    assert verify_code(out.witness).ok
+    assert out.witness.words == tuple(greedy)
 
 
 def test_exact_n11_31():
@@ -66,7 +64,7 @@ def test_exact_n11_31():
 
 
 def test_budget_exhaustion_returns_lower_bound():
-    # n = 8 [2,2] needs 455 nodes (n = 9 [2,2] ends at the root).
+    # n = 8 [2,2] needs 432 nodes (n = 9 [2,2] ends at the root).
     out = max_code(8, 6, C22, budget=SearchBudget(nodes=10))
     assert out.status == "lower-bound-only"
     assert verify_code(out.witness).ok
@@ -95,11 +93,11 @@ def test_compatibility_graph_is_complement_of_conflicts():
 
 
 def test_node_counts_fixed():
-    # Branch and bound over the same graph explores the same tree.  With the
-    # greedy-coloring bound alone these took 455, 214, 515 and 732,679 nodes;
-    # the incidence-capacity bound settles n = 9, 10 [3,1] at the root.
-    for n, comp, size, nodes in ((8, C22, 5, 455), (9, C31, 6, 1), (10, C31, 10, 1),
-                                 (11, C31, 11, 7415)):
+    # Branch and bound over the same graph explores the same tree.  At
+    # n = 10, 11 [3,1] the greedy seed is optimal and the incidence-capacity
+    # bound proves it at the root.
+    for n, comp, size, nodes in ((8, C22, 5, 432), (9, C31, 6, 641), (10, C31, 10, 1),
+                                 (11, C31, 11, 1), (10, C22, 15, 461)):
         out = max_code(n, 6, comp)
         assert (out.size, out.nodes) == (size, nodes), (n, comp)
 
