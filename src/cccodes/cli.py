@@ -2,7 +2,8 @@
 table, and design subcommands.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or data error.
-Output is deterministic for fixed inputs.
+Output is deterministic for fixed inputs.  Each subcommand imports the modules
+it runs when it starts, so a cold ``ccc verify FILE.code`` loads only ``core``.
 """
 
 from __future__ import annotations
@@ -11,14 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bounds, catalog, dataio, pipelines, search
 from .core import (Composition, Gdc, GdcType, read_code_text, verify_code,
                    verify_gdc, write_code_text)
-from .designs import (DifferenceMatrix, Gdd, Pbd, RoomFrame, build_dm,
-                      build_td, read_design_text, search_skew_room_frame,
-                      verify_dm, verify_gdd, verify_pbd,
-                      verify_skew_room_frame, write_design_text)
-from .group_action import develop, parse_manifest
 
 
 class CliError(Exception):
@@ -35,6 +30,7 @@ def _comp(text: str) -> Composition:
 def _read_text(path: str) -> str:
     p = Path(path)
     if not p.exists():
+        from . import dataio
         for sub in ("manifests", "recipes", "designs", "codes"):
             candidate = dataio.data_root() / sub / path
             if candidate.exists():
@@ -70,6 +66,7 @@ def _print_failure(obj, rep) -> int:
 def cmd_verify(args) -> int:
     text = _read_text(args.file)
     if args.file.endswith(".man") or "[orbits]" in text:
+        from .group_action import develop, parse_manifest
         m = parse_manifest(text, name=args.file)
         obj = develop(m)
         rep = verify_gdc(obj, m.expected_type, m.expected_size)
@@ -83,6 +80,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_develop(args) -> int:
+    from .group_action import develop, parse_manifest
     m = parse_manifest(_read_text(args.manifest), name=args.manifest)
     g = develop(m)
     rep = verify_gdc(g, m.expected_type, m.expected_size)
@@ -95,6 +93,7 @@ def cmd_develop(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
     comp = _comp(args.comp)
     rows = []
     if args.method in ("u", "all"):
@@ -113,6 +112,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
     comp = _comp(args.comp)
     budget = search.SearchBudget(seconds=args.budget_seconds,
                                  nodes=args.budget_nodes)
@@ -124,6 +124,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import catalog, pipelines
     if args.pipeline:
         obj = pipelines.run_pipeline_text(_read_text(args.pipeline),
                                           build_code=catalog.build_optimal)
@@ -138,6 +139,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import catalog
     comp = _comp(args.comp)
     e = catalog.spectrum(args.n, comp)
     if e.kind == "exact":
@@ -150,6 +152,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import catalog
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -182,6 +185,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .designs import (DifferenceMatrix, Gdd, Pbd, RoomFrame, build_dm,
+                          build_td, read_design_text, search_skew_room_frame,
+                          verify_dm, verify_gdd, verify_pbd,
+                          verify_skew_room_frame, write_design_text)
     a = args.args
     if args.action == "verify":
         if len(a) != 1:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "AmbientLengthError",
     "Code",
+    "CodeTextError",
     "Codeword",
     "Composition",
     "Gdc",
@@ -35,6 +36,10 @@ __all__ = [
 
 class AmbientLengthError(ValueError):
     """Raised when two codewords with different ambient lengths are compared."""
+
+
+class CodeTextError(ValueError):
+    """A malformed code or GDC interchange text (see :func:`read_code_text`)."""
 
 
 @dataclass(frozen=True)
@@ -81,30 +86,31 @@ class Codeword:
 
     def __init__(self, supports: Sequence[Iterable[int]], n: int):
         sup = tuple(tuple(sorted(cls)) for cls in supports)
-        seen: set[int] = set()
-        total = 0
-        for cls in sup:
-            for x in cls:
-                if not 0 <= x < n:
-                    raise ValueError(f"point {x} outside ambient range [0, {n})")
-            total += len(cls)
-            seen.update(cls)
-            if len(cls) != len(set(cls)):
-                raise ValueError(f"repeated point within a symbol class: {cls}")
-        if len(seen) != total:
-            raise ValueError(f"symbol classes overlap: {sup}")
-        self.n = n
-        self.supports = sup
+        # One pass: a sorted class lies in range when its ends do, repeats a
+        # point when its mask has fewer bits than it has points, and overlaps
+        # an earlier class when its mask meets their union.  An overlap is
+        # raised only once every class has passed its own two checks.
         masks = []
+        m_all = 0
+        overlap = False
         for cls in sup:
+            if cls and (cls[0] < 0 or cls[-1] >= n):
+                x = next(x for x in cls if not 0 <= x < n)
+                raise ValueError(f"point {x} outside ambient range [0, {n})")
             m = 0
             for x in cls:
                 m |= 1 << x
-            masks.append(m)
-        self._masks = tuple(masks)
-        m_all = 0
-        for m in masks:
+            if m.bit_count() != len(cls):
+                raise ValueError(f"repeated point within a symbol class: {cls}")
+            if m & m_all:
+                overlap = True
             m_all |= m
+            masks.append(m)
+        if overlap:
+            raise ValueError(f"symbol classes overlap: {sup}")
+        self.n = n
+        self.supports = sup
+        self._masks = tuple(masks)
         self._mask_all = m_all
         self._hash = hash((n, sup))
 
@@ -300,20 +306,6 @@ def gdc_type(g: Gdc) -> GdcType:
     return GdcType.of_sizes(len(grp) for grp in g.partition.groups)
 
 
-def _pair_scan_python(words: Sequence[Codeword], distance: int) -> list[Violation]:
-    # Brute-force reference for conflict_pairs; tests compare the two.
-    out = []
-    for i in range(len(words)):
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            d = hamming_distance(wi, words[j])
-            if d == 0:
-                out.append(Violation("duplicate", (i, j), 0))
-            elif d < distance:
-                out.append(Violation("distance", (i, j), d))
-    return out
-
-
 def conflict_pairs(words: Sequence[Codeword],
                    distance: int) -> Iterator[tuple[int, int, int]]:
     """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
@@ -434,43 +426,45 @@ def write_code_text(obj: Code | Gdc) -> str:
 
 
 def read_code_text(text: str) -> Code | Gdc:
+    """Parse the interchange format.  Every fault raises CodeTextError; the
+    message of a fault on a line starts with ``line N: `` (1-based)."""
     n = comp = dist = None
     groups: list[tuple[int, ...]] | None = None
+    block: list[tuple[int, ...]] | None = None  # groups, until a codeword line
     words: list[Codeword] = []
-    in_groups = False
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("n="):
-            n = int(line[2:])
-            continue
-        if line.startswith("composition="):
-            comp = Composition.parse(line.split("=", 1)[1])
-            continue
-        if line.startswith("distance="):
-            dist = int(line.split("=", 1)[1])
-            continue
-        if line.startswith("groups="):
-            groups = []
-            in_groups = True
-            continue
-        if n is None or comp is None or dist is None:
-            raise ValueError(f"codeword line before complete header: {line!r}")
-        if ";" in line:
-            in_groups = False
-            classes = [
-                tuple(int(x) for x in part.split(",") if x.strip() != "")
-                for part in line.split(";")
-            ]
-            words.append(Codeword(classes, n))
-        elif in_groups:
-            assert groups is not None
-            groups.append(tuple(int(x) for x in line.split(",")))
-        else:
-            raise ValueError(f"unparseable line: {line!r}")
+        try:
+            if line[0].isalpha():
+                if line.startswith("n="):
+                    n = int(line[2:])
+                    continue
+                if line.startswith("composition="):
+                    comp = Composition.parse(line.split("=", 1)[1])
+                    continue
+                if line.startswith("distance="):
+                    dist = int(line.split("=", 1)[1])
+                    continue
+                if line.startswith("groups="):
+                    groups = block = []
+                    continue
+            if n is None or comp is None or dist is None:
+                raise ValueError(f"codeword line before complete header: {line!r}")
+            if ";" in line:
+                block = None
+                words.append(Codeword(
+                    [[int(x) for x in part.split(",") if x and not x.isspace()]
+                     for part in line.split(";")], n))
+            elif block is not None:
+                block.append(tuple(int(x) for x in line.split(",")))
+            else:
+                raise ValueError(f"unparseable line: {line!r}")
+        except ValueError as e:
+            raise CodeTextError(f"line {lineno}: {e}") from None
     if n is None or comp is None or dist is None:
-        raise ValueError("missing header (n=, composition=, distance=)")
+        raise CodeTextError("missing header (n=, composition=, distance=)")
     code = Code(n, comp, dist, words)
     if groups is not None:
         return Gdc(code, GroupPartition.of(groups))

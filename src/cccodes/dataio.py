@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import Code, Gdc, read_code_text
-from .group_action import Manifest, develop, parse_manifest
+
+if TYPE_CHECKING:
+    from .group_action import Manifest
 
 __all__ = [
     "data_root",
@@ -27,6 +30,9 @@ def iter_manifest_paths() -> list[Path]:
 
 
 def load_manifest(rel: str | Path) -> Manifest:
+    # Imported here so that reading codes does not load the manifest layer.
+    from .group_action import parse_manifest
+
     path = Path(rel)
     if not path.is_absolute():
         path = _ROOT / "manifests" / path
@@ -34,6 +40,8 @@ def load_manifest(rel: str | Path) -> Manifest:
 
 
 def develop_manifest(rel: str | Path) -> Gdc:
+    from .group_action import develop
+
     return develop(load_manifest(rel))
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .core import Code, Codeword, Composition, conflict_pairs
 
@@ -84,19 +85,35 @@ def compatible(u: Codeword, v: Codeword, d: int) -> bool:
     return next(conflict_pairs((u, v), d), None) is None
 
 
-def _adjacency(words: list[Codeword], d: int) -> list[int]:
+class _BudgetExceeded(Exception):
+    pass
+
+
+def _by_deadline(rows: Iterable[tuple], deadline: float) -> Iterator[tuple]:
+    # Pass the items through, raising _BudgetExceeded at the first item of a
+    # new row (a new first entry) once the deadline has passed.
+    row = None
+    for item in rows:
+        if item[0] != row:
+            row = item[0]
+            if time.monotonic() > deadline:
+                raise _BudgetExceeded
+        yield item
+
+
+def _adjacency(words: list[Codeword], d: int,
+               deadline: float | None = None) -> list[int]:
     # The complement of the verifier's conflicts; each row starts with its own
     # bit so that no word is adjacent to itself.
     conflicts = [1 << i for i in range(len(words))]
-    for i, j, _ in conflict_pairs(words, d):
+    pairs = conflict_pairs(words, d)
+    if deadline is not None:
+        pairs = _by_deadline(pairs, deadline)
+    for i, j, _ in pairs:
         conflicts[i] |= 1 << j
         conflicts[j] |= 1 << i
     full = (1 << len(words)) - 1
     return [full ^ m for m in conflicts]
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 class _CliqueSearch:
@@ -201,9 +218,20 @@ def max_code(n: int, d: int, comp: Composition,
     budget = budget or SearchBudget()
     words = enumerate_codewords(n, comp)
     # Symmetry reduction: search only codes through word 0, over its
-    # candidates in enumeration order.
-    cand = [u for u in words[1:] if compatible(words[0], u, d)]
-    adj = _adjacency(cand, d)
+    # candidates in enumeration order.  A seconds budget is checked at each
+    # word after word 0 (the first check follows enumeration) and at each row
+    # of the graph; if it runs out before the graph exists, word 0 alone is
+    # the witness.
+    later: Iterable[tuple[int, Codeword]] = enumerate(words[1:])
+    deadline = None if budget.seconds is None else t0 + budget.seconds
+    if deadline is not None:
+        later = _by_deadline(later, deadline)
+    try:
+        cand = [u for _, u in later if compatible(words[0], u, d)]
+        adj = _adjacency(cand, d, deadline)
+    except _BudgetExceeded:
+        return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, words[:1]),
+                             0, time.monotonic() - t0)
 
     # The incidence-capacity cells of the module docstring, indexed like cand.
     # Word 0 is always chosen, so its own cells start with one word in them.

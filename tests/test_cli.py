@@ -34,6 +34,15 @@ def test_verify_failure_exit_code(tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_malformed_code_file_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_text("n=10\ncomposition=2,2\ndistance=6\n# words\n0,1 ; 2,x\n")
+    status, out = run(["verify", str(bad)])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: line 5: invalid literal for int() with base 10: 'x'\n")
+
+
 def test_usage_error_exit_code():
     status, _ = run(["bound", "16", "--comp", "9,9"])
     assert status == 2
@@ -123,11 +132,27 @@ def test_pipeline_build():
     assert "size 962 OK" in out
 
 
-def test_cli_start_up_does_not_import_numpy():
+# Run in a fresh interpreter: importing cccodes.cli loads only core, and
+# verifying a shipped code file, found through the data-directory fallback,
+# loads none of the modules that other subcommands run.
+START_UP = """
+import sys
+import cccodes.cli
+loaded = sorted(m for m in sys.modules if m.startswith("cccodes"))
+assert loaded == ["cccodes", "cccodes.cli", "cccodes.core"], loaded
+assert cccodes.cli.main(["verify", "n10-22.code"]) == 0
+heavy = {"cccodes." + m for m in ("catalog", "search", "designs", "pipelines",
+                                   "constructions", "group_action", "bounds")}
+assert not heavy & set(sys.modules), heavy & set(sys.modules)
+assert "numpy" not in sys.modules
+"""
+
+
+def test_cli_start_up_does_not_import_numpy(tmp_path):
     src = str(Path(cccodes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import cccodes.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", START_UP], env=env, cwd=tmp_path,
+                   check=True)
 
 
 def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):

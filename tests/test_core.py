@@ -1,6 +1,7 @@
 """Data-model and verification checks."""
 
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from cccodes.core import (
     AmbientLengthError,
     Code,
+    CodeTextError,
     Codeword,
     Composition,
     Gdc,
     GdcType,
     GroupPartition,
-    _pair_scan_python,
+    Violation,
     composition_of,
     conflict_pairs,
     gdc_type,
@@ -24,6 +26,20 @@ from cccodes.core import (
     verify_gdc,
     write_code_text,
 )
+
+
+def _pair_scan_python(words: Sequence[Codeword], distance: int) -> list[Violation]:
+    # Brute-force reference for conflict_pairs; tests compare the two.
+    out = []
+    for i in range(len(words)):
+        wi = words[i]
+        for j in range(i + 1, len(words)):
+            d = hamming_distance(wi, words[j])
+            if d == 0:
+                out.append(Violation("duplicate", (i, j), 0))
+            elif d < distance:
+                out.append(Violation("distance", (i, j), d))
+    return out
 
 
 def w22(a, b, c, d, n=20):
@@ -60,10 +76,54 @@ def test_composition_of():
 def test_codeword_canonical_and_validation():
     u = Codeword(((5, 0), (7, 3)), 20)
     assert u.supports == ((0, 5), (3, 7))
-    with pytest.raises(ValueError):
-        Codeword(((0, 1), (1, 2)), 5)   # overlapping classes
-    with pytest.raises(ValueError):
-        Codeword(((0, 1), (2, 9)), 5)   # out of range
+    for classes, message in [
+        (((-1, 2), (3, 4)), "point -1 outside ambient range [0, 5)"),
+        (((0, 1), (2, 7, 6)), "point 6 outside ambient range [0, 5)"),
+        (((0, 1), (5,)), "point 5 outside ambient range [0, 5)"),
+        (((3, 1, 3), (0,)), "repeated point within a symbol class: (1, 3, 3)"),
+        (((0, 1), (2, 1)), "symbol classes overlap: ((0, 1), (1, 2))"),
+        # Two faults: the first class decides, and an overlap comes last.
+        (((9, 9), (0,)), "point 9 outside ambient range [0, 5)"),
+        (((1, 1), (7,)), "repeated point within a symbol class: (1, 1)"),
+        (((0, 1), (1, 2), (-2,)), "point -2 outside ambient range [0, 5)"),
+        (((0, 1), (1, 2), (3, 3)), "repeated point within a symbol class: (3, 3)"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            Codeword(classes, 5)
+        assert str(e.value) == message
+
+
+def _first_fault(classes, n):
+    # Brute force: each class in order for range then repeats, then overlaps.
+    sup = tuple(tuple(sorted(cls)) for cls in classes)
+    for cls in sup:
+        for x in cls:
+            if not 0 <= x < n:
+                return f"point {x} outside ambient range [0, {n})"
+        if len(set(cls)) != len(cls):
+            return f"repeated point within a symbol class: {cls}"
+    points = [x for cls in sup for x in cls]
+    if len(set(points)) != len(points):
+        return f"symbol classes overlap: {sup}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-2, n + 2), max_size=4), max_size=3))))
+def test_codeword_validation_matches_brute_force(case):
+    n, classes = case
+    fault = _first_fault(classes, n)
+    if fault is not None:
+        with pytest.raises(ValueError) as e:
+            Codeword(classes, n)
+        assert str(e.value) == fault
+        return
+    w = Codeword(classes, n)
+    masks = tuple(sum(1 << x for x in cls) for cls in w.supports)
+    assert w._masks == masks
+    assert w._mask_all == sum(masks)
+    assert w.supports == tuple(tuple(sorted(cls)) for cls in classes)
 
 
 def test_metric_properties_random_triples():
@@ -251,3 +311,35 @@ def test_code_text_roundtrip():
     plain = read_code_text(write_code_text(g.code))
     assert isinstance(plain, Code)
     assert plain.words == g.code.words
+
+
+HEAD = "n=5\ncomposition=2,2\ndistance=6\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEAD + "0,1 ; 2,x\n", "line 4: invalid literal for int() with base 10: 'x'"),
+    (HEAD + "0,1 ; 2,9\n", "line 4: point 9 outside ambient range [0, 5)"),
+    (HEAD + "0,1 ; 1,2\n", "line 4: symbol classes overlap: ((0, 1), (1, 2))"),
+    (HEAD + "0,1 ; 2,3\nhello\n", "line 5: unparseable line: 'hello'"),
+    (HEAD + "groups=\n0,1\n2,x\n", "line 6: invalid literal for int() with base 10: 'x'"),
+    ("# comment\n\n0,1 ; 2,3\n" + HEAD,
+     "line 3: codeword line before complete header: '0,1 ; 2,3'"),
+    ("n=five\n", "line 1: invalid literal for int() with base 10: 'five'"),
+    ("n=5\ncomposition=2,0\n", "line 2: composition entries must be positive: (2, 0)"),
+    ("n=5\ncomposition=2,2\n", "missing header (n=, composition=, distance=)"),
+])
+def test_code_text_errors_are_typed_and_numbered(text, message):
+    with pytest.raises(CodeTextError) as e:
+        read_code_text(text)
+    assert str(e.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["n=6", "composition=2,2", "distance=6", "groups=",
+                                 "0,1", "2,3,4,5", "0,1 ; 2,3", "1,5;0,4 # c", "x",
+                                 "0,,1 ; 6", " ; 3", "", "# only"]), max_size=8))
+def test_code_text_faults_raise_only_the_typed_error(lines):
+    try:
+        read_code_text("\n".join(lines))
+    except CodeTextError as e:
+        assert str(e).startswith("line ") or str(e).startswith("missing header")

@@ -1,12 +1,16 @@
 """Exact-search oracle: enumeration, small exact values, budgets, witnesses."""
 
+import math
+
 import networkx as nx
+import pytest
 
 from cccodes.bounds import upper_bound
 from cccodes.core import Composition, hamming_distance, verify_code
 from cccodes.search import (
     SearchBudget,
     _adjacency,
+    _BudgetExceeded,
     compatible,
     enumerate_codewords,
     max_code,
@@ -69,6 +73,19 @@ def test_budget_exhaustion_returns_lower_bound():
     assert out.status == "lower-bound-only"
     assert verify_code(out.witness).ok
     assert 1 <= out.size <= SMALL_22[8]
+
+
+def test_seconds_budget_is_honoured_during_set_up():
+    # A spent budget stops the search before the graph exists: word 0 alone.
+    out = max_code(13, 6, C22, SearchBudget(seconds=0))
+    assert (out.status, out.size, out.nodes) == ("lower-bound-only", 1, 0)
+    assert out.witness.words == (enumerate_codewords(13, C22)[0],)
+    assert verify_code(out.witness).ok
+    # The graph checks its deadline per row and is unchanged by one it meets.
+    words = enumerate_codewords(7, C22)
+    with pytest.raises(_BudgetExceeded):
+        _adjacency(words, 6, deadline=0.0)
+    assert _adjacency(words, 6, deadline=math.inf) == _adjacency(words, 6)
 
 
 def test_determinism():
