@@ -10,7 +10,7 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
-
+from collections.abc import Iterable
 
 from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition,
                    gdc_type)
@@ -19,7 +19,6 @@ from .designs import (DifferenceMatrix, Gdd, RoomFrame, build_td, verify_dm,
 
 __all__ = [
     "ConstructionError",
-    "IngredientProvider",
     "adjoin_points",
     "dm_to_gdc",
     "empty_code",
@@ -35,11 +34,11 @@ class ConstructionError(ValueError):
     pass
 
 
-def empty_code(n: int, comp: Composition, distance: int = 6) -> Code:
-    return Code(n, comp, distance, [])
+def empty_code(n: int, comp: Composition) -> Code:
+    return Code(n, comp, 6, [])
 
 
-def srf_to_gdc(f: RoomFrame, distance: int = 6) -> Gdc:
+def srf_to_gdc(f: RoomFrame) -> Gdc:
     """[2,2]-GDC(6) of type (6t)^u from a skew Room frame of type t^u.
 
     Points are (side symbol, level) pairs on S x Z6; each filled cell (r, c)
@@ -65,11 +64,11 @@ def srf_to_gdc(f: RoomFrame, distance: int = 6) -> Gdc:
                                    (pt(a, j), pt(b, j))), n))
     groups = [tuple(sorted(pt(x, j) for x in hole for j in range(6)))
               for hole in f.holes]
-    return Gdc(Code(n, Composition((2, 2)), distance, words),
+    return Gdc(Code(n, Composition((2, 2)), 6, words),
                GroupPartition.of(groups))
 
 
-def dm_to_gdc(d: DifferenceMatrix, distance: int = 6) -> Gdc:
+def dm_to_gdc(d: DifferenceMatrix) -> Gdc:
     """[2,2]-GDC(6) of type g^4 with size 2g^2 from a (g,4;1) difference matrix.
 
     Points are (row index, group element) on 4 groups of size g.  The second
@@ -99,7 +98,7 @@ def dm_to_gdc(d: DifferenceMatrix, distance: int = 6) -> Gdc:
                  (pt(0, d.add(col[0], d.add(delta, k))),
                   pt(1, d.add(col[1], d.add(delta, k))))), n))
     groups = [tuple(range(i * g, (i + 1) * g)) for i in range(4)]
-    return Gdc(Code(n, Composition((2, 2)), distance, words),
+    return Gdc(Code(n, Composition((2, 2)), 6, words),
                GroupPartition.of(groups))
 
 
@@ -119,6 +118,17 @@ def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Cod
     return words, groups
 
 
+def _filler(filler: Code | Gdc | None, size: int, comp: Composition) -> Code | Gdc:
+    """The filler for a group of ``size`` points, which must exist and (unless
+    it is empty) have the host's composition."""
+    if filler is None:
+        raise ConstructionError(f"no filler for group size {size}")
+    fcode = filler.as_code()
+    if fcode.composition != comp and len(fcode.words) > 0:
+        raise ConstructionError("filler composition mismatch")
+    return filler
+
+
 def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
     """Fill every group of size s with ``fillers[s]`` relabeled onto it.
 
@@ -132,13 +142,7 @@ def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
     words = list(code.words)
     out_groups: list[tuple[int, ...]] = []
     for grp in g.partition.groups:
-        size = len(grp)
-        if size not in fillers:
-            raise ConstructionError(f"no filler for group size {size}")
-        filler = fillers[size]
-        fcode = filler.as_code()
-        if fcode.composition != code.composition and len(fcode.words) > 0:
-            raise ConstructionError("filler composition mismatch")
+        filler = _filler(fillers.get(len(grp)), len(grp), code.composition)
         w, grps = _relabel_onto(filler, list(grp), code.n)
         words.extend(w)
         out_groups.extend(grps)
@@ -150,47 +154,35 @@ def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
 
 
 def adjoin_points(g: Gdc, y: int, first_group: int,
-                  first_code: Code | Gdc,
-                  fillers: dict[int, Code | Gdc] | None = None) -> Code:
+                  first_code: Code | Gdc, fillers: dict[int, Code | Gdc]) -> Code:
     """Adjoin y ideal points: the designated first group plus the ideal points
     receive a (g1+y)-code; every other group G plus the ideal points receives
     a GDC of type 1^{|G|} y^1 whose y-group lands on the ideal points.
 
     Filler point convention: indices [0, s) map onto the group's points in
     sorted order and [s, s+y) onto the ideal points, matching a type
-    1^s y^1 GDC whose final group is the ideal set.
+    1^s y^1 GDC whose final group is the ideal set.  Every filler, the first
+    code included, must have the host's composition unless it is empty.
     """
     code = g.code
     if code.distance > 2 * (code.composition.weight - 1):
         raise ConstructionError("adjoining requires d <= 2(w-1)")
-    if y == 0 and fillers is None:
-        fillers = {}
     n_new = code.n + y
     ideal = list(range(code.n, n_new))
     words = [Codeword(w.supports, n_new) for w in code.words]
     for gi, grp in enumerate(g.partition.groups):
-        targets = list(grp) + ideal
-        if gi == first_group:
-            filler: Code | Gdc = first_code
-        else:
-            assert fillers is not None
-            size = len(grp)
-            if size not in fillers:
-                raise ConstructionError(f"no filler for group size {size}")
-            filler = fillers[size]
-            if y > 1:
-                if isinstance(filler, Gdc):
-                    ygroups = [grp2 for grp2 in filler.partition.groups
-                               if len(grp2) == y]
-                    tail = tuple(range(size, size + y))
-                    if tail not in ygroups:
-                        raise ConstructionError(
-                            "filler must be a GDC of type 1^s y^1 with the "
-                            "y-group on its final points")
-                else:
-                    raise ConstructionError(
-                        f"filler for size {size} must be a GDC of type 1^{size} {y}^1")
-        w, _ = _relabel_onto(filler, targets, n_new)
+        size = len(grp)
+        filler = _filler(first_code if gi == first_group else fillers.get(size),
+                         size, code.composition)
+        if gi != first_group and y > 1:
+            if not isinstance(filler, Gdc):
+                raise ConstructionError(
+                    f"filler for size {size} must be a GDC of type 1^{size} {y}^1")
+            if tuple(range(size, size + y)) not in filler.partition.groups:
+                raise ConstructionError(
+                    "filler must be a GDC of type 1^s y^1 with the "
+                    "y-group on its final points")
+        w, _ = _relabel_onto(filler, list(grp) + ideal, n_new)
         words.extend(w)
     return Code(n_new, code.composition, code.distance, words)
 
@@ -206,29 +198,15 @@ def shorten(code: Code, point: int) -> Code:
     return Code(code.n - 1, code.composition, code.distance, words)
 
 
-class IngredientProvider:
-    """Explicit type-indexed lookup of ingredient GDCs for the weighting
-    construction; the same type always resolves to the same realization."""
+def fundamental(master: Gdd, weights: list[int], ingredients: Iterable[Gdc]) -> Gdc:
+    """Wilson-style weighting (the fundamental construction).
 
-    def __init__(self, gdcs: list[Gdc] | None = None):
-        self._by_type: dict[tuple[tuple[int, int], ...], Gdc] = {}
-        for g in gdcs or []:
-            self.add(g)
-
-    def add(self, g: Gdc) -> None:
-        self._by_type[gdc_type(g).factors] = g
-
-    def get(self, typ: GdcType) -> Gdc:
-        try:
-            return self._by_type[typ.factors]
-        except KeyError:
-            raise ConstructionError(f"no ingredient of type {typ}") from None
-
-
-def fundamental(master: Gdd, weights: list[int],
-                provider: IngredientProvider) -> Gdc:
-    """Wilson-style weighting: replace each master block A by an ingredient
-    GDC of type [weights of A's points], placed on the points' fibers."""
+    Point x of the master GDD becomes a fiber of ``weights[x]`` points, and
+    each master block A is replaced by the ingredient GDC whose type is the
+    multiset of A's weights, its groups laid on A's fibers.  Ingredients are
+    looked up by type; of two with the same type the later one is used.  The
+    result's groups are the master groups' fibers.
+    """
     if len(weights) != master.n or any(w < 0 for w in weights):
         raise ConstructionError("need one nonnegative weight per master point")
     if all(w == 0 for w in weights):
@@ -242,6 +220,7 @@ def fundamental(master: Gdd, weights: list[int],
         offset[x + 1] = offset[x] + weights[x]
     n = offset[master.n]
 
+    by_type = {gdc_type(g): g for g in ingredients}
     words: list[Codeword] = []
     composition: Composition | None = None
     distance = 6
@@ -250,15 +229,16 @@ def fundamental(master: Gdd, weights: list[int],
         if len(pts) < 2:
             continue
         typ = GdcType.of_sizes(weights[a] for a in pts)
-        ing = provider.get(typ)
+        if typ not in by_type:
+            raise ConstructionError(f"no ingredient of type {typ}")
+        ing = by_type[typ]
         if composition is None and len(ing.code.words) > 0:
             composition = ing.code.composition
             distance = ing.code.distance
         # assign ingredient groups (sorted by size then first point) to block
         # points (sorted) with matching weights, deterministically
-        groups_sorted = sorted(ing.partition.groups, key=lambda g2: (len(g2), g2))
         by_size: dict[int, list[tuple[int, ...]]] = {}
-        for grp in groups_sorted:
+        for grp in sorted(ing.partition.groups):
             by_size.setdefault(len(grp), []).append(grp)
         mapping = [0] * ing.code.n
         for a in pts:

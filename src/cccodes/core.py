@@ -448,6 +448,8 @@ def read_code_text(text: str) -> Code | Gdc:
                     dist = int(line.split("=", 1)[1])
                     continue
                 if line.startswith("groups="):
+                    if line != "groups=":
+                        raise ValueError(f"text after groups=: {line!r}")
                     groups = block = []
                     continue
             if n is None or comp is None or dist is None:

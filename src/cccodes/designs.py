@@ -10,7 +10,7 @@ double-GDD variant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .core import GroupPartition, VerificationReport, Violation
 
@@ -24,7 +24,6 @@ __all__ = [
     "SearchExhausted",
     "build_dm",
     "build_td",
-    "pbd_as_gdd",
     "read_design_text",
     "search_skew_room_frame",
     "verify_dm",
@@ -41,6 +40,10 @@ class DesignError(ValueError):
 
 class SearchExhausted(Exception):
     """A bounded search ran out of budget (not a nonexistence proof)."""
+
+
+# Node budget of the difference-matrix and skew Room frame searches.
+_NODE_BUDGET = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +78,23 @@ class GfTable:
     """Addition/multiplication tables for GF(q), q prime or a shipped prime power.
 
     Elements are encoded as integers in [0, q): for q = p^e the base-p digits
-    are the polynomial coefficients (low degree first).
+    are the polynomial coefficients (low degree first), so the additive group
+    is Z_p^e with ``moduli = (p,) * e`` in the mixed-radix encoding of
+    :class:`DifferenceMatrix`.
     """
 
     def __init__(self, q: int):
+        self.q = q
         if _is_prime(q):
-            self.q = q
             self.add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
             self.mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-            self.poly = None
+            self.moduli = (q,)
             return
         if q not in _IRREDUCIBLE:
             raise DesignError(f"no field data for order {q}")
         p, coeffs = _IRREDUCIBLE[q]
         e = len(coeffs)
-        self.q = q
-        self.poly = (p, coeffs)
+        self.moduli = (p,) * e
 
         def digits(x: int) -> list[int]:
             out = []
@@ -213,13 +217,9 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
 
 def verify_pbd(p: Pbd) -> VerificationReport:
     """Pair coverage of an index-1 PBD, read as a GDD with singleton groups."""
-    return verify_gdd(pbd_as_gdd(p))
-
-
-def pbd_as_gdd(p: Pbd) -> Gdd:
     if p.index != 1:
         raise DesignError("only index-1 PBDs read as GDDs")
-    return Gdd(p.v, GroupPartition.singletons(p.v), p.blocks, p.block_sizes)
+    return verify_gdd(Gdd(p.v, GroupPartition.singletons(p.v), p.blocks, p.block_sizes))
 
 
 def build_td(k: int, m: int) -> Gdd:
@@ -251,49 +251,45 @@ def build_td(k: int, m: int) -> Gdd:
 
 @dataclass(frozen=True)
 class DifferenceMatrix:
-    """A (g,k;1) difference matrix over an abelian group.
+    """A (g,k;1) difference matrix: k rows of g group elements in which, for
+    any two rows, the g column-wise differences are every element once.
 
-    The group is a direct product of cyclic groups Z_{m1} x ... x Z_{mr}
-    (``moduli``); elements are encoded as mixed-radix integers in [0, g),
-    least-significant factor first.  Over Z_g use ``moduli = (g,)``.
+    The group is the direct product Z_{m1} x ... x Z_{mr} of ``moduli``,
+    whose product is g; an element is the mixed-radix integer in [0, g) of
+    its coordinates, least-significant factor first.  Over Z_g,
+    ``moduli = (g,)``.  ``add`` and ``sub`` are the group's operations on
+    this encoding.
     """
 
     g: int
     k: int
     rows: tuple[tuple[int, ...], ...]
-    moduli: tuple[int, ...] = ()
+    moduli: tuple[int, ...]
 
-    def _mods(self) -> tuple[int, ...]:
-        return self.moduli or (self.g,)
+    def _combine(self, x: int, y: int, sign: int) -> int:
+        """x + sign * y, coordinate by coordinate."""
+        out, mult = 0, 1
+        for m in self.moduli:
+            out += (x % m + sign * (y % m)) % m * mult
+            x //= m
+            y //= m
+            mult *= m
+        return out
 
     def add(self, x: int, y: int) -> int:
-        out, mult = 0, 1
-        for m in self._mods():
-            out += ((x % m + y % m) % m) * mult
-            x //= m
-            y //= m
-            mult *= m
-        return out
+        return self._combine(x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
-        out, mult = 0, 1
-        for m in self._mods():
-            out += ((x % m - y % m) % m) * mult
-            x //= m
-            y //= m
-            mult *= m
-        return out
+        return self._combine(x, y, -1)
 
 
 def verify_dm(d: DifferenceMatrix) -> VerificationReport:
-    violations: list[Violation] = []
     if len(d.rows) != d.k or any(len(r) != d.g for r in d.rows):
-        violations.append(Violation("size-mismatch", (), "matrix shape"))
-        return VerificationReport(tuple(violations))
-    import math
-    if math.prod(d._mods()) != d.g:
-        violations.append(Violation("size-mismatch", (), "moduli do not multiply to g"))
-        return VerificationReport(tuple(violations))
+        return VerificationReport((Violation("size-mismatch", (), "matrix shape"),))
+    if prod(d.moduli) != d.g:
+        return VerificationReport(
+            (Violation("size-mismatch", (), "moduli do not multiply to g"),))
+    violations: list[Violation] = []
     for r in range(d.k):
         for s in range(r + 1, d.k):
             diffs = sorted(d.sub(d.rows[r][j], d.rows[s][j]) for j in range(d.g))
@@ -302,7 +298,7 @@ def verify_dm(d: DifferenceMatrix) -> VerificationReport:
     return VerificationReport(tuple(violations))
 
 
-def build_dm(g: int, node_budget: int = 5_000_000) -> DifferenceMatrix:
+def build_dm(g: int) -> DifferenceMatrix:
     """A (g,4;1)-DM over an abelian group of order g.
 
     Existence requires g >= 4 and g != 2 (mod 4).  Three routes:
@@ -318,9 +314,7 @@ def build_dm(g: int, node_budget: int = 5_000_000) -> DifferenceMatrix:
     if _is_prime(g) or g in _IRREDUCIBLE:
         gf = GfTable(g)
         rows = tuple(tuple(gf.mul[i][j] for j in range(g)) for i in range(4))
-        p, coeffs = gf.poly if gf.poly else (g, ())
-        moduli = (p,) * (len(coeffs) or 1)
-        return DifferenceMatrix(g, 4, rows, moduli)
+        return DifferenceMatrix(g, 4, rows, gf.moduli)
 
     # Direct product: a (g1,4;1)-DM times a (g2,4;1)-DM is a (g1*g2,4;1)-DM.
     for a in range(4, g):
@@ -329,17 +323,16 @@ def build_dm(g: int, node_budget: int = 5_000_000) -> DifferenceMatrix:
         b = g // a
         if b < 4 or b % 4 == 2:
             continue
-        m1 = build_dm(a, node_budget)
-        m2 = build_dm(b, node_budget)
+        m1 = build_dm(a)
+        m2 = build_dm(b)
         rows = tuple(
             tuple(m1.rows[i][j1] + a * m2.rows[i][j2]
                   for j2 in range(b) for j1 in range(a))
             for i in range(4))
-        return DifferenceMatrix(g, 4, rows, m1._mods() + m2._mods())
+        return DifferenceMatrix(g, 4, rows, m1.moduli + m2.moduli)
 
     moduli = (2, 2, g // 4) if g % 4 == 0 else (g,)
-    dm = DifferenceMatrix(g, 4, (), moduli)  # borrow the group arithmetic
-    add, sub = dm.add, dm.sub
+    sub = DifferenceMatrix(g, 4, (), moduli).sub  # borrow the group arithmetic
 
     # Normalized backtracking search: row0 = all zeros (column translates),
     # row1 = identity (column order); choose row2/row3 column by column so
@@ -358,7 +351,7 @@ def build_dm(g: int, node_budget: int = 5_000_000) -> DifferenceMatrix:
         if j == g:
             return True
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _NODE_BUDGET:
             raise SearchExhausted(f"difference-matrix search budget hit at g={g}")
         for a in range(g):
             if used2[a] or d20[sub(a, j)]:
@@ -395,14 +388,11 @@ class RoomFrame:
     def side(self) -> int:
         return sum(len(h) for h in self.holes)
 
-    def hole_of(self) -> dict[int, int]:
-        return {x: i for i, h in enumerate(self.holes) for x in h}
-
 
 def verify_skew_room_frame(f: RoomFrame) -> VerificationReport:
     violations: list[Violation] = []
     n = f.side
-    hole = f.hole_of()
+    hole = {x: i for i, h in enumerate(f.holes) for x in h}
     # condition 1: unordered pairs of distinct symbols
     for (r, c), pair in f.cells.items():
         if len(pair) != 2 or any(not 0 <= x < n for x in pair):
@@ -439,8 +429,7 @@ def verify_skew_room_frame(f: RoomFrame) -> VerificationReport:
     return VerificationReport(tuple(violations))
 
 
-def search_skew_room_frame(hole_sizes: list[int],
-                           node_budget: int = 5_000_000) -> RoomFrame | None:
+def search_skew_room_frame(hole_sizes: list[int]) -> RoomFrame | None:
     """Deterministic backtracking for a skew Room frame with the given hole sizes.
 
     Returns None when the search space is exhausted (nonexistence at this
@@ -482,7 +471,7 @@ def search_skew_room_frame(hole_sizes: list[int],
         if not remaining:
             return True
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _NODE_BUDGET:
             raise SearchExhausted("room-frame search budget hit")
         # most-constrained pair first (deterministic tie-break: pair order)
         best_i = -1
@@ -523,80 +512,85 @@ def search_skew_room_frame(hole_sizes: list[int],
 # ---------------------------------------------------------------------------
 
 def write_design_text(obj: Gdd | Pbd | DifferenceMatrix | RoomFrame) -> str:
-    lines: list[str] = []
+    def csv(items) -> str:
+        return ",".join(str(x) for x in items)
+
     if isinstance(obj, Gdd):
-        lines += [f"kind=gdd", f"n={obj.n}",
-                  "k=" + ",".join(str(s) for s in sorted(obj.block_sizes))]
-        lines.append("groups=")
-        lines += [",".join(str(x) for x in g) for g in obj.partition.groups]
-        lines.append("blocks=")
-        lines += [",".join(str(x) for x in b) for b in obj.blocks]
+        lines = ["kind=gdd", f"n={obj.n}", "k=" + csv(sorted(obj.block_sizes)), "groups=",
+                 *map(csv, obj.partition.groups), "blocks=", *map(csv, obj.blocks)]
     elif isinstance(obj, Pbd):
-        lines += [f"kind=pbd", f"v={obj.v}", f"lambda={obj.index}",
-                  "k=" + ",".join(str(s) for s in sorted(obj.block_sizes))]
-        lines.append("blocks=")
-        lines += [",".join(str(x) for x in b) for b in obj.blocks]
+        lines = ["kind=pbd", f"v={obj.v}", f"lambda={obj.index}",
+                 "k=" + csv(sorted(obj.block_sizes)), "blocks=", *map(csv, obj.blocks)]
     elif isinstance(obj, DifferenceMatrix):
-        lines += [f"kind=dm", f"g={obj.g}", f"k={obj.k}",
-                  "moduli=" + "x".join(str(m) for m in obj._mods()), "rows="]
-        lines += [",".join(str(x) for x in r) for r in obj.rows]
+        lines = ["kind=dm", f"g={obj.g}", f"k={obj.k}",
+                 "moduli=" + "x".join(str(m) for m in obj.moduli), "rows=", *map(csv, obj.rows)]
     elif isinstance(obj, RoomFrame):
-        lines += ["kind=roomframe", "holes="]
-        lines += [",".join(str(x) for x in h) for h in obj.holes]
-        lines.append("cells=")
-        for (r, c) in sorted(obj.cells):
-            a, b = sorted(obj.cells[(r, c)])
-            lines.append(f"{r},{c}:{a},{b}")
+        lines = ["kind=roomframe", "holes=", *map(csv, obj.holes), "cells="]
+        lines += [f"{csv(rc)}:{csv(sorted(obj.cells[rc]))}" for rc in sorted(obj.cells)]
     else:
         raise DesignError(f"cannot serialize {type(obj)}")
     return "\n".join(lines) + "\n"
 
 
-_HEADER_KEYS = {"gdd": ("n", "k"), "pbd": ("v", "k"), "dm": ("g", "k")}
+def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(sep))
+
+
+def _cell(text: str) -> tuple[tuple[int, ...], frozenset[int]]:
+    rc, colon, ab = text.partition(":")
+    cell = _ints(rc)
+    if not colon or len(cell) != 2:
+        raise ValueError(f"want R,C:A,B: {text!r}")
+    return cell, frozenset(_ints(ab))
 
 
 def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
-    header: dict[str, str] = {}
+    """Parse the design file format.  Every fault raises DesignError; the
+    message of a fault on a line starts with ``line N: `` (1-based)."""
+    header: dict[str, tuple[int, str]] = {}
+    body: dict[str, list[tuple[int, str]]] = {}
     section = None
-    body: dict[str, list[str]] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line and line.endswith("="):
+        if line.endswith("="):
             section = line[:-1]
             body[section] = []
         elif "=" in line and section is None:
             k, v = line.split("=", 1)
-            header[k.strip()] = v.strip()
+            header[k.strip()] = (lineno, v.strip())
+        elif section is None:
+            raise DesignError(f"line {lineno}: content before any section: {line!r}")
         else:
-            if section is None:
-                raise DesignError(f"content before any section: {line!r}")
-            body[section].append(line)
-    kind = header.get("kind")
-    for key in _HEADER_KEYS.get(kind, ()):
+            body[section].append((lineno, line))
+
+    def at(lineno: int, parse, text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise DesignError(f"line {lineno}: {e}") from None
+
+    def head(key: str, parse=int):
         if key not in header:
             raise DesignError(f"missing header {key}=")
+        lineno, value = header[key]
+        return at(lineno, parse, value)
+
+    def lines(name: str, parse=_ints) -> tuple:
+        return tuple(at(lineno, parse, line) for lineno, line in body.get(name, []))
+
+    kind = head("kind", str)
     if kind == "gdd":
-        groups = GroupPartition.of(
-            tuple(int(x) for x in g.split(",")) for g in body.get("groups", []))
-        blocks = tuple(tuple(int(x) for x in b.split(",")) for b in body.get("blocks", []))
-        sizes = frozenset(int(x) for x in header["k"].split(","))
-        return Gdd(int(header["n"]), groups, blocks, sizes)
+        return Gdd(head("n"), GroupPartition.of(lines("groups")), lines("blocks"),
+                   frozenset(head("k", _ints)))
     if kind == "pbd":
-        blocks = tuple(tuple(int(x) for x in b.split(",")) for b in body.get("blocks", []))
-        sizes = frozenset(int(x) for x in header["k"].split(","))
-        return Pbd(int(header["v"]), blocks, sizes, int(header.get("lambda", "1")))
+        return Pbd(head("v"), lines("blocks"), frozenset(head("k", _ints)),
+                   head("lambda") if "lambda" in header else 1)
     if kind == "dm":
-        rows = tuple(tuple(int(x) for x in r.split(",")) for r in body.get("rows", []))
-        moduli = tuple(int(x) for x in header.get("moduli", header["g"]).split("x"))
-        return DifferenceMatrix(int(header["g"]), int(header["k"]), rows, moduli)
+        moduli = (head("moduli", lambda v: _ints(v, "x")) if "moduli" in header
+                  else (head("g"),))
+        return DifferenceMatrix(head("g"), head("k"), lines("rows"), moduli)
     if kind == "roomframe":
-        holes = tuple(tuple(int(x) for x in h.split(",")) for h in body.get("holes", []))
-        cells = {}
-        for line in body.get("cells", []):
-            rc, ab = line.split(":")
-            r, c = (int(x) for x in rc.split(","))
-            cells[(r, c)] = frozenset(int(x) for x in ab.split(","))
-        return RoomFrame(holes, cells)
-    raise DesignError(f"unknown design kind {kind!r}")
+        return RoomFrame(lines("holes"), dict(lines("cells", _cell)))
+    raise DesignError(f"line {header['kind'][0]}: unknown design kind {kind!r}")

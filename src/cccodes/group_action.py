@@ -63,53 +63,19 @@ class DevelopmentError(ValueError):
 
 
 class Permutation:
-    """A bijection on [0, n), with a cycle form for display."""
+    """A bijection on [0, n), stored as its image tuple: point x goes to
+    ``image[x]``.  It acts on a codeword point by point."""
 
     __slots__ = ("image",)
 
-    def __init__(self, image: list[int] | tuple[int, ...]):
-        n = len(image)
-        if sorted(image) != list(range(n)):
+    def __init__(self, image: list[int] | tuple[int, ...] | range):
+        if sorted(image) != list(range(len(image))):
             raise ManifestError("generator is not a bijection")
         self.image = tuple(image)
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
 
     def apply_word(self, w: Codeword) -> Codeword:
         img = self.image
         return Codeword(tuple(tuple(img[x] for x in cls) for cls in w.supports), w.n)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.image[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.image[x]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __repr__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "id"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
 
 
 @dataclass(frozen=True)
@@ -124,7 +90,6 @@ class Manifest:
     n: int
     composition: Composition
     distance: int
-    labels: dict[str, int]
     generator: Permutation
     generator2: Permutation | None
     partition: GroupPartition | None
@@ -133,19 +98,14 @@ class Manifest:
     expected_type: GdcType | None
     name: str = ""
 
-    @property
-    def has_fixed_orbits(self) -> bool:
-        return any(o.kind == "fixed" for o in self.orbits)
-
 
 class _ClassSpec:
     """One declared label class: contiguous dense indices plus a label scheme."""
 
-    def __init__(self, kind: str, start: int, size: int, modulus: int, tag: int):
+    def __init__(self, kind: str, start: int, size: int, tag: int):
         self.kind = kind          # plain | ring | inf
         self.start = start        # first dense index
         self.size = size
-        self.modulus = modulus    # ring size for shift arithmetic
         self.tag = tag            # ring subscript / plain offset / inf ordinal base
 
     def labels(self) -> list[tuple[str, int]]:
@@ -224,7 +184,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             if len(toks) < 2:
                 raise ManifestError(f"line {lineno}: bad plain class: {line!r}")
             m = int(toks[1])
-            classes.append(_ClassSpec("plain", offset, m, m, plain_offset))
+            classes.append(_ClassSpec("plain", offset, m, plain_offset))
             plain_offset += m
             offset += m
         elif toks[0] == "ring":
@@ -235,12 +195,12 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             else:
                 raise ManifestError(f"line {lineno}: bad ring class: {line!r}")
             for _ in range(k):
-                classes.append(_ClassSpec("ring", offset, m, m, ring_tag))
+                classes.append(_ClassSpec("ring", offset, m, ring_tag))
                 ring_tag += 1
                 offset += m
         elif toks[0] == "inf":
             k = int(toks[1]) if len(toks) > 1 else 1
-            classes.append(_ClassSpec("inf", offset, k, 1, 0))
+            classes.append(_ClassSpec("inf", offset, k, 0))
             offset += k
         else:
             raise ManifestError(f"line {lineno}: unknown class kind: {line!r}")
@@ -274,7 +234,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                     if spec.kind == "inf":
                         raise ManifestError("cannot shift an inf class")
                     for i in range(spec.size):
-                        image[spec.start + i] = spec.start + (i + s) % spec.modulus
+                        image[spec.start + i] = spec.start + (i + s) % spec.size
             elif toks[0] == "cycle":
                 pts = []
                 for tok in toks[1:]:
@@ -295,7 +255,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
         return Permutation(image)
 
     generator = (build_generator(sections["generator"])
-                 if "generator" in sections else Permutation.identity(n))
+                 if "generator" in sections else Permutation(range(n)))
     generator2 = (build_generator(sections["generator2"])
                   if "generator2" in sections else None)
 
@@ -367,7 +327,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
         else:
             raise ManifestError(f"unknown orbit kind: {head!r}")
 
-    return Manifest(n=n, composition=composition, distance=distance, labels=labels,
+    return Manifest(n=n, composition=composition, distance=distance,
                     generator=generator, generator2=generator2, partition=partition,
                     orbits=tuple(orbits), expected_size=expected_size,
                     expected_type=expected_type, name=name)

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
                    verify_code, verify_expectations, verify_gdc)
-from .constructions import (IngredientProvider,
-                            adjoin_points, dm_to_gdc, empty_code, fill_groups,
+from .constructions import (adjoin_points, dm_to_gdc, empty_code, fill_groups,
                             fundamental, inflate, shorten, srf_to_gdc)
 from .designs import build_dm, build_td, read_design_text
 from .group_action import develop
@@ -109,10 +108,8 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
         return inflate(obj, int(args[1]))
     if op == "fundamental":
         master = env[args[0]]
-        w = int(kv["w"])
-        weights = [w] * master.n
-        provider = IngredientProvider([env[r] for r in kv["ingredients"].split(",")])
-        return fundamental(master, weights, provider)
+        return fundamental(master, [int(kv["w"])] * master.n,
+                           [env[r] for r in kv["ingredients"].split(",")])
     if op == "fill":
         target = env[args[0]]
         fillers = _parse_fillers(",".join(args[1:]), env,

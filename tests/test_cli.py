@@ -1,7 +1,9 @@
 """CLI behaviour: exit codes, deterministic output, round-trips."""
 
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -114,6 +116,23 @@ def test_design_verify_pbd_index_two_is_a_data_error(tmp_path, capsys):
     status, _ = run(["design", "verify", str(pbd)])
     assert status == 2
     assert capsys.readouterr().err == "error: only index-1 PBDs read as GDDs\n"
+
+
+def test_design_verify_malformed_file_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.design"
+    bad.write_text("kind=roomframe\nholes=\n0,1\n2,3\ncells=\n0,2:1,3\n0,1\n")
+    status, out = run(["design", "verify", str(bad)])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: line 7: want R,C:A,B: '0,1'\n"
+
+
+def test_every_exported_name_resolves():
+    modules = [cccodes] + [importlib.import_module(f"cccodes.{m.name}")
+                           for m in pkgutil.iter_modules(cccodes.__path__)]
+    assert {"cccodes.constructions", "cccodes.designs"} <= {m.__name__ for m in modules}
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)
 
 
 def test_search_emit_roundtrip(tmp_path):

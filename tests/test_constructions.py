@@ -5,7 +5,6 @@ import pytest
 from cccodes.bounds import upper_22, upper_31
 from cccodes.constructions import (
     ConstructionError,
-    IngredientProvider,
     adjoin_points,
     dm_to_gdc,
     empty_code,
@@ -15,8 +14,8 @@ from cccodes.constructions import (
     shorten,
     srf_to_gdc,
 )
-from cccodes.core import (Code, Codeword, Composition, GdcType, gdc_type,
-                          verify_code, verify_gdc)
+from cccodes.core import (Code, Codeword, Composition, Gdc, GdcType,
+                          GroupPartition, gdc_type, verify_code, verify_gdc)
 from cccodes.dataio import data_root, develop_manifest, load_code
 from cccodes.designs import RoomFrame, build_dm, build_td, read_design_text
 
@@ -110,6 +109,15 @@ def test_adjoin_zero_points_equals_fill():
     assert filled.n == adjoined.n
 
 
+@pytest.mark.parametrize("first, filler", [("c31", "c31"), ("c31", "empty"),
+                                           ("empty", "c31")])
+def test_adjoin_rejects_a_filler_of_another_composition(first, filler):
+    g = dm_to_gdc(build_dm(4))  # [2,2], type 4^4
+    codes = {"c31": load_code("n5-31.code"), "empty": empty_code(5, C22)}
+    with pytest.raises(ConstructionError, match="filler composition mismatch"):
+        adjoin_points(g, 1, 0, codes[first], {4: codes[filler]})
+
+
 def test_shorten_interior_point_relabels():
     code = Code(6, C22, 6, [Codeword(((0, 1), (2, 3)), 6),
                             Codeword(((1, 2), (4, 5)), 6),
@@ -143,28 +151,35 @@ def test_shorten_rejects_point_outside_code():
 
 def test_fundamental_uniform_weight_4():
     td = build_td(4, 5)
-    prov = IngredientProvider([dm_to_gdc(build_dm(4))])
-    g = fundamental(td, [4] * 20, prov)
+    g = fundamental(td, [4] * 20, [dm_to_gdc(build_dm(4))])
     assert verify_gdc(g, GdcType.parse("20^4"), 800).ok
     assert g.code.composition == C22
+
+
+def test_fundamental_uses_the_later_ingredient_of_a_type():
+    td = build_td(4, 5)
+    real = dm_to_gdc(build_dm(4))
+    empty = Gdc(empty_code(16, C22), real.partition)
+    assert gdc_type(empty) == gdc_type(real)
+    assert len(fundamental(td, [4] * 20, [empty, real])) == 800
+    assert len(fundamental(td, [4] * 20, [real, empty])) == 0
 
 
 def test_fundamental_rejects_degenerate_weights():
     td = build_td(4, 5)
     with pytest.raises(ConstructionError):
-        fundamental(td, [0] * 20, IngredientProvider())
+        fundamental(td, [0] * 20, [])
 
 
 def test_fundamental_missing_ingredient():
     td = build_td(4, 5)
     with pytest.raises(ConstructionError, match="no ingredient"):
-        fundamental(td, [4] * 20, IngredientProvider())
+        fundamental(td, [4] * 20, [])
 
 
 def test_full_chain_2x40():
     td = build_td(4, 5)
-    prov = IngredientProvider([dm_to_gdc(build_dm(4))])
-    g20 = fundamental(td, [4] * 20, prov)
+    g20 = fundamental(td, [4] * 20, [dm_to_gdc(build_dm(4))])
     g = fill_groups(g20, {20: develop_manifest("c22/type-2^10.man")})
     assert verify_gdc(g, GdcType.parse("2^40"), 1040).ok
     assert len(g) == 1040 == upper_22(80).value

@@ -322,6 +322,7 @@ HEAD = "n=5\ncomposition=2,2\ndistance=6\n"
     (HEAD + "0,1 ; 1,2\n", "line 4: symbol classes overlap: ((0, 1), (1, 2))"),
     (HEAD + "0,1 ; 2,3\nhello\n", "line 5: unparseable line: 'hello'"),
     (HEAD + "groups=\n0,1\n2,x\n", "line 6: invalid literal for int() with base 10: 'x'"),
+    (HEAD + "groups=junk\n0,1\n2,3\n0,2 ; 1,3\n", "line 4: text after groups=: 'groups=junk'"),
     ("# comment\n\n0,1 ; 2,3\n" + HEAD,
      "line 3: codeword line before complete header: '0,1 ; 2,3'"),
     ("n=five\n", "line 1: invalid literal for int() with base 10: 'five'"),

@@ -1,8 +1,11 @@
 """Ingredient designs: fields, TDs, difference matrices, Room frames, PBDs."""
 
+import re
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccodes.core import GroupPartition, Violation
 from cccodes.dataio import data_root
@@ -15,7 +18,6 @@ from cccodes.designs import (
     RoomFrame,
     build_dm,
     build_td,
-    pbd_as_gdd,
     read_design_text,
     search_skew_room_frame,
     verify_dm,
@@ -192,15 +194,19 @@ def test_shipped_gdd_2x7():
 
 def test_gdd_pbd_adapters():
     p = load_design("pbd-13-4.design")
-    g = pbd_as_gdd(p)
+    g = Gdd(p.v, GroupPartition.singletons(p.v), p.blocks, p.block_sizes)
     assert verify_gdd(g).ok
-    assert verify_pbd(p).ok
-    assert g.blocks == p.blocks
+    assert verify_pbd(p) == verify_gdd(g)
+    broken = Pbd(p.v, p.blocks[1:], p.block_sizes, 1)
+    assert verify_pbd(broken) == verify_gdd(
+        Gdd(p.v, g.partition, broken.blocks, p.block_sizes))
+
+
+SHIPPED = ("dm-4-4.design", "srf-2^5.design", "pbd-13-4.design", "gdd-4-2^7.design")
 
 
 def test_design_text_roundtrip():
-    for name in ("dm-4-4.design", "srf-2^5.design", "pbd-13-4.design",
-                 "gdd-4-2^7.design"):
+    for name in SHIPPED:
         obj = load_design(name)
         again = read_design_text(write_design_text(obj))
         assert type(again) is type(obj)
@@ -231,3 +237,51 @@ def test_missing_header_key_is_a_design_error(text, key):
     with pytest.raises(DesignError) as err:
         read_design_text(text)
     assert str(err.value) == f"missing header {key}="
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind=roomframe\nholes=\n0,1\n2,3\ncells=\n0,1\n", "line 6: want R,C:A,B: '0,1'"),
+    ("kind=roomframe\nholes=\n0,1\ncells=\n0,1,2:3,4\n",
+     "line 5: want R,C:A,B: '0,1,2:3,4'"),
+    ("kind=roomframe\nholes=\n0,1\ncells=\n0,1:2,b\n",
+     "line 5: invalid literal for int() with base 10: 'b'"),
+    ("kind=gdd\nn=2\nk=2\ngroups=\n0,a\n1\nblocks=\n0,1\n",
+     "line 5: invalid literal for int() with base 10: 'a'"),
+    ("kind=gdd\nn=two\nk=2\ngroups=\n0\n1\n", "line 2: invalid literal for int() with base 10: 'two'"),
+    ("kind=pbd\nv=3\nk=3\nlambda=x\nblocks=\n0,1,2\n",
+     "line 4: invalid literal for int() with base 10: 'x'"),
+    ("kind=dm\ng=4\nk=2\nmoduli=2*2\nrows=\n0,0,0,0\n0,1,2,3\n",
+     "line 4: invalid literal for int() with base 10: '2*2'"),
+    ("kind=dm\ng=4\nk=2\nrows=\n0,0,0,0\n0,1,,3\n",
+     "line 6: invalid literal for int() with base 10: ''"),
+    ("# header\nkind=pbd\n0,1\n", "line 3: content before any section: '0,1'"),
+    ("\nkind=bibd\n", "line 2: unknown design kind 'bibd'"),
+    ("v=3\nblocks=\n0,1,2\n", "missing header kind="),
+])
+def test_design_text_errors_are_typed_and_numbered(text, message):
+    with pytest.raises(DesignError) as err:
+        read_design_text(text)
+    assert str(err.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from((3, 4, 5, 7, 8, 9)).map(lambda m: build_td(4, m)),
+                 st.sampled_from((4, 5, 7, 8, 9, 11, 12, 13, 16)).map(build_dm),
+                 st.sampled_from(SHIPPED).map(load_design)))
+def test_design_text_write_then_read_is_the_identity(obj):
+    text = write_design_text(obj)
+    assert read_design_text(text) == obj
+    assert write_design_text(read_design_text(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHIPPED), st.integers(min_value=0),
+       st.sampled_from(["", "0", "-1", "99", "x", ",", ":", "=", "2x2", "\n", "#",
+                        "kind", "gdd", "dm", " ", "1,2"]))
+def test_mutated_design_text_raises_only_the_typed_error(name, where, token):
+    tokens = re.findall(r"\w+|\W", (data_root() / "designs" / name).read_text())
+    tokens[where % len(tokens)] = token
+    try:
+        read_design_text("".join(tokens))
+    except DesignError as e:
+        assert str(e).startswith(("line ", "missing header ")), str(e)
