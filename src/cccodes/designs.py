@@ -544,11 +544,22 @@ def _cell(text: str) -> tuple[tuple[int, ...], frozenset[int]]:
     return cell, frozenset(_ints(ab))
 
 
+# kind -> the headers and the sections its files may have.
+_FIELDS = {
+    "gdd": ({"kind", "n", "k"}, {"groups", "blocks"}),
+    "pbd": ({"kind", "v", "k", "lambda"}, {"blocks"}),
+    "dm": ({"kind", "g", "k", "moduli"}, {"rows"}),
+    "roomframe": ({"kind"}, {"holes", "cells"}),
+}
+
+
 def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
     """Parse the design file format.  Every fault raises DesignError; the
-    message of a fault on a line starts with ``line N: `` (1-based)."""
+    message of a fault on a line starts with ``line N: `` (1-based).  A
+    header or section that the file's kind does not have is a fault."""
     header: dict[str, tuple[int, str]] = {}
     body: dict[str, list[tuple[int, str]]] = {}
+    starts: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -557,6 +568,7 @@ def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
         if line.endswith("="):
             section = line[:-1]
             body[section] = []
+            starts[section] = lineno
         elif "=" in line and section is None:
             k, v = line.split("=", 1)
             header[k.strip()] = (lineno, v.strip())
@@ -581,6 +593,16 @@ def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
         return tuple(at(lineno, parse, line) for lineno, line in body.get(name, []))
 
     kind = head("kind", str)
+    if kind not in _FIELDS:
+        raise DesignError(f"line {header['kind'][0]}: unknown design kind {kind!r}")
+    keys, sections = _FIELDS[kind]
+    unknown = [(lineno, f"header {key}=") for key, (lineno, _) in header.items()
+               if key not in keys]
+    unknown += [(lineno, f"section {name}=") for name, lineno in starts.items()
+                if name not in sections]
+    if unknown:
+        lineno, what = min(unknown)
+        raise DesignError(f"line {lineno}: {what} is not part of a {kind} file")
     if kind == "gdd":
         return Gdd(head("n"), GroupPartition.of(lines("groups")), lines("blocks"),
                    frozenset(head("k", _ints)))
@@ -591,6 +613,4 @@ def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
         moduli = (head("moduli", lambda v: _ints(v, "x")) if "moduli" in header
                   else (head("g"),))
         return DifferenceMatrix(head("g"), head("k"), lines("rows"), moduli)
-    if kind == "roomframe":
-        return RoomFrame(lines("holes"), dict(lines("cells", _cell)))
-    raise DesignError(f"line {header['kind'][0]}: unknown design kind {kind!r}")
+    return RoomFrame(lines("holes"), dict(lines("cells", _cell)))

@@ -8,20 +8,22 @@ orbit lengths: words are never deduplicated, because transcription bugs show
 up precisely as collapsed or colliding orbits, which the verifier then reports
 as duplicates next to any size or type that differs from the declared one.
 
-Manifest grammar (sections in square brackets, `#` comments)::
+Manifest grammar (sections in square brackets, each at most once; `#`
+comments).  A section, meta key or directive not listed here is an error, and
+every fault on a line, or in a section as a whole, raises ManifestError with
+a message that starts ``line N: ``::
 
     [meta]
     composition = 2,2        # or 3,1
     distance = 6
     expected_size = 60       # optional; the verifier checks it
     expected_type = 2^10     # optional; the verifier checks it
-    [classes]
+    [classes]                # classes c0, c1, ... in order, each >= 1 point
     plain 20                 # absolute integer labels 0..19; offsets stack
     ring 12 x 3              # labels x_0, x_1, x_2 with x in Z_12
     inf 2                    # fixed labels inf0, inf1 (a single one: inf)
-    [generator]
-    shift 1 on c0            # x -> x+1 (mod m) inside class c0
-    cycle a b c              # explicit cycle over labels
+    [generator]              # omitted = the identity
+    shift 1 on c0            # x -> x+1 (mod m) inside class c0 (and any more)
     [generator2]             # optional second commuting generator
     rotate c0 c1 c2          # x_c0 -> x_c1 -> x_c2 -> x_c0
     [groups]                 # omitted = all singletons
@@ -29,7 +31,6 @@ Manifest grammar (sections in square brackets, `#` comments)::
     coset 6 across c0 c1 c2  # {x : x = i mod 6} over the listed classes
     whole c1 c2              # one group: all points of the listed classes
     singletons c0
-    list 18,19,20,21,22      # explicit group by label
     [orbits]
     full: 0,5 ; 3,7
     short 6: 0_0,6_0 ; 0_1,6_1
@@ -55,7 +56,7 @@ __all__ = [
 
 
 class ManifestError(ValueError):
-    """Malformed manifest text or unresolvable label."""
+    """Manifest text outside the grammar, or an unknown label or class."""
 
 
 class DevelopmentError(ValueError):
@@ -99,238 +100,148 @@ class Manifest:
     name: str = ""
 
 
-class _ClassSpec:
-    """One declared label class: contiguous dense indices plus a label scheme."""
-
-    def __init__(self, kind: str, start: int, size: int, tag: int):
-        self.kind = kind          # plain | ring | inf
-        self.start = start        # first dense index
-        self.size = size
-        self.tag = tag            # ring subscript / plain offset / inf ordinal base
-
-    def labels(self) -> list[tuple[str, int]]:
-        out = []
-        for i in range(self.size):
-            if self.kind == "plain":
-                out.append((str(self.tag + i), self.start + i))
-            elif self.kind == "ring":
-                out.append((f"{i}_{self.tag}", self.start + i))
-            else:
-                name = "inf" if self.size == 1 else f"inf{i}"
-                out.append((name, self.start + i))
-        return out
+_SECTIONS = ("meta", "classes", "generator", "generator2", "groups", "orbits")
+_META = {"composition": Composition.parse, "distance": int,
+         "expected_size": int, "expected_type": GdcType.parse}
 
 
-def _parse_sections(text: str) -> dict[str, list[tuple[int, str]]]:
-    """Section name -> (line number, stripped line) for each content line."""
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current: list[tuple[int, str]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            current = sections.setdefault(name, [])
-            continue
-        if current is None:
-            raise ManifestError(f"line {lineno}: content before first section: {line!r}")
-        current.append((lineno, line))
-    return sections
+class _Names(dict):
+    """Labels or class references declared so far; any other is a fault."""
 
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
 
-def _parse_word(text: str, labels: dict[str, int], n: int) -> Codeword:
-    parts = text.split(";")
-    classes = []
-    for part in parts:
-        pts = []
-        for tok in part.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if tok not in labels:
-                raise ManifestError(f"unknown label {tok!r}")
-            pts.append(labels[tok])
-        classes.append(tuple(pts))
-    return Codeword(classes, n)
+    def __missing__(self, key: str):
+        raise ManifestError(f"unknown {self.what} {key!r}")
 
 
 def parse_manifest(text: str, name: str = "") -> Manifest:
-    sections = _parse_sections(text)
-    for required in ("meta", "classes", "orbits"):
-        if required not in sections:
-            raise ManifestError(f"missing [{required}] section")
+    """Read the grammar of the module docstring.  Every fault raises
+    ManifestError; the message of a fault on a line starts with ``line N: ``
+    (1-based), where a fault of a whole section names its header line."""
+    lineno = None
+    try:
+        heads: dict[str, int] = {}
+        sections: dict[str, list[tuple[int, str]]] = {}
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("[") and line.endswith("]"):
+                if line[1:-1] not in _SECTIONS or line[1:-1] in heads:
+                    names = ", ".join(f"[{key}]" for key in _SECTIONS)
+                    raise ValueError(f"want one of {names}, each at most once: {line!r}")
+                heads[line[1:-1]] = lineno
+                body = sections[line[1:-1]] = []
+            elif line:
+                if not heads:
+                    raise ValueError(f"content before first section: {line!r}")
+                body.append((lineno, line))
+        lineno = None
+        for key in ("meta", "classes", "orbits"):
+            if key not in heads:
+                raise ValueError(f"missing [{key}] section")
 
-    meta: dict[str, str] = {}
-    for lineno, line in sections["meta"]:
-        if "=" not in line:
-            raise ManifestError(f"line {lineno}: bad meta line: {line!r}")
-        k, v = line.split("=", 1)
-        meta[k.strip()] = v.strip()
-    if "composition" not in meta or "distance" not in meta:
-        raise ManifestError("meta must declare composition and distance")
-    composition = Composition.parse(meta["composition"])
-    distance = int(meta["distance"])
-    expected_size = int(meta["expected_size"]) if "expected_size" in meta else None
-    expected_type = GdcType.parse(meta["expected_type"]) if "expected_type" in meta else None
+        meta: dict = {"expected_size": None, "expected_type": None}
+        for lineno, line in sections["meta"]:
+            key, _, value = map(str.strip, line.partition("="))
+            if key not in _META:
+                raise ValueError(f"want one of {', '.join(_META)} = VALUE: {line!r}")
+            meta[key] = _META[key](value)
+        lineno = heads["meta"]
+        if "composition" not in meta or "distance" not in meta:
+            raise ValueError("meta must declare composition and distance")
 
-    classes: list[_ClassSpec] = []
-    offset = 0
-    plain_offset = 0
-    ring_tag = 0
-    for lineno, line in sections["classes"]:
-        toks = line.split()
-        if toks[0] == "plain":
-            if len(toks) < 2:
-                raise ManifestError(f"line {lineno}: bad plain class: {line!r}")
-            m = int(toks[1])
-            classes.append(_ClassSpec("plain", offset, m, plain_offset))
-            plain_offset += m
-            offset += m
-        elif toks[0] == "ring":
-            if len(toks) == 4 and toks[2] == "x":
-                m, k = int(toks[1]), int(toks[3])
-            elif len(toks) == 2:
-                m, k = int(toks[1]), 1
-            else:
-                raise ManifestError(f"line {lineno}: bad ring class: {line!r}")
-            for _ in range(k):
-                classes.append(_ClassSpec("ring", offset, m, ring_tag))
-                ring_tag += 1
-                offset += m
-        elif toks[0] == "inf":
-            k = int(toks[1]) if len(toks) > 1 else 1
-            classes.append(_ClassSpec("inf", offset, k, 0))
-            offset += k
-        else:
-            raise ManifestError(f"line {lineno}: unknown class kind: {line!r}")
-    n = offset
-    labels: dict[str, int] = {}
-    for spec in classes:
-        for lab, idx in spec.labels():
-            if lab in labels:
-                raise ManifestError(f"duplicate label {lab!r}")
-            labels[lab] = idx
-
-    def class_by_ref(ref: str) -> _ClassSpec:
-        if not ref.startswith("c") or not ref[1:].isdigit():
-            raise ManifestError(f"bad class reference {ref!r} (want c0, c1, ...)")
-        idx = int(ref[1:])
-        if idx >= len(classes):
-            raise ManifestError(f"class reference {ref!r} out of range")
-        return classes[idx]
-
-    def build_generator(lines: list[tuple[int, str]]) -> Permutation:
-        image = list(range(n))
-        for lineno, line in lines:
-            toks = line.split()
-            if toks[0] == "shift":
-                # shift s on cK
-                if len(toks) < 3 or toks[2] != "on":
-                    raise ManifestError(f"line {lineno}: bad shift line: {line!r}")
-                s = int(toks[1])
-                for ref in toks[3:]:
-                    spec = class_by_ref(ref)
-                    if spec.kind == "inf":
-                        raise ManifestError("cannot shift an inf class")
-                    for i in range(spec.size):
-                        image[spec.start + i] = spec.start + (i + s) % spec.size
-            elif toks[0] == "cycle":
-                pts = []
-                for tok in toks[1:]:
-                    if tok not in labels:
-                        raise ManifestError(f"unknown label {tok!r} in cycle")
-                    pts.append(labels[tok])
-                for a, b in zip(pts, pts[1:] + pts[:1]):
-                    image[a] = b
-            elif toks[0] == "rotate":
-                specs = [class_by_ref(r) for r in toks[1:]]
-                if len({s.size for s in specs}) != 1:
-                    raise ManifestError("rotate requires classes of equal size")
-                for a, b in zip(specs, specs[1:] + specs[:1]):
-                    for i in range(a.size):
-                        image[a.start + i] = b.start + i
-            else:
-                raise ManifestError(f"line {lineno}: unknown generator directive: {line!r}")
-        return Permutation(image)
-
-    generator = (build_generator(sections["generator"])
-                 if "generator" in sections else Permutation(range(n)))
-    generator2 = (build_generator(sections["generator2"])
-                  if "generator2" in sections else None)
-
-    partition: GroupPartition | None = None
-    if "groups" in sections:
-        groups: list[tuple[int, ...]] = []
-        for lineno, line in sections["groups"]:
-            toks = line.split()
-            if toks[0] == "coset":
-                if len(toks) < 4:
-                    raise ManifestError(f"line {lineno}: bad coset line: {line!r}")
-                step = int(toks[1])
-                if toks[2] == "on":
-                    spec = class_by_ref(toks[3])
-                    for i in range(step):
-                        groups.append(tuple(spec.start + j
-                                            for j in range(i, spec.size, step)))
-                elif toks[2] == "across":
-                    specs = [class_by_ref(r) for r in toks[3:]]
-                    for i in range(step):
-                        grp: list[int] = []
-                        for spec in specs:
-                            grp.extend(spec.start + j for j in range(i, spec.size, step))
-                        groups.append(tuple(grp))
+        # Each class is the range of its points; c0, c1, ... in declaration order.
+        classes, labels, fixed = _Names("class"), _Names("label"), set()
+        n = plain = rings = 0
+        for lineno, line in sections["classes"]:
+            kind, *args = line.split()
+            size = count = 0
+            if kind in ("plain", "inf") and len(args) == 1:
+                size, count = int(args[0]), 1
+            elif kind == "ring" and len(args) == 3 and args[1] == "x":
+                size, count = int(args[0]), int(args[2])
+            if min(size, count) < 1:
+                raise ValueError(f"want plain M, ring M x K or inf K with M, K >= 1: {line!r}")
+            for _ in range(count):
+                points = classes[f"c{len(classes)}"] = range(n, n + size)
+                n += size
+                if kind == "plain":
+                    names = [str(plain + i) for i in range(size)]
+                    plain += size
+                elif kind == "ring":
+                    names = [f"{i}_{rings}" for i in range(size)]
+                    rings += 1
                 else:
-                    raise ManifestError(f"line {lineno}: bad coset line: {line!r}")
-            elif toks[0] == "whole":
-                grp = []
-                for ref in toks[1:]:
-                    spec = class_by_ref(ref)
-                    grp.extend(range(spec.start, spec.start + spec.size))
-                groups.append(tuple(grp))
-            elif toks[0] == "singletons":
-                for ref in toks[1:]:
-                    spec = class_by_ref(ref)
-                    groups.extend((x,) for x in range(spec.start, spec.start + spec.size))
-            elif toks[0] == "list":
-                body = line[len("list"):].strip()
-                grp = []
-                for tok in body.split(","):
-                    tok = tok.strip()
-                    if tok not in labels:
-                        raise ManifestError(f"unknown label {tok!r} in group list")
-                    grp.append(labels[tok])
-                groups.append(tuple(grp))
-            else:
-                raise ManifestError(f"line {lineno}: unknown groups directive: {line!r}")
-        partition = GroupPartition.of(groups)
-        partition.validate(n)
+                    names = ["inf"] if size == 1 else [f"inf{i}" for i in range(size)]
+                    fixed.add(points)
+                for label, x in zip(names, points):
+                    if label in labels:
+                        raise ValueError(f"duplicate label {label!r}")
+                    labels[label] = x
 
-    orbits: list[OrbitDecl] = []
-    for lineno, line in sections["orbits"]:
-        if ":" not in line:
-            raise ManifestError(f"line {lineno}: bad orbit line: {line!r}")
-        head, body = line.split(":", 1)
-        head = head.strip()
-        word = _parse_word(body.strip(), labels, n)
-        if tuple(len(c) for c in word.supports) != composition.weights:
-            raise ManifestError(
-                f"line {lineno}: codeword arity does not match composition: {line!r}")
-        if head == "full":
-            orbits.append(OrbitDecl(word, "full"))
-        elif head.startswith("short"):
-            if len(head.split()) < 2 or int(head.split()[1]) < 1:
-                raise ManifestError(f"line {lineno}: bad orbit line: {line!r}")
-            orbits.append(OrbitDecl(word, "short", int(head.split()[1])))
-        elif head == "fixed":
-            orbits.append(OrbitDecl(word, "fixed"))
-        else:
-            raise ManifestError(f"unknown orbit kind: {head!r}")
+        generators = []
+        for key in ("generator", "generator2"):
+            image = list(range(n))
+            for lineno, line in sections.get(key, ()):
+                op, *args = line.split()
+                if op == "shift" and len(args) >= 3 and args[1] == "on":
+                    for c in (classes[ref] for ref in args[2:]):
+                        if c in fixed:
+                            raise ValueError("cannot shift an inf class")
+                        k = int(args[0]) % len(c)
+                        image[c.start:c.stop] = [*c[k:], *c[:k]]
+                elif op == "rotate" and args:
+                    cs = [classes[ref] for ref in args]
+                    if len({len(c) for c in cs}) != 1:
+                        raise ValueError("rotate requires classes of equal size")
+                    for a, b in zip(cs, cs[1:] + cs[:1]):
+                        image[a.start:a.stop] = b
+                else:
+                    raise ValueError(f"want shift S on cK ... or rotate cK ...: {line!r}")
+            lineno = heads.get(key)
+            generators.append(Permutation(image)
+                              if key in heads or key == "generator" else None)
 
-    return Manifest(n=n, composition=composition, distance=distance,
-                    generator=generator, generator2=generator2, partition=partition,
-                    orbits=tuple(orbits), expected_size=expected_size,
-                    expected_type=expected_type, name=name)
+        partition = None
+        if "groups" in heads:
+            groups: list = []
+            for lineno, line in sections["groups"]:
+                op, *args = line.split()
+                if op == "coset" and len(args) >= 3 and (
+                        args[1] == "across" or args[1] == "on" and len(args) == 3):
+                    step = int(args[0])
+                    cs = [classes[ref] for ref in args[2:]]
+                    groups += ([x for c in cs for x in c[i::step]] for i in range(step))
+                elif op == "whole" and args:
+                    groups.append([x for ref in args for x in classes[ref]])
+                elif op == "singletons" and args:
+                    groups += ([x] for ref in args for x in classes[ref])
+                else:
+                    raise ValueError("want coset S on cK, coset S across cK ..., "
+                                     f"whole cK ... or singletons cK ...: {line!r}")
+            lineno = heads["groups"]
+            partition = GroupPartition.of(groups)
+            partition.validate(n)
+
+        orbits = []
+        for lineno, line in sections["orbits"]:
+            head, colon, body = line.partition(":")
+            kind, _, length = head.strip().partition(" ")
+            if not colon or kind not in ("full", "short", "fixed") or (
+                    (kind == "short") != (length.isdecimal() and int(length) > 0)):
+                raise ValueError(f"want full: WORD, short L: WORD or fixed: WORD: {line!r}")
+            word = Codeword([[labels[tok.strip()] for tok in part.split(",")]
+                             for part in body.split(";")], n)
+            if tuple(map(len, word.supports)) != meta["composition"].weights:
+                raise ValueError(f"codeword arity does not match composition: {line!r}")
+            orbits.append(OrbitDecl(word, kind, int(length) if length else None))
+    except ValueError as e:
+        raise ManifestError(str(e) if lineno is None else f"line {lineno}: {e}") from None
+    return Manifest(n=n, composition=meta["composition"], distance=meta["distance"],
+                    generator=generators[0], generator2=generators[1], partition=partition,
+                    orbits=tuple(orbits), expected_size=meta["expected_size"],
+                    expected_type=meta["expected_type"], name=name)
 
 
 def orbit(base: Codeword, g: Permutation) -> list[Codeword]:

@@ -11,12 +11,14 @@ calls), a single ``result OP ARGS...``, and optional ``expect`` assertions::
     expect size=962
 
 The operations and their arguments are listed in ``_SIGNATURES``; a step
-that lacks one is a PipelineError quoting the line.  A ``manifest`` step
-checks the manifest's declared size and type, and ``expect size=N type=T``
-lines check the result's, both with :func:`cccodes.core.verify_expectations`
-(no pair scan).  The result itself is verified exhaustively, once, before it
-is returned.  The catalog builds every recipe through this runner, so its
-codes are certified here too.
+that lacks one quotes the line.  Every fault on a line (an unknown op, a
+missing argument, an unbound name, a bad number or file, or an error of the
+step's construction) raises PipelineError with a message that starts
+``line N: ``.  A ``manifest`` step checks the manifest's declared size and
+type, and ``expect size=N type=T`` lines check the result's, both with
+:func:`cccodes.core.verify_expectations` (no pair scan).  The result itself
+is verified exhaustively, once, before it is returned.  The catalog builds
+every recipe through this runner, so its codes are certified here too.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
                    verify_code, verify_expectations, verify_gdc)
 from .constructions import (adjoin_points, dm_to_gdc, empty_code, fill_groups,
-                            fundamental, inflate, shorten, srf_to_gdc)
-from .designs import build_dm, build_td, read_design_text
+                            fundamental, inflate, shorten)
+from .designs import build_dm, build_td
 from .group_action import develop
 from . import dataio
 
@@ -46,8 +48,8 @@ class _Env(dict):
 # op -> its positional, then required key=value arguments.  Optional: adjoin's
 # first=G and fill=SIZE:REF,...  A SIZE:empty filler is an empty code.
 _SIGNATURES = {
-    "manifest": "REL", "design": "REL", "codefile": "REL", "code": "N COMP",
-    "dm": "G", "td": "K M", "dm2gdc": "REF", "srf2gdc": "REF", "inflate": "REF M",
+    "manifest": "REL", "codefile": "REL", "code": "N COMP",
+    "dm": "G", "td": "K M", "dm2gdc": "REF", "inflate": "REF M",
     "fundamental": "REF w=W ingredients=REF,...", "fill": "REF SIZE:REF...",
     "adjoin": "REF y=Y code=REF", "ascode": "REF", "shorten": "REF POINT",
 }
@@ -84,9 +86,6 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
             raise PipelineError(f"manifest {args[0]} differs from its declaration: "
                                 f"{rep.summary()}")
         return g
-    if op == "design":
-        path = dataio.data_root() / "designs" / args[0]
-        return read_design_text(path.read_text())
     if op == "codefile":
         return dataio.load_code(args[0])
     if op == "code":
@@ -99,8 +98,6 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
         return build_td(int(args[0]), int(args[1]))
     if op == "dm2gdc":
         return dm_to_gdc(env[args[0]])
-    if op == "srf2gdc":
-        return srf_to_gdc(env[args[0]])
     if op == "inflate":
         obj = env[args[0]]
         if not isinstance(obj, Gdc):
@@ -128,34 +125,39 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
 
 
 def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
-    """Execute a pipeline; check each expect line, then verify the result once."""
+    """Execute a pipeline; check each expect line, then verify the result once.
+    Every fault raises PipelineError; the message of a fault on a line starts
+    with ``line N: `` (1-based)."""
     env = _Env()
     result = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "let":
-            if len(tokens) < 3 or tokens[2] != "=":
-                raise PipelineError(f"bad let line: {line!r}")
-            env[tokens[1]] = _run_op(tokens[3:], env, build_code, line)
-        elif tokens[0] == "result":
-            result = _run_op(tokens[1:], env, build_code, line)
-            env["result"] = result
-        elif tokens[0] == "expect":
-            if result is None:
-                raise PipelineError("expect before result")
-            kv = dict(a.partition("=")[::2] for a in tokens[1:])
-            if not set(kv) <= {"size", "type"} or "" in kv.values():
-                raise PipelineError(f"want expect size=N type=T: {line!r}")
-            rep = verify_expectations(
-                result, GdcType.parse(kv["type"]) if "type" in kv else None,
-                int(kv["size"]) if "size" in kv else None)
-            if not rep.ok:
-                raise PipelineError(f"pipeline verify failed: {rep.summary()}")
-        else:
-            raise PipelineError(f"unparseable pipeline line: {line!r}")
+        try:
+            if tokens[0] == "let":
+                if len(tokens) < 3 or tokens[2] != "=":
+                    raise PipelineError(f"bad let line: {line!r}")
+                env[tokens[1]] = _run_op(tokens[3:], env, build_code, line)
+            elif tokens[0] == "result":
+                result = _run_op(tokens[1:], env, build_code, line)
+                env["result"] = result
+            elif tokens[0] == "expect":
+                if result is None:
+                    raise PipelineError("expect before result")
+                kv = dict(a.partition("=")[::2] for a in tokens[1:])
+                if not set(kv) <= {"size", "type"} or "" in kv.values():
+                    raise PipelineError(f"want expect size=N type=T: {line!r}")
+                rep = verify_expectations(
+                    result, GdcType.parse(kv["type"]) if "type" in kv else None,
+                    int(kv["size"]) if "size" in kv else None)
+                if not rep.ok:
+                    raise PipelineError(f"pipeline verify failed: {rep.summary()}")
+            else:
+                raise PipelineError(f"unparseable pipeline line: {line!r}")
+        except (ValueError, OSError) as e:
+            raise PipelineError(f"line {lineno}: {e}") from None
     if result is None:
         raise PipelineError("pipeline has no result step")
     rep = verify_gdc(result) if isinstance(result, Gdc) else verify_code(result)

@@ -4,15 +4,19 @@ import importlib
 import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cccodes
 from cccodes.cli import main
+from cccodes.dataio import iter_manifest_paths
 
 
 def run(argv):
@@ -180,7 +184,8 @@ def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):
                    "[generator]\nshift\n[orbits]\nfull: 0,5 ; 3,7\n")
     status, _ = run(["verify", str(man)])
     assert status == 2
-    assert capsys.readouterr().err == "error: line 7: bad shift line: 'shift'\n"
+    assert capsys.readouterr().err == ("error: line 7: want shift S on cK ... or "
+                                       "rotate cK ...: 'shift'\n")
 
 
 def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
@@ -188,7 +193,7 @@ def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
     pipe.write_text("result fill nosuch 19:empty\n")
     status, _ = run(["build", "--pipeline", str(pipe)])
     assert status == 2
-    assert capsys.readouterr().err == "error: unbound name 'nosuch'\n"
+    assert capsys.readouterr().err == "error: line 1: unbound name 'nosuch'\n"
 
 
 def test_verify_manifest_with_a_wrong_declared_size_lists_it(tmp_path, capsys):
@@ -201,6 +206,48 @@ def test_verify_manifest_with_a_wrong_declared_size_lists_it(tmp_path, capsys):
         assert status == 1
         assert out == "type 2^10 size 60 FAIL\n  size-mismatch at (): 60 != 61\n"
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("old, new, status, err", [
+    ("expected_size = 60", "expected_size = 61", 1, ""),
+    ("0,8 ; 14,19", "0,8 ; 14,18", 1, ""),
+    ("expected_size", "expected_sise", 2,
+     "error: line 5: want one of composition, distance, expected_size, expected_type = VALUE: "
+     "'expected_sise = 60'\n"),
+    ("[groups]", "[group]", 2, "error: line 11: want one of [meta], [classes], [generator], "
+     "[generator2], [groups], [orbits], each at most once: '[group]'\n"),
+    ("0,4 ; 1,13", "0,4 ; 1,x", 2, "error: line 15: unknown label 'x'\n"),
+])
+def test_verify_mutated_manifest_exits_1_or_2_without_a_traceback(tmp_path, old, new,
+                                                                   status, err):
+    from cccodes.dataio import data_root
+    text = (data_root() / "manifests" / "c22" / "type-2^10.man").read_text()
+    man = tmp_path / "mutated.man"
+    man.write_text(text.replace(old, new))
+    src = str(Path(cccodes.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "cccodes.cli", "verify", str(man)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (status, err)
+    assert ("FAIL" in proc.stdout) if status == 1 else (proc.stdout == "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(iter_manifest_paths()), st.integers(min_value=0),
+       st.sampled_from(["", "0", "-1", "99", "x", ",", ":", "=", "2x2", "\n", "#",
+                        "kind", "gdd", "dm", " ", "1,2"]))
+def test_verify_never_ends_in_a_traceback(tmp_path_factory, path, where, token):
+    # In-process: an exception that escapes main() fails this test.
+    tokens = re.findall(r"\w+|\W", path.read_text())
+    tokens[where % len(tokens)] = token
+    man = tmp_path_factory.mktemp("mutated") / "mutated.man"
+    man.write_text("".join(tokens))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, out = run(["verify", str(man)])
+    assert status in (0, 1, 2)
+    assert (status == 2) == err.getvalue().startswith("error: ")
+    assert (status == 1) == (" FAIL\n" in out)
 
 
 G10 = "let g = manifest c22/type-2^10.man\n"

@@ -257,6 +257,14 @@ def test_missing_header_key_is_a_design_error(text, key):
     ("# header\nkind=pbd\n0,1\n", "line 3: content before any section: '0,1'"),
     ("\nkind=bibd\n", "line 2: unknown design kind 'bibd'"),
     ("v=3\nblocks=\n0,1,2\n", "missing header kind="),
+    ("kind=pbd\nv=4\nk=4\nblocs=\n0,1,2,3\n",
+     "line 4: section blocs= is not part of a pbd file"),
+    ("kind=pbd\nv=3\nk=3\nlamda=2\nblocks=\n0,1,2\n",
+     "line 4: header lamda= is not part of a pbd file"),
+    ("kind=roomframe\nn=4\nholes=\n0,1\n2,3\nrows=\n0,0\n",
+     "line 2: header n= is not part of a roomframe file"),
+    ("kind=dm\ng=2\nk=2\nrows=\n0,0\n0,1\nblocks=\n0,1\n",
+     "line 7: section blocks= is not part of a dm file"),
 ])
 def test_design_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(DesignError) as err:

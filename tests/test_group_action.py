@@ -1,9 +1,13 @@
 """Manifest parsing and orbit development."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccodes.core import Codeword, GdcType, Violation, gdc_type, verify_gdc
-from cccodes.dataio import develop_manifest, load_manifest
+from cccodes.dataio import develop_manifest, iter_manifest_paths, load_manifest
 from cccodes.group_action import (
     DevelopmentError,
     ManifestError,
@@ -211,14 +215,93 @@ def test_default_partition_is_singletons():
     assert str(gdc_type(g)) == "1^20"
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("shift 1 on c0", "shift", "line 8: bad shift line: 'shift'"),
-    ("plain 20", "plain", "line 6: bad plain class: 'plain'"),
-    ("shift 1 on c0", "shift 1 on c0\n[groups]\ncoset 5", "line 10: bad coset line: 'coset 5'"),
-    ("full:", "short:", "line 10: bad orbit line: 'short: 0,5 ; 3,7'"),
-    ("full:", "short 0:", "line 10: bad orbit line: 'short 0: 0,5 ; 3,7'"),
+def edit(*pairs):
+    """MINIMAL with each (old, new) replacement applied in turn."""
+    text = MINIMAL
+    for old, new in pairs:
+        text = text.replace(old, new)
+    return text
+
+
+SECTIONS = ("one of [meta], [classes], [generator], [generator2], [groups], [orbits], "
+            "each at most once")
+META = "one of composition, distance, expected_size, expected_type = VALUE"
+CLASSES = "plain M, ring M x K or inf K with M, K >= 1"
+GENERATOR = "shift S on cK ... or rotate cK ..."
+GROUPS = "coset S on cK, coset S across cK ..., whole cK ... or singletons cK ..."
+ORBITS = "full: WORD, short L: WORD or fixed: WORD"
+GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
+
+
+# MINIMAL's lines: 2 [meta], 3 composition, 4 distance, 5 [classes],
+# 6 plain 20, 7 [generator], 8 shift, 9 [orbits], 10 the full orbit.
+@pytest.mark.parametrize("text, message", [
+    # sections
+    (edit(("[generator]", "[group]")), f"line 7: want {SECTIONS}: '[group]'"),
+    (edit(("shift 1 on c0", "shift 1 on c0\n[meta]")), f"line 9: want {SECTIONS}: '[meta]'"),
+    (edit(("[meta]", "distance = 6\n[meta]")),
+     "line 2: content before first section: 'distance = 6'"),
+    (edit(("[orbits]\nfull: 0,5 ; 3,7\n", "")), "missing [orbits] section"),
+    # [meta]
+    (edit(("distance = 6", "distance = 6\nexpected_sise = 61")),
+     f"line 5: want {META}: 'expected_sise = 61'"),
+    (edit(("distance = 6", "")), "line 2: meta must declare composition and distance"),
+    (edit(("= 6", "= six")), "line 4: invalid literal for int() with base 10: 'six'"),
+    (edit(("2,2", "2,0")), "line 3: composition entries must be positive: (2, 0)"),
+    # [classes]
+    (edit(("plain 20", "plain")), f"line 6: want {CLASSES}: 'plain'"),
+    (edit(("plain 20", "ring 20")), f"line 6: want {CLASSES}: 'ring 20'"),
+    (edit(("plain 20", "ring 4 x 0")), f"line 6: want {CLASSES}: 'ring 4 x 0'"),
+    (edit(("plain 20", "plain 20\ninf 1\ninf 1")), "line 8: duplicate label 'inf'"),
+    # [generator]
+    (edit(("shift 1 on c0", "shift")), f"line 8: want {GENERATOR}: 'shift'"),
+    (edit(("shift 1 on c0", "cycle 0 1 2")), f"line 8: want {GENERATOR}: 'cycle 0 1 2'"),
+    (edit(("on c0", "on c1")), "line 8: unknown class 'c1'"),
+    (edit(("plain 20", "plain 20\ninf 2"), ("on c0", "on c1")),
+     "line 9: cannot shift an inf class"),
+    (edit(("plain 20", "plain 20\nplain 2"), ("shift 1 on c0", "rotate c0 c1")),
+     "line 9: rotate requires classes of equal size"),
+    (edit(("plain 20", "ring 4 x 3"), ("shift 1 on c0", "rotate c0 c1 c2\nshift 1 on c0"),
+          ("0,5 ; 3,7", "0_0,1_0 ; 0_1,1_1")), "line 7: generator is not a bijection"),
+    # [groups]
+    (edit(GROUPS_AT_9, ("[orbits]", "coset 5\n[orbits]")), f"line 10: want {GROUPS}: 'coset 5'"),
+    (edit(GROUPS_AT_9, ("[orbits]", "list 0,1\n[orbits]")), f"line 10: want {GROUPS}: 'list 0,1'"),
+    (edit(GROUPS_AT_9, ("[orbits]", "coset 2 on c0 c0\n[orbits]")),
+     f"line 10: want {GROUPS}: 'coset 2 on c0 c0'"),
+    (edit(GROUPS_AT_9, ("[orbits]", "whole c0\nsingletons c0\n[orbits]")),
+     "line 9: groups do not partition [0, n)"),
+    (edit(GROUPS_AT_9, ("[orbits]", "coset 21 on c0\n[orbits]")),
+     "line 9: empty group in partition"),
+    # [orbits]
+    (edit(("full:", "short:")), f"line 10: want {ORBITS}: 'short: 0,5 ; 3,7'"),
+    (edit(("full:", "short 0:")), f"line 10: want {ORBITS}: 'short 0: 0,5 ; 3,7'"),
+    (edit(("full:", "full 3:")), f"line 10: want {ORBITS}: 'full 3: 0,5 ; 3,7'"),
+    (edit(("full:", "full")), f"line 10: want {ORBITS}: 'full 0,5 ; 3,7'"),
+    (edit(("full:", "short x:")), f"line 10: want {ORBITS}: 'short x: 0,5 ; 3,7'"),
+    (edit(("full:", "short 2 5:")), f"line 10: want {ORBITS}: 'short 2 5: 0,5 ; 3,7'"),
+    (edit(("0,5 ; 3,7", "0,5,3 ; 7")),
+     "line 10: codeword arity does not match composition: 'full: 0,5,3 ; 7'"),
+    (edit(("0,5 ; 3,7", "0,20 ; 3,7")), "line 10: unknown label '20'"),
+    (edit(("0,5 ; 3,7", "0,,5 ; 3,7")), "line 10: unknown label ''"),
+    (edit(("0,5 ; 3,7", "0,5 ; 5,7")), "line 10: symbol classes overlap: ((0, 5), (5, 7))"),
 ])
-def test_truncated_line_is_a_manifest_error_with_its_number(old, new, message):
+def test_malformed_manifest_raises_a_numbered_error(text, message):
     with pytest.raises(ManifestError) as err:
-        parse_manifest(MINIMAL.replace(old, new))
+        parse_manifest(text)
     assert str(err.value) == message
+
+
+SHIPPED = [path.read_text() for path in iter_manifest_paths()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHIPPED), st.integers(min_value=0),
+       st.sampled_from(["", "0", "-1", "99", "x", ",", ":", "=", "2x2", "\n", "#",
+                        "kind", "gdd", "dm", " ", "1,2"]))
+def test_mutated_manifest_raises_only_the_typed_error(text, where, token):
+    tokens = re.findall(r"\w+|\W", text)
+    tokens[where % len(tokens)] = token
+    try:
+        parse_manifest("".join(tokens))
+    except ManifestError as e:
+        assert str(e).startswith(("line ", "missing [")), str(e)

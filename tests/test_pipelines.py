@@ -45,7 +45,7 @@ def test_failing_expectations_are_listed(verify_calls, expect, message):
     with pytest.raises(PipelineError) as err:
         run_pipeline_text(MANIFEST + expect)
     n = message.count(";") + 1
-    assert str(err.value) == f"pipeline verify failed: {n} violation(s): {message}"
+    assert str(err.value) == f"line 2: pipeline verify failed: {n} violation(s): {message}"
     assert verify_calls == []  # an expectation scans no pairs
 
 
@@ -60,12 +60,12 @@ def test_manifest_step_checks_the_declared_size(tmp_path):
     man.write_text(text.replace("expected_size = 60", "expected_size = 61"))
     with pytest.raises(PipelineError) as err:
         run_pipeline_text(f"let g = manifest {man}\nresult ascode g\n")
-    assert str(err.value) == (f"manifest {man} differs from its declaration: "
+    assert str(err.value) == (f"line 1: manifest {man} differs from its declaration: "
                               "1 violation(s): size-mismatch at (): 60 != 61")
 
 
 def test_failing_type_expectation_message():
-    with pytest.raises(PipelineError, match=r"^pipeline verify failed: 1 violation\(s\): "
+    with pytest.raises(PipelineError, match=r"^line 2: pipeline verify failed: 1 violation\(s\): "
                                             r"type-mismatch at \(\): 2\^10 != 4\^5$"):
         run_pipeline_text(MANIFEST + "expect type=4^5\n")
 
@@ -81,4 +81,32 @@ def test_shorten_step_is_the_construction():
 def test_unbound_name_is_a_pipeline_error(text):
     with pytest.raises(PipelineError) as err:
         run_pipeline_text(text)
-    assert str(err.value) == "unbound name 'nosuch'"
+    assert str(err.value) == f"line {len(text.splitlines())}: unbound name 'nosuch'"
+
+
+OPS = ("manifest, codefile, code, dm, td, dm2gdc, inflate, fundamental, fill, adjoin, "
+       "ascode, shorten")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("let d = dm x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("# a comment\n\nresult td 4\n", "line 3: want td K M: 'result td 4'"),
+    ("expect size=60\n" + MANIFEST, "line 1: expect before result"),
+    ("result frob 7\n", f"line 1: want one of {OPS}: 'result frob 7'"),
+    ("result design dm-4-4.design\n", f"line 1: want one of {OPS}: 'result design dm-4-4.design'"),
+    ("let d = dm 4\nlet f = srf2gdc d\n", f"line 2: want one of {OPS}: 'let f = srf2gdc d'"),
+    ("let d\n", "line 1: bad let line: 'let d'"),
+    (MANIFEST + "expect size\n", "line 2: want expect size=N type=T: 'expect size'"),
+    ("resolve dm 4\n", "line 1: unparseable pipeline line: 'resolve dm 4'"),
+    ("let g = manifest c22/type-2^10.man\nresult fill g 2\n",
+     "line 2: bad filler '2', want SIZE:REF: 'result fill g 2'"),
+])
+def test_malformed_step_is_a_numbered_pipeline_error(text, message):
+    with pytest.raises(PipelineError) as err:
+        run_pipeline_text(text)
+    assert str(err.value) == message
+
+
+def test_missing_file_is_a_numbered_pipeline_error():
+    with pytest.raises(PipelineError, match=r"^line 2: \[Errno 2\] No such file"):
+        run_pipeline_text("# the manifest is not shipped\nresult manifest c22/nosuch.man\n")

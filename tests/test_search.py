@@ -1,10 +1,12 @@
 """Exact-search oracle: enumeration, small exact values, budgets, witnesses."""
 
 import math
+import sys
 
 import networkx as nx
 import pytest
 
+from cccodes import search
 from cccodes.bounds import upper_bound
 from cccodes.core import Composition, hamming_distance, verify_code
 from cccodes.search import (
@@ -86,6 +88,20 @@ def test_seconds_budget_is_honoured_during_set_up():
     with pytest.raises(_BudgetExceeded):
         _adjacency(words, 6, deadline=0.0)
     assert _adjacency(words, 6, deadline=math.inf) == _adjacency(words, 6)
+
+
+def test_seconds_budget_is_honoured_during_branch_and_bound(monkeypatch):
+    # The fake clock reads 0 during set-up and a day later in branch and
+    # bound, which reads it at every 256th node: the first read ends the search.
+    def clock():
+        return 86400.0 if sys._getframe(1).f_code.co_name == "_check_budget" else 0.0
+
+    monkeypatch.setattr(search.time, "monotonic", clock)
+    out = max_code(8, 6, C22, SearchBudget(seconds=10))
+    assert out.status == "lower-bound-only"
+    assert out.nodes > 0 and out.nodes % 256 == 0
+    assert verify_code(out.witness).ok and len(out.witness) == out.size
+    assert 1 <= out.size <= SMALL_22[8]
 
 
 def test_determinism():
