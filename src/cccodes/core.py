@@ -3,12 +3,16 @@
 Points are dense integers in [0, n).  A codeword is stored as one support set
 per nonzero symbol; the implied vector has symbol j+1 on ``supports[j]`` and 0
 elsewhere.  All types are immutable after construction and safe to share.
+
+Conflicting words (equal, or closer than the declared distance) come from one
+bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
+share: it measures no pair distance, and :func:`conflict_pairs` measures only
+the pairs that conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -24,6 +28,7 @@ __all__ = [
     "Violation",
     "composition_of",
     "conflict_pairs",
+    "conflict_rows",
     "gdc_type",
     "hamming_distance",
     "read_code_text",
@@ -306,43 +311,98 @@ def gdc_type(g: Gdc) -> GdcType:
     return GdcType.of_sizes(len(grp) for grp in g.partition.groups)
 
 
-def conflict_pairs(words: Sequence[Codeword],
-                   distance: int) -> Iterator[tuple[int, int, int]]:
-    """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
-    at Hamming distance d < distance.
+def _bitset(indices: Iterable[int], size: int) -> int:
+    # The int with exactly the given bits set, built in one pass over a buffer.
+    buf = bytearray((size + 7) // 8)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[int, int]]:
+    """Yield (i, row) for each word in turn, where bit j of ``row`` is set
+    exactly when j != i and words i and j are equal or lie at Hamming
+    distance below ``distance``.
 
     This is the one definition of conflicting words, shared by the verifier
-    and the search.  Since d = w_u + w_v - overlap - agreements and
-    agreements <= overlap, two words closer than ``distance`` share at least
-    t = ceil((2 w_min - distance + 1) / 2) points, so only pairs that share a
-    t-subset of their supports are measured.  As equal words always conflict,
-    ``distance`` counts as at least 1, which keeps t <= w_min.  For t <= 0
-    every pair is measured.  Yields in (i, j) order, without holding the
-    pairs; raises AmbientLengthError on the first pair of different lengths.
+    and the search.  Since d(u, v) = w_u + w_v - overlap - agreements, v
+    conflicts with u exactly when overlap + agreements >= w_u + w_v -
+    distance + 1, a threshold taken per weight of v.  As equal words always
+    conflict, ``distance`` counts as at least 1.  The rows are bit-parallel:
+    over all words, one mask P(x) of the words with a nonzero symbol at point
+    x and one A(x, s) of those with symbol s there.  Walking u's points,
+    T[j] |= (T[j-1] & P) | (T[j-2] & A) keeps in T[j] the words with
+    overlap + agreements >= j, so no pair is measured.  Only the masks are
+    held, never all rows.  Raises AmbientLengthError for the first word whose
+    length differs from word 0's.
     """
     for w in words:
         if w.n != words[0].n:
             raise AmbientLengthError(f"ambient lengths differ: {words[0].n} != {w.n}")
     distance = max(distance, 1)
     nw = len(words)
-    w_min = min((w.weight for w in words), default=0)
-    t = (2 * w_min - distance + 2) // 2
-    if t <= 0:
-        neighbours: Iterable[Iterable[int]] = (range(i + 1, nw) for i in range(nw))
-    else:
-        keys = [list(combinations(w.support(), t)) for w in words]
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for i, ks in enumerate(keys):
-            for key in ks:
-                buckets.setdefault(key, []).append(i)
-        neighbours = (set().union(*(buckets[key] for key in ks)) for ks in keys)
-    for i, near in enumerate(neighbours):
-        wi = words[i]
-        for j in sorted(near):
-            if j > i:
-                d = hamming_distance(wi, words[j])
-                if d < distance:
-                    yield i, j, d
+    full = (1 << nw) - 1
+    points: dict[int, list[int]] = {}
+    agree: dict[tuple[int, int], list[int]] = {}
+    weights: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        weights.setdefault(w.weight, []).append(i)
+        for s, cls in enumerate(w.supports):
+            for x in cls:
+                points.setdefault(x, []).append(i)
+                agree.setdefault((x, s), []).append(i)
+    p_mask = {x: _bitset(ix, nw) for x, ix in points.items()}
+    a_mask = {key: _bitset(ix, nw) for key, ix in agree.items()}
+    w_mask = [(wv, _bitset(ix, nw)) for wv, ix in weights.items()]
+    plans: dict[int, tuple] = {}
+    for i, u in enumerate(words):
+        wu = u.weight
+        plan = plans.get(wu)
+        if plan is None:
+            need = [(wu + wv - distance + 1, m) for wv, m in w_mask]
+            top = max(min(max(th for th, _ in need), 2 * wu), 0)
+            low = min(th for th, _ in need)
+            # The levels to update at u's k-th point: none above 2k is reached
+            # yet, and none below low - 2 * (points left) feeds a threshold.
+            steps = [range(min(top, 2 * k), max(low - 2 * (wu - k), 1) - 1, -1)
+                     for k in range(1, wu + 1)]
+            plan = plans[wu] = ([(max(th, 0), m) for th, m in need if th <= top],
+                                top, steps)
+        need, top, steps = plan
+        # t[j] holds the words with overlap + agreements >= j (t[0]: all).
+        t = [full] + [0] * top
+        cells = ((p_mask[x], a_mask[x, s])
+                 for s, cls in enumerate(u.supports) for x in cls)
+        for (p, a), levels in zip(cells, steps):
+            for j in levels:
+                if j > 2:
+                    t[j] |= (t[j - 1] & p) | (t[j - 2] & a)
+                elif j == 2:
+                    t[2] |= (t[1] & p) | a
+                else:
+                    t[1] |= p
+        row = 0
+        for th, m in need:
+            row |= m & t[th]
+        # A word always conflicts with itself; that bit is cleared.
+        yield i, row ^ (1 << i)
+
+
+def conflict_pairs(words: Sequence[Codeword],
+                   distance: int) -> Iterator[tuple[int, int, int]]:
+    """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
+    at Hamming distance d < distance: the pairs of :func:`conflict_rows`, in
+    (i, j) order.  Only these pairs are measured, so a valid code costs no
+    distance at all.  Raises AmbientLengthError as :func:`conflict_rows`.
+    """
+    for i, row in conflict_rows(words, distance):
+        row >>= i + 1
+        j = i
+        while row:
+            low = (row & -row).bit_length()
+            row >>= low
+            j += low
+            yield i, j, hamming_distance(words[i], words[j])
 
 
 def verify_code(c: Code) -> VerificationReport:

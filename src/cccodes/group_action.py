@@ -27,7 +27,7 @@ a message that starts ``line N: ``::
     [generator2]             # optional second commuting generator
     rotate c0 c1 c2          # x_c0 -> x_c1 -> x_c2 -> x_c0
     [groups]                 # omitted = all singletons
-    coset 10 on c0           # {i, i+10, ...} inside class c0
+    coset 10 on c0           # {i, i+10, ...} inside class c0 (1 <= S <= its size)
     coset 6 across c0 c1 c2  # {x : x = i mod 6} over the listed classes
     whole c1 c2              # one group: all points of the listed classes
     singletons c0
@@ -212,6 +212,11 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                         args[1] == "across" or args[1] == "on" and len(args) == 3):
                     step = int(args[0])
                     cs = [classes[ref] for ref in args[2:]]
+                    # A larger step leaves a residue with no point: refuse it
+                    # before building a group per residue.
+                    largest = max(map(len, cs))
+                    if not 1 <= step <= largest:
+                        raise ValueError(f"want a coset step from 1 to {largest}: {line!r}")
                     groups += ([x for c in cs for x in c[i::step]] for i in range(step))
                 elif op == "whole" and args:
                     groups.append([x for ref in args for x in classes[ref]])

@@ -12,11 +12,12 @@ calls), a single ``result OP ARGS...``, and optional ``expect`` assertions::
 
 The operations and their arguments are listed in ``_SIGNATURES``; a step
 that lacks one quotes the line.  Every fault on a line (an unknown op, a
-missing argument, an unbound name, a bad number or file, or an error of the
-step's construction) raises PipelineError with a message that starts
-``line N: ``.  A ``manifest`` step checks the manifest's declared size and
-type, and ``expect size=N type=T`` lines check the result's, both with
-:func:`cccodes.core.verify_expectations` (no pair scan).  The result itself
+missing argument, an unbound name, a name bound to the wrong kind of object,
+a bad number or file, or an error of the step's construction) raises
+PipelineError with a message that starts ``line N: ``.  A ``manifest`` step
+checks the manifest's declared size and type, and ``expect size=N type=T``
+lines check the result's, both with :func:`cccodes.core.verify_expectations`
+(no pair scan).  The result itself
 is verified exhaustively, once, before it is returned.  The catalog builds
 every recipe through this runner, so its codes are certified here too.
 """
@@ -27,7 +28,7 @@ from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
                    verify_code, verify_expectations, verify_gdc)
 from .constructions import (adjoin_points, dm_to_gdc, empty_code, fill_groups,
                             fundamental, inflate, shorten)
-from .designs import build_dm, build_td
+from .designs import DifferenceMatrix, Gdd, build_dm, build_td
 from .group_action import develop
 from . import dataio
 
@@ -55,6 +56,19 @@ _SIGNATURES = {
 }
 
 
+# The kinds of object a REF argument may name.
+_CODE = (Code, Gdc)
+
+
+def _ref(env: dict, name: str, kinds: tuple[type, ...], line: str):
+    """The object bound to ``name``, which must be of one of ``kinds``."""
+    obj = env[name]
+    if not isinstance(obj, kinds):
+        want = " or ".join(k.__name__ for k in kinds)
+        raise PipelineError(f"{name!r} names a {type(obj).__name__}, want {want}: {line!r}")
+    return obj
+
+
 def _parse_fillers(spec: str, env: dict, comp: Composition, line: str) -> dict:
     fillers = {}
     for item in spec.split(","):
@@ -65,7 +79,7 @@ def _parse_fillers(spec: str, env: dict, comp: Composition, line: str) -> dict:
         if ref == "empty":
             fillers[size] = empty_code(size, comp)
         else:
-            fillers[size] = env[ref]
+            fillers[size] = _ref(env, ref, _CODE, line)
     return fillers
 
 
@@ -97,31 +111,31 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
     if op == "td":
         return build_td(int(args[0]), int(args[1]))
     if op == "dm2gdc":
-        return dm_to_gdc(env[args[0]])
+        return dm_to_gdc(_ref(env, args[0], (DifferenceMatrix,), line))
     if op == "inflate":
-        obj = env[args[0]]
+        obj = _ref(env, args[0], _CODE, line)
         if not isinstance(obj, Gdc):
             obj = Gdc(obj, GroupPartition.singletons(obj.n))
         return inflate(obj, int(args[1]))
     if op == "fundamental":
-        master = env[args[0]]
-        return fundamental(master, [int(kv["w"])] * master.n,
-                           [env[r] for r in kv["ingredients"].split(",")])
+        master = _ref(env, args[0], (Gdd,), line)
+        ingredients = [_ref(env, r, (Gdc,), line) for r in kv["ingredients"].split(",")]
+        return fundamental(master, [int(kv["w"])] * master.n, ingredients)
     if op == "fill":
-        target = env[args[0]]
+        target = _ref(env, args[0], (Gdc,), line)
         fillers = _parse_fillers(",".join(args[1:]), env,
                                  target.as_code().composition, line)
         return fill_groups(target, fillers)
     if op == "adjoin":
-        target = env[args[0]]
+        target = _ref(env, args[0], (Gdc,), line)
         fillers = _parse_fillers(kv["fill"], env, target.as_code().composition,
                                  line) if kv.get("fill") else {}
         return adjoin_points(target, int(kv["y"]), int(kv.get("first", "0")),
-                             env[kv["code"]], fillers)
+                             _ref(env, kv["code"], _CODE, line), fillers)
     if op == "ascode":
-        return env[args[0]].as_code()
+        return _ref(env, args[0], _CODE, line).as_code()
     # op == "shorten"
-    return shorten(env[args[0]].as_code(), int(args[1]))
+    return shorten(_ref(env, args[0], _CODE, line).as_code(), int(args[1]))
 
 
 def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:

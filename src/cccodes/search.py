@@ -1,15 +1,17 @@
 """Exact maximum-code computation by branch and bound over the compatibility graph.
 
 Two codewords are compatible unless they conflict in the verifier's sense
-(Hamming distance below d, see :func:`cccodes.core.conflict_pairs`).  Codes of
+(Hamming distance below d, see :func:`cccodes.core.conflict_rows`).  Codes of
 minimum distance d are exactly the cliques of the compatibility graph, so the
 maximum code size is its clique number, computed here with a Tomita-style
 search using greedy-coloring upper bounds.  One symmetry reduction is applied:
 coordinate permutations act transitively on codewords of a fixed composition,
 so some maximum code may be assumed to contain word 0, the lexicographically
 first codeword.  The graph is therefore built only on word 0's candidates
-(the later words compatible with it), kept in enumeration order, and the
-incumbent is seeded with their lexicographic greedy clique.
+(the later words off word 0's conflict row), kept in enumeration order, and
+the incumbent is seeded with their lexicographic greedy clique.  Each row of
+the graph is the complement of a bit-parallel conflict row, so set-up
+measures no pair distance.
 
 When w >= 2 and d >= 2w-2 (the paper's weight 4, distance 6), two words with
 the same symbol s at a point x share no other point, since sharing a second
@@ -31,9 +33,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
 
-from .core import Code, Codeword, Composition, conflict_pairs
+from .core import Code, Codeword, Composition, conflict_rows
 
 __all__ = [
     "SearchBudget",
@@ -81,39 +82,29 @@ def enumerate_codewords(n: int, comp: Composition) -> list[Codeword]:
 
 
 def compatible(u: Codeword, v: Codeword, d: int) -> bool:
-    """True unless the two words conflict in the sense of :func:`conflict_pairs`."""
-    return next(conflict_pairs((u, v), d), None) is None
+    """True unless the two words conflict in the sense of :func:`conflict_rows`."""
+    return next(conflict_rows((u, v), d))[1] == 0
 
 
 class _BudgetExceeded(Exception):
     pass
 
 
-def _by_deadline(rows: Iterable[tuple], deadline: float) -> Iterator[tuple]:
-    # Pass the items through, raising _BudgetExceeded at the first item of a
-    # new row (a new first entry) once the deadline has passed.
-    row = None
-    for item in rows:
-        if item[0] != row:
-            row = item[0]
-            if time.monotonic() > deadline:
-                raise _BudgetExceeded
-        yield item
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _BudgetExceeded
 
 
 def _adjacency(words: list[Codeword], d: int,
                deadline: float | None = None) -> list[int]:
-    # The complement of the verifier's conflicts; each row starts with its own
-    # bit so that no word is adjacent to itself.
-    conflicts = [1 << i for i in range(len(words))]
-    pairs = conflict_pairs(words, d)
-    if deadline is not None:
-        pairs = _by_deadline(pairs, deadline)
-    for i, j, _ in pairs:
-        conflicts[i] |= 1 << j
-        conflicts[j] |= 1 << i
+    # The complement of the verifier's conflict rows, without self loops; the
+    # deadline is checked at each row.
     full = (1 << len(words)) - 1
-    return [full ^ m for m in conflicts]
+    adj = []
+    for i, row in conflict_rows(words, d):
+        _check_deadline(deadline)
+        adj.append(full & ~(row | 1 << i))
+    return adj
 
 
 class _CliqueSearch:
@@ -218,16 +209,15 @@ def max_code(n: int, d: int, comp: Composition,
     budget = budget or SearchBudget()
     words = enumerate_codewords(n, comp)
     # Symmetry reduction: search only codes through word 0, over its
-    # candidates in enumeration order.  A seconds budget is checked at each
-    # word after word 0 (the first check follows enumeration) and at each row
-    # of the graph; if it runs out before the graph exists, word 0 alone is
-    # the witness.
-    later: Iterable[tuple[int, Codeword]] = enumerate(words[1:])
+    # candidates (the words off its conflict row) in enumeration order.  A
+    # seconds budget is checked after enumeration and at each row of the
+    # graph; if it runs out before the graph exists, word 0 alone is the
+    # witness.
     deadline = None if budget.seconds is None else t0 + budget.seconds
-    if deadline is not None:
-        later = _by_deadline(later, deadline)
     try:
-        cand = [u for _, u in later if compatible(words[0], u, d)]
+        _check_deadline(deadline)
+        _, row0 = next(conflict_rows(words, d))
+        cand = [u for j, u in enumerate(words[1:], 1) if not row0 >> j & 1]
         adj = _adjacency(cand, d, deadline)
     except _BudgetExceeded:
         return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, words[:1]),

@@ -260,6 +260,9 @@ G10 = "let g = manifest c22/type-2^10.man\n"
     G10 + "result fundamental g ingredients=g\n", G10 + "result fundamental g w=2\n",
     G10 + "result fill g 2\n", G10 + "result fill g\n",
     G10 + "result ascode g\nexpect size\n",
+    # Names bound to the wrong kind of object.
+    "let d = dm 4\nresult fill d 2:empty\n", "let d = dm 4\nresult inflate d 2\n",
+    "let c = code 5 2,2\nresult dm2gdc c\n", G10 + "let s = shorten g 0\nresult fill s 2:g\n",
 ])
 def test_pipeline_missing_argument_is_a_data_error(tmp_path, capsys, text):
     pipe = tmp_path / "bad.pipe"

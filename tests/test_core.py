@@ -19,6 +19,7 @@ from cccodes.core import (
     Violation,
     composition_of,
     conflict_pairs,
+    conflict_rows,
     gdc_type,
     hamming_distance,
     read_code_text,
@@ -200,7 +201,7 @@ def pair_violations(code):
 
 
 def test_conflict_pairs_agree_with_python():
-    # The pair-bucket kernel against the brute-force scan, on 350 words.
+    # The row kernel against the brute-force scan, on 350 words.
     rng = random.Random(3)
     words = []
     seen = set()
@@ -226,21 +227,48 @@ def _random_word(rng, n, classes):
     return Codeword(out, n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(0, 40),
-       st.integers(0, 9), st.integers(5, 12))
-def test_conflict_pairs_match_brute_force(rng, size, distance, n):
-    # Mixed compositions (weights 0 to 5, so the bucket size comes from the
-    # lightest word), duplicates, codes of 0 and 1 words, d from 0 to 9.
-    shapes = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,)]
+SHAPES = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,)]
+
+
+def _random_words(rng, size, n):
+    # Mixed compositions (weights 0 to 5, so the rows take a threshold per
+    # weight), with about one word in five a duplicate of an earlier one.
     words = []
     for _ in range(size):
         if words and rng.random() < 0.2:
             words.append(rng.choice(words))
         else:
-            words.append(_random_word(rng, n, rng.choice(shapes)))
+            words.append(_random_word(rng, n, rng.choice(SHAPES)))
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 40),
+       st.integers(0, 9), st.integers(5, 12))
+def test_conflict_pairs_match_brute_force(rng, size, distance, n):
+    # Codes of 0 and 1 words, d from 0 to 9.
+    words = _random_words(rng, size, n)
     c = Code(n, Composition((2, 2)), distance, words)
     assert pair_violations(c) == triples(_pair_scan_python(words, distance))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 30),
+       st.integers(-1, 9), st.integers(5, 12))
+def test_conflict_rows_match_brute_force(rng, size, distance, n):
+    # One row per word in order, no self bit, symmetric, and bit j set exactly
+    # when the two words lie closer than max(d, 1).
+    words = _random_words(rng, size, n)
+    rows = list(conflict_rows(words, distance))
+    assert [i for i, _ in rows] == list(range(size))
+    for i, row in rows:
+        assert not row >> i & 1
+        for j in range(size):
+            assert (row >> j & 1) == (rows[j][1] >> i & 1)
+            if j != i:
+                near = hamming_distance(words[i], words[j]) < max(distance, 1)
+                assert (row >> j & 1) == near, (i, j)
+        assert row >> size == 0
 
 
 @pytest.mark.parametrize("distance", [0, -1])

@@ -271,7 +271,12 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
     (edit(GROUPS_AT_9, ("[orbits]", "whole c0\nsingletons c0\n[orbits]")),
      "line 9: groups do not partition [0, n)"),
     (edit(GROUPS_AT_9, ("[orbits]", "coset 21 on c0\n[orbits]")),
-     "line 9: empty group in partition"),
+     "line 10: want a coset step from 1 to 20: 'coset 21 on c0'"),
+    (edit(GROUPS_AT_9, ("[orbits]", "coset 0 on c0\n[orbits]")),
+     "line 10: want a coset step from 1 to 20: 'coset 0 on c0'"),
+    (edit(("plain 20", "plain 18\nplain 2"), GROUPS_AT_9,
+          ("[orbits]", "coset 400000 across c1 c0\n[orbits]")),
+     "line 11: want a coset step from 1 to 18: 'coset 400000 across c1 c0'"),
     # [orbits]
     (edit(("full:", "short:")), f"line 10: want {ORBITS}: 'short: 0,5 ; 3,7'"),
     (edit(("full:", "short 0:")), f"line 10: want {ORBITS}: 'short 0: 0,5 ; 3,7'"),

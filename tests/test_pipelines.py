@@ -100,6 +100,23 @@ OPS = ("manifest, codefile, code, dm, td, dm2gdc, inflate, fundamental, fill, ad
     ("resolve dm 4\n", "line 1: unparseable pipeline line: 'resolve dm 4'"),
     ("let g = manifest c22/type-2^10.man\nresult fill g 2\n",
      "line 2: bad filler '2', want SIZE:REF: 'result fill g 2'"),
+    # A name bound to the wrong kind of object.
+    ("let d = dm 4\nresult fill d 2:empty\n",
+     "line 2: 'd' names a DifferenceMatrix, want Gdc: 'result fill d 2:empty'"),
+    ("let c = codefile n5-22.code\nresult dm2gdc c\n",
+     "line 2: 'c' names a Code, want DifferenceMatrix: 'result dm2gdc c'"),
+    ("let d = dm 4\nresult inflate d 2\n",
+     "line 2: 'd' names a DifferenceMatrix, want Code or Gdc: 'result inflate d 2'"),
+    ("let t = td 4 5\nresult ascode t\n",
+     "line 2: 't' names a Gdd, want Code or Gdc: 'result ascode t'"),
+    ("let g = manifest c22/type-2^10.man\nresult fundamental g w=2 ingredients=g\n",
+     "line 2: 'g' names a Gdc, want Gdd: 'result fundamental g w=2 ingredients=g'"),
+    ("let t = td 4 5\nlet c = codefile n5-22.code\nresult fundamental t w=2 ingredients=c\n",
+     "line 3: 'c' names a Code, want Gdc: 'result fundamental t w=2 ingredients=c'"),
+    ("let g = manifest c22/type-2^10.man\nlet d = dm 4\nresult fill g 2:d\n",
+     "line 3: 'd' names a DifferenceMatrix, want Code or Gdc: 'result fill g 2:d'"),
+    ("let c = codefile n5-22.code\nresult adjoin c y=1 code=c\n",
+     "line 2: 'c' names a Code, want Gdc: 'result adjoin c y=1 code=c'"),
 ])
 def test_malformed_step_is_a_numbered_pipeline_error(text, message):
     with pytest.raises(PipelineError) as err:

@@ -6,7 +6,7 @@ import sys
 import networkx as nx
 import pytest
 
-from cccodes import search
+from cccodes import core, search
 from cccodes.bounds import upper_bound
 from cccodes.core import Composition, hamming_distance, verify_code
 from cccodes.search import (
@@ -135,11 +135,24 @@ def test_node_counts_fixed():
         assert (out.size, out.nodes) == (size, nodes), (n, comp)
 
 
-def _graph(adj):
+def test_graph_set_up_measures_no_pair_distance(monkeypatch):
+    # The graph comes from bit-parallel conflict rows, never from a distance.
+    def refuse(u, v):
+        raise AssertionError("a pair distance was measured")
+
+    monkeypatch.setattr(core, "hamming_distance", refuse)
+    out = max_code(10, 6, C22)
+    assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
+    assert len(out.witness) == 15
+
+
+def _graph(words, d):
+    # The compatibility graph straight from hamming_distance, sharing no code
+    # with the conflict kernel.
     g = nx.Graph()
-    g.add_nodes_from(range(len(adj)))
-    g.add_edges_from((i, j) for i, row in enumerate(adj)
-                     for j in range(i + 1, len(adj)) if (row >> j) & 1)
+    g.add_nodes_from(range(len(words)))
+    g.add_edges_from((i, j) for i in range(len(words)) for j in range(i + 1, len(words))
+                     if hamming_distance(words[i], words[j]) >= max(d, 1))
     return g
 
 
@@ -154,7 +167,7 @@ def test_max_code_matches_networkx_clique_number():
             for d in ds:
                 if n == 8 and d == ds[0]:
                     continue
-                _, want = nx.max_weight_clique(_graph(_adjacency(words, d)), weight=None)
+                _, want = nx.max_weight_clique(_graph(words, d), weight=None)
                 out = max_code(n, d, comp)
                 assert out.status == "exact" and out.size == want, (comp, n, d)
                 assert verify_code(out.witness).ok
@@ -172,5 +185,5 @@ def test_incidence_capacity_premise():
                 for s in range(len(comp.weights)):
                     for x in range(n):
                         cell = [u for u in words if x in u.supports[s]]
-                        g = _graph(_adjacency(cell, d))
+                        g = _graph(cell, d)
                         assert nx.max_weight_clique(g, weight=None)[1] <= cap, (comp, n, d, s, x)
