@@ -38,8 +38,9 @@ class DesignError(ValueError):
     pass
 
 
-class SearchExhausted(Exception):
-    """A bounded search ran out of budget (not a nonexistence proof)."""
+class SearchExhausted(ValueError):
+    """A bounded search ran out of budget (not a nonexistence proof).  A
+    ValueError, so the CLI and the pipeline runner report it as a data error."""
 
 
 # Node budget of the difference-matrix and skew Room frame searches.
@@ -432,73 +433,71 @@ def verify_skew_room_frame(f: RoomFrame) -> VerificationReport:
 def search_skew_room_frame(hole_sizes: list[int]) -> RoomFrame | None:
     """Deterministic backtracking for a skew Room frame with the given hole sizes.
 
+    Cell (r, c) is bit r*n + c.  ``taken`` holds the hole subarrays and each
+    filled cell with its transpose; ``blocked[x]`` holds the rows and columns
+    symbol x may not enter: its hole's, then each row and column x is placed
+    in.  A pair's candidate cells are the bits in neither.  Each node branches
+    on the remaining pair with the fewest candidates (ties: pair order) and
+    tries its cells lowest bit, that is (r, c) order, first.
+
     Returns None when the search space is exhausted (nonexistence at this
     order); raises SearchExhausted when the node budget runs out first.
     """
+    if not hole_sizes or min(hole_sizes) < 1:
+        raise DesignError(f"want at least one hole, each of size >= 1: {hole_sizes}")
     holes: list[tuple[int, ...]] = []
     start = 0
     for s in hole_sizes:
         holes.append(tuple(range(start, start + s)))
         start += s
     n = start
-    hole = {x: i for i, h in enumerate(holes) for x in h}
+    full = (1 << n * n) - 1
+    row = [((1 << n) - 1) << (r * n) for r in range(n)]
+    col = [sum(1 << (r * n + c) for r in range(n)) for c in range(n)]
+    taken = 0
+    blocked = [0] * n
+    for h in holes:
+        rows, cols = sum(row[x] for x in h), sum(col[x] for x in h)
+        taken |= rows & cols
+        for x in h:
+            blocked[x] = rows | cols
 
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if hole[a] != hole[b]]
-    row_used = [0] * n        # symbol bitmask per row
-    col_used = [0] * n
-    occupied: set[tuple[int, int]] = set()
+    # symbols in one hole share their blocked mask
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if blocked[a] != blocked[b]]
     placement: dict[tuple[int, int], tuple[int, int]] = {}
     nodes = 0
 
-    def candidate_cells(a: int, b: int) -> list[tuple[int, int]]:
-        bits = (1 << a) | (1 << b)
-        out = []
-        for r in range(n):
-            if hole[r] == hole[a] or hole[r] == hole[b] or (row_used[r] & bits):
-                continue
-            for c in range(n):
-                if hole[c] == hole[a] or hole[c] == hole[b] or hole[c] == hole[r]:
-                    continue
-                if col_used[c] & bits:
-                    continue
-                if (r, c) in occupied or (c, r) in occupied:
-                    continue
-                out.append((r, c))
-        return out
-
     def rec(remaining: list[tuple[int, int]]) -> bool:
-        nonlocal nodes
+        nonlocal nodes, taken
         if not remaining:
             return True
         nodes += 1
         if nodes > _NODE_BUDGET:
             raise SearchExhausted("room-frame search budget hit")
-        # most-constrained pair first (deterministic tie-break: pair order)
-        best_i = -1
-        best_cells: list[tuple[int, int]] | None = None
+        # fewest candidates first (ties: pair order); a pair with at most one ends the scan
+        best_i, best, best_count = 0, 0, n * n + 1
         for i, (a, b) in enumerate(remaining):
-            cells = candidate_cells(a, b)
-            if best_cells is None or len(cells) < len(best_cells):
-                best_i, best_cells = i, cells
-                if not cells:
-                    return False
-                if len(cells) == 1:
+            free = full & ~(taken | blocked[a] | blocked[b])
+            count = free.bit_count()
+            if count < best_count:
+                best_i, best, best_count = i, free, count
+                if count <= 1:
                     break
-        assert best_cells is not None
         a, b = remaining[best_i]
         rest = remaining[:best_i] + remaining[best_i + 1:]
-        bits = (1 << a) | (1 << b)
-        for (r, c) in best_cells:
-            row_used[r] |= bits
-            col_used[c] |= bits
-            occupied.add((r, c))
+        saved = taken, blocked[a], blocked[b]
+        while best:
+            low = best & -best
+            r, c = divmod(low.bit_length() - 1, n)
+            taken = saved[0] | low | 1 << (c * n + r)
+            blocked[a] = saved[1] | row[r] | col[c]
+            blocked[b] = saved[2] | row[r] | col[c]
             placement[(r, c)] = (a, b)
             if rec(rest):
                 return True
-            row_used[r] &= ~bits
-            col_used[c] &= ~bits
-            occupied.remove((r, c))
             del placement[(r, c)]
+            best ^= low
+        taken, blocked[a], blocked[b] = saved
         return False
 
     if not rec(pairs):

@@ -18,7 +18,8 @@ a message that starts ``line N: ``::
     distance = 6
     expected_size = 60       # optional; the verifier checks it
     expected_type = 2^10     # optional; the verifier checks it
-    [classes]                # classes c0, c1, ... in order, each >= 1 point
+    [classes]                # classes c0, c1, ... in order, each >= 1 point,
+                             # at most 10,000 points in all
     plain 20                 # absolute integer labels 0..19; offsets stack
     ring 12 x 3              # labels x_0, x_1, x_2 with x in Z_12
     inf 2                    # fixed labels inf0, inf1 (a single one: inf)
@@ -100,6 +101,10 @@ class Manifest:
     name: str = ""
 
 
+# Bound on a manifest's point count, checked before a class's labels are
+# built (the largest shipped manifest has 243 points).
+_MAX_POINTS = 10_000
+
 _SECTIONS = ("meta", "classes", "generator", "generator2", "groups", "orbits")
 _META = {"composition": Composition.parse, "distance": int,
          "expected_size": int, "expected_type": GdcType.parse}
@@ -163,6 +168,8 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                 size, count = int(args[0]), int(args[2])
             if min(size, count) < 1:
                 raise ValueError(f"want plain M, ring M x K or inf K with M, K >= 1: {line!r}")
+            if n + size * count > _MAX_POINTS:
+                raise ValueError(f"want at most {_MAX_POINTS} points in all: {line!r}")
             for _ in range(count):
                 points = classes[f"c{len(classes)}"] = range(n, n + size)
                 n += size

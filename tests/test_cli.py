@@ -114,6 +114,38 @@ def test_design_build_srf_nonexistence_exit_code():
     assert "none" in out
 
 
+@pytest.mark.parametrize("t, u, sizes", [("0", "3", "[0, 0, 0]"), ("-1", "3", "[-1, -1, -1]"),
+                                        ("2", "0", "[]")])
+def test_design_build_srf_without_a_proper_hole_is_a_data_error(capsys, t, u, sizes):
+    status, out = run(["design", "build", "srf", t, u])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: want at least one hole, each of size >= 1: {sizes}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "build", "dm", "12"], "difference-matrix search budget hit at g=12"),
+    (["design", "build", "srf", "1", "7"], "room-frame search budget hit"),
+])
+def test_spent_design_search_budget_is_a_data_error(monkeypatch, capsys, argv, message):
+    from cccodes import designs
+    monkeypatch.setattr(designs, "_NODE_BUDGET", 10)
+    status, out = run(argv)
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pipeline_spent_design_search_budget_names_the_line(tmp_path, monkeypatch, capsys):
+    from cccodes import designs
+    monkeypatch.setattr(designs, "_NODE_BUDGET", 10)
+    pipe = tmp_path / "dm12.pipe"
+    pipe.write_text("# a (12,4;1)-DM comes from the search\nlet d = dm 12\nresult dm2gdc d\n")
+    status, out = run(["build", "--pipeline", str(pipe)])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: line 2: difference-matrix search budget hit at g=12\n")
+
+
 def test_design_verify_pbd_index_two_is_a_data_error(tmp_path, capsys):
     pbd = tmp_path / "pbd-3-3-2.design"
     pbd.write_text("kind=pbd\nv=3\nlambda=2\nk=3\nblocks=\n0,1,2\n0,1,2\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cccodes import designs
 from cccodes.core import GroupPartition, Violation
 from cccodes.dataio import data_root
 from cccodes.designs import (
@@ -16,6 +17,7 @@ from cccodes.designs import (
     GfTable,
     Pbd,
     RoomFrame,
+    SearchExhausted,
     build_dm,
     build_td,
     read_design_text,
@@ -141,6 +143,23 @@ def test_room_frame_mutations():
 def test_srf_search_known_nonexistence():
     assert search_skew_room_frame([1] * 5) is None
     assert search_skew_room_frame([2] * 4) is None
+
+
+def test_srf_search_wants_every_hole_nonempty():
+    with pytest.raises(DesignError, match=r"size >= 1: \[2, 2, 0, 2\]$"):
+        search_skew_room_frame([2, 2, 0, 2])
+
+
+# The search's own node count, pinned through the budget: a budget of that
+# many nodes suffices and one node fewer raises SearchExhausted.
+@pytest.mark.parametrize("hole_sizes, nodes", [
+    ([2] * 5, 47_078), ([2] * 4, 5_289), ([1] * 5, 59), ([1] * 7, 294)])
+def test_srf_search_node_counts(monkeypatch, hole_sizes, nodes):
+    monkeypatch.setattr(designs, "_NODE_BUDGET", nodes)
+    search_skew_room_frame(hole_sizes)
+    monkeypatch.setattr(designs, "_NODE_BUDGET", nodes - 1)
+    with pytest.raises(SearchExhausted):
+        search_skew_room_frame(hole_sizes)
 
 
 def test_srf_search_is_deterministic_oracle():

@@ -253,6 +253,10 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
     (edit(("plain 20", "ring 20")), f"line 6: want {CLASSES}: 'ring 20'"),
     (edit(("plain 20", "ring 4 x 0")), f"line 6: want {CLASSES}: 'ring 4 x 0'"),
     (edit(("plain 20", "plain 20\ninf 1\ninf 1")), "line 8: duplicate label 'inf'"),
+    (edit(("plain 20", "plain 200000"), ("0,5 ; 3,7", "0,x ; 3,7")),
+     "line 6: want at most 10000 points in all: 'plain 200000'"),
+    (edit(("plain 20", "plain 20\nring 1000 x 10")),
+     "line 7: want at most 10000 points in all: 'ring 1000 x 10'"),
     # [generator]
     (edit(("shift 1 on c0", "shift")), f"line 8: want {GENERATOR}: 'shift'"),
     (edit(("shift 1 on c0", "cycle 0 1 2")), f"line 8: want {GENERATOR}: 'cycle 0 1 2'"),

@@ -1,8 +1,12 @@
 """Pipeline execution: expectations and the single verification of the result."""
 
-import pytest
+import re
 
-from cccodes import pipelines
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cccodes import catalog, pipelines
 from cccodes.constructions import shorten
 from cccodes.dataio import data_root, develop_manifest
 from cccodes.pipelines import PipelineError, run_pipeline_text
@@ -127,3 +131,21 @@ def test_malformed_step_is_a_numbered_pipeline_error(text, message):
 def test_missing_file_is_a_numbered_pipeline_error():
     with pytest.raises(PipelineError, match=r"^line 2: \[Errno 2\] No such file"):
         run_pipeline_text("# the manifest is not shipped\nresult manifest c22/nosuch.man\n")
+
+
+RECIPES = [p.read_text() for p in sorted((data_root() / "recipes").glob("*/*.pipe"))]
+
+
+# One whitespace-separated token of a shipped recipe replaced or deleted ("").
+# No replacement is a large number, so no mutated step runs long.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RECIPES), st.integers(min_value=0),
+       st.sampled_from(["", "0", "1", "-1", "x", "=", "y=", "2:empty", "g"]))
+def test_mutated_recipe_succeeds_or_raises_a_pipeline_error(text, where, token):
+    parts = re.split(r"(\s+)", text)
+    words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+    parts[words[where % len(words)]] = token
+    try:
+        run_pipeline_text("".join(parts), build_code=catalog.build_optimal)
+    except PipelineError:
+        pass
