@@ -6,14 +6,19 @@ elsewhere.  All types are immutable after construction and safe to share.
 
 Conflicting words (equal, or closer than the declared distance) come from one
 bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
-share: it measures no pair distance, and :func:`conflict_pairs` measures only
-the pairs that conflict.
+share.  Walking a word's points, it keeps two counters as masks over all
+words: how many of its points each word shares, and at how many it agrees.
+It measures no pair distance, and :func:`conflict_pairs` measures only the
+pairs that conflict.  The value records (:class:`Composition`,
+:class:`Violation`, ...) are plain slotted classes, so importing this module
+loads neither ``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from functools import reduce
+from operator import or_
 
 __all__ = [
     "AmbientLengthError",
@@ -47,8 +52,53 @@ class CodeTextError(ValueError):
     """A malformed code or GDC interchange text (see :func:`read_code_text`)."""
 
 
-@dataclass(frozen=True)
-class Composition:
+# Bound on the ambient length of a code file and on the point count of a
+# manifest, checked before anything of that size is built (the largest
+# shipped manifest has 243 points).
+_MAX_POINTS = 10_000
+
+
+class _Record:
+    """An immutable value: its fields are its ``__slots__``, which ``__init__``
+    sets once from its arguments in that order.  Equality, hashing and
+    ``repr`` go by the field values, as for a frozen dataclass, and assigning
+    or deleting a field raises."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which alone sets fields.
+        return type(self), self._values()
+
+
+class Composition(_Record):
     """Symbol multiplicities [w1, ..., w_{q-1}].
 
     The catalog convention keeps these normalized (non-increasing); values
@@ -56,12 +106,13 @@ class Composition:
     require normalization check :attr:`is_normalized` themselves.
     """
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        w = self.weights
-        if not w or any(x <= 0 for x in w):
-            raise ValueError(f"composition entries must be positive: {w}")
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        if not weights or any(x <= 0 for x in weights):
+            raise ValueError(f"composition entries must be positive: {weights}")
+        super().__init__(weights)
 
     @property
     def weight(self) -> int:
@@ -163,8 +214,8 @@ def composition_of(u: Codeword) -> Composition:
     return Composition(tuple(len(cls) for cls in u.supports))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
+    __slots__ = ("kind", "witness", "measured")
     kind: str  # distance | composition | group-hit | duplicate | size-mismatch | type-mismatch
     witness: tuple
     measured: object
@@ -173,8 +224,8 @@ class Violation:
         return f"{self.kind} at {self.witness}: {self.measured}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    __slots__ = ("violations",)
     violations: tuple[Violation, ...]
 
     @property
@@ -217,10 +268,10 @@ class Code:
                 f"size={len(self.words)})")
 
 
-@dataclass(frozen=True)
-class GroupPartition:
+class GroupPartition(_Record):
     """Disjoint groups covering [0, n)."""
 
+    __slots__ = ("groups",)
     groups: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -275,10 +326,10 @@ class Gdc:
         return f"Gdc({self.code!r}, type={gdc_type(self)})"
 
 
-@dataclass(frozen=True)
-class GdcType:
+class GdcType(_Record):
     """Multiset of group sizes; compares by multiset, prints in exponential form."""
 
+    __slots__ = ("factors",)
     factors: tuple[tuple[int, int], ...]  # (size, multiplicity), ascending by size
 
     @staticmethod
@@ -325,65 +376,93 @@ def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[in
     distance below ``distance``.
 
     This is the one definition of conflicting words, shared by the verifier
-    and the search.  Since d(u, v) = w_u + w_v - overlap - agreements, v
-    conflicts with u exactly when overlap + agreements >= w_u + w_v -
-    distance + 1, a threshold taken per weight of v.  As equal words always
-    conflict, ``distance`` counts as at least 1.  The rows are bit-parallel:
-    over all words, one mask P(x) of the words with a nonzero symbol at point
-    x and one A(x, s) of those with symbol s there.  Walking u's points,
-    T[j] |= (T[j-1] & P) | (T[j-2] & A) keeps in T[j] the words with
-    overlap + agreements >= j, so no pair is measured.  Only the masks are
-    held, never all rows.  Raises AmbientLengthError for the first word whose
-    length differs from word 0's.
+    and the search.  As equal words always conflict, ``distance`` counts as
+    at least 1.  Since d(u, v) = w_u + w_v - overlap - agreements, v
+    conflicts with u exactly when overlap + agreements >= th, where th =
+    w_u + w_v - distance + 1 is taken per weight of v.  As agreements <=
+    overlap, that holds exactly when, for some k with ceil(th/2) <= k <=
+    min(th, w_u), v shares at least k of u's points and agrees with u at
+    at least th - k of them; th <= 0 takes v's whole weight class.  The rows
+    are bit-parallel: over all words, one mask A(x, s) of the words with
+    symbol s at point x, and P(x), the union of the A(x, s).  Walking u's
+    cells (x, s), C[k] |= C[k-1] & P(x) keeps in C[k] the words sharing at
+    least k of u's points, and D[j] |= D[j-1] & A(x, s) in D[j] those
+    agreeing with u at at least j points, so no pair is measured.  Only the
+    masks are held, never all rows.  Raises AmbientLengthError for the
+    first word whose length differs from word 0's.
     """
     for w in words:
         if w.n != words[0].n:
             raise AmbientLengthError(f"ambient lengths differ: {words[0].n} != {w.n}")
     distance = max(distance, 1)
     nw = len(words)
-    full = (1 << nw) - 1
-    points: dict[int, list[int]] = {}
-    agree: dict[tuple[int, int], list[int]] = {}
-    weights: dict[int, list[int]] = {}
+    # One pass: per symbol, the words with that symbol at each point, and
+    # each word's weight and the words of each weight.
+    agree: list[dict[int, list[int]]] = []
+    weight: list[int] = []
+    classes: dict[int, list[int]] = {}
     for i, w in enumerate(words):
-        weights.setdefault(w.weight, []).append(i)
+        wt = 0
         for s, cls in enumerate(w.supports):
+            if s == len(agree):
+                agree.append({})
+            at = agree[s]
             for x in cls:
-                points.setdefault(x, []).append(i)
-                agree.setdefault((x, s), []).append(i)
-    p_mask = {x: _bitset(ix, nw) for x, ix in points.items()}
-    a_mask = {key: _bitset(ix, nw) for key, ix in agree.items()}
-    w_mask = [(wv, _bitset(ix, nw)) for wv, ix in weights.items()]
+                at.setdefault(x, []).append(i)
+            wt += len(cls)
+        weight.append(wt)
+        classes.setdefault(wt, []).append(i)
+    a_mask = [{x: _bitset(ix, nw) for x, ix in at.items()} for at in agree]
+    p_mask: dict[int, int] = {}
+    for masks in a_mask:
+        for x, m in masks.items():
+            p_mask[x] = p_mask.get(x, 0) | m
+    w_mask = [(wv, _bitset(ix, nw)) for wv, ix in classes.items()]
     plans: dict[int, tuple] = {}
     for i, u in enumerate(words):
-        wu = u.weight
+        wu = weight[i]
         plan = plans.get(wu)
         if plan is None:
-            need = [(wu + wv - distance + 1, m) for wv, m in w_mask]
-            top = max(min(max(th for th, _ in need), 2 * wu), 0)
-            low = min(th for th, _ in need)
-            # The levels to update at u's k-th point: none above 2k is reached
-            # yet, and none below low - 2 * (points left) feeds a threshold.
-            steps = [range(min(top, 2 * k), max(low - 2 * (wu - k), 1) - 1, -1)
-                     for k in range(1, wu + 1)]
-            plan = plans[wu] = ([(max(th, 0), m) for th, m in need if th <= top],
-                                top, steps)
-        need, top, steps = plan
-        # t[j] holds the words with overlap + agreements >= j (t[0]: all).
-        t = [full] + [0] * top
-        cells = ((p_mask[x], a_mask[x, s])
-                 for s, cls in enumerate(u.supports) for x in cls)
-        for (p, a), levels in zip(cells, steps):
-            for j in levels:
-                if j > 2:
-                    t[j] |= (t[j - 1] & p) | (t[j - 2] & a)
-                elif j == 2:
-                    t[2] |= (t[1] & p) | a
-                else:
-                    t[1] |= p
-        row = 0
-        for th, m in need:
-            row |= m & t[th]
+            # Per weight class of v: its mask and its (k, th - k) terms.  A
+            # class with th > 2 * w_u has no term and never conflicts.
+            whole, terms, top_c, top_d = 0, [], 0, 0
+            for wv, m in w_mask:
+                th = wu + wv - distance + 1
+                if th <= 0:
+                    whole |= m
+                elif th <= 2 * wu:
+                    ks = range((th + 1) // 2, min(th, wu) + 1)
+                    terms.append((m, [(k, th - k) for k in ks]))
+                    top_c, top_d = max(top_c, ks[-1]), max(top_d, th // 2)
+            # The levels above 1 to update at u's m-th point: none above m is
+            # reached yet.  Level 1 is a plain union.
+            up_c = [range(min(m, top_c), 1, -1) for m in range(1, wu + 1)]
+            up_d = [range(min(m, top_d), 1, -1) for m in range(1, wu + 1)]
+            plan = plans[wu] = whole, terms, top_c, top_d, up_c, up_d
+        whole, terms, top_c, top_d, up_c, up_d = plan
+        row = whole
+        if terms:
+            sup = u.supports
+            c = [0] * (top_c + 1)
+            for p, levels in zip([p_mask[x] for cls in sup for x in cls], up_c):
+                for k in levels:
+                    c[k] |= c[k - 1] & p
+                c[1] |= p
+            agreeing = [am[x] for am, cls in zip(a_mask, sup) for x in cls]
+            if top_d < 2:
+                # No level above 1 is read: D[1] is the union of the A(x, s).
+                d = [0, reduce(or_, agreeing)]
+            else:
+                d = [0] * (top_d + 1)
+                for a, levels in zip(agreeing, up_d):
+                    for j in levels:
+                        d[j] |= d[j - 1] & a
+                    d[1] |= a
+            for m, pairs in terms:
+                hit = 0
+                for k, j in pairs:
+                    hit |= c[k] & d[j] if j else c[k]
+                row |= m & hit
         # A word always conflicts with itself; that bit is cleared.
         yield i, row ^ (1 << i)
 
@@ -417,10 +496,9 @@ def verify_code(c: Code) -> VerificationReport:
     for i, w in enumerate(c.words):
         if w.n != c.n:
             violations.append(Violation("composition", (i,), f"ambient length {w.n} != {c.n}"))
-        if tuple(len(cls) for cls in w.supports) != comp:
-            violations.append(
-                Violation("composition", (i,),
-                          str(tuple(len(cls) for cls in w.supports))))
+        sizes = tuple(map(len, w.supports))
+        if sizes != comp:
+            violations.append(Violation("composition", (i,), str(sizes)))
     for i, j, d in conflict_pairs(c.words, c.distance):
         violations.append(Violation("distance" if d else "duplicate", (i, j), d))
     return VerificationReport(tuple(violations))
@@ -452,6 +530,10 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
         return VerificationReport(tuple(violations))
     gid = g.partition.group_of()
     for i, w in enumerate(g.code.words):
+        hit = {gid[x] for cls in w.supports for x in cls}
+        if len(hit) == sum(map(len, w.supports)):
+            continue
+        # A group hit twice: name each repeat in point order.
         seen: dict[int, int] = {}
         for x in w.support():
             k = gid[x]
@@ -467,10 +549,11 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
 # ---------------------------------------------------------------------------
 # Text interchange format
 #
-# Header lines `n=`, `composition=`, `distance=`, then an optional `groups=`
-# block (one comma-separated group per line; ends at the first codeword line),
-# then one codeword per line: symbol-1 points, `;`, symbol-2 points. `#`
-# starts a comment.
+# Header lines `n=` (1 to 10,000), `composition=`, `distance=`, then an
+# optional `groups=` block (one comma-separated group per line; ends at the
+# first codeword line), then one codeword per line: symbol-1 points, `;`,
+# symbol-2 points.  Each header line appears at most once, before the first
+# codeword line.  `#` starts a comment.
 # ---------------------------------------------------------------------------
 
 def write_code_text(obj: Code | Gdc) -> str:
@@ -492,25 +575,32 @@ def read_code_text(text: str) -> Code | Gdc:
     groups: list[tuple[int, ...]] | None = None
     block: list[tuple[int, ...]] | None = None  # groups, until a codeword line
     words: list[Codeword] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             if line[0].isalpha():
-                if line.startswith("n="):
-                    n = int(line[2:])
-                    continue
-                if line.startswith("composition="):
-                    comp = Composition.parse(line.split("=", 1)[1])
-                    continue
-                if line.startswith("distance="):
-                    dist = int(line.split("=", 1)[1])
-                    continue
-                if line.startswith("groups="):
-                    if line != "groups=":
+                key, eq, value = line.partition("=")
+                if eq and key in ("n", "composition", "distance", "groups"):
+                    if words:
+                        raise ValueError(f"header line after a codeword line: {line!r}")
+                    if key in seen:
+                        raise ValueError(f"repeated header line: {line!r}")
+                    seen.add(key)
+                    if key == "n":
+                        n = int(value)
+                        if not 1 <= n <= _MAX_POINTS:
+                            raise ValueError(f"want n in [1, {_MAX_POINTS}]: {line!r}")
+                    elif key == "composition":
+                        comp = Composition.parse(value)
+                    elif key == "distance":
+                        dist = int(value)
+                    elif value:
                         raise ValueError(f"text after groups=: {line!r}")
-                    groups = block = []
+                    else:
+                        groups = block = []
                     continue
             if n is None or comp is None or dist is None:
                 raise ValueError(f"codeword line before complete header: {line!r}")

@@ -333,7 +333,9 @@ def build_dm(g: int) -> DifferenceMatrix:
         return DifferenceMatrix(g, 4, rows, m1.moduli + m2.moduli)
 
     moduli = (2, 2, g // 4) if g % 4 == 0 else (g,)
-    sub = DifferenceMatrix(g, 4, (), moduli).sub  # borrow the group arithmetic
+    # minus[x][y] = x - y in the group, computed once for the whole search.
+    sub = DifferenceMatrix(g, 4, (), moduli).sub
+    minus = [[sub(x, y) for y in range(g)] for x in range(g)]
 
     # Normalized backtracking search: row0 = all zeros (column translates),
     # row1 = identity (column order); choose row2/row3 column by column so
@@ -355,19 +357,21 @@ def build_dm(g: int) -> DifferenceMatrix:
         if nodes > _NODE_BUDGET:
             raise SearchExhausted(f"difference-matrix search budget hit at g={g}")
         for a in range(g):
-            if used2[a] or d20[sub(a, j)]:
+            a0 = minus[a][j]
+            if used2[a] or d20[a0]:
                 continue
-            used2[a] = d20[sub(a, j)] = True
+            used2[a] = d20[a0] = True
             row2[j] = a
             for b in range(g):
-                if used3[b] or d30[sub(b, j)] or d32[sub(b, a)]:
+                b0, b2 = minus[b][j], minus[b][a]
+                if used3[b] or d30[b0] or d32[b2]:
                     continue
-                used3[b] = d30[sub(b, j)] = d32[sub(b, a)] = True
+                used3[b] = d30[b0] = d32[b2] = True
                 row3[j] = b
                 if place(j + 1):
                     return True
-                used3[b] = d30[sub(b, j)] = d32[sub(b, a)] = False
-            used2[a] = d20[sub(a, j)] = False
+                used3[b] = d30[b0] = d32[b2] = False
+            used2[a] = d20[a0] = False
         return False
 
     if not place(0):

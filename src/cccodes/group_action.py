@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition)
+from .core import (_MAX_POINTS, Code, Codeword, Composition, Gdc, GdcType,
+                   GroupPartition)
 
 __all__ = [
     "DevelopmentError",
@@ -100,10 +101,6 @@ class Manifest:
     expected_type: GdcType | None
     name: str = ""
 
-
-# Bound on a manifest's point count, checked before a class's labels are
-# built (the largest shipped manifest has 243 points).
-_MAX_POINTS = 10_000
 
 _SECTIONS = ("meta", "classes", "generator", "generator2", "groups", "orbits")
 _META = {"composition": Composition.parse, "distance": int,

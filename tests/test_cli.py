@@ -49,6 +49,21 @@ def test_verify_malformed_code_file_names_the_line(tmp_path, capsys):
         "error: line 5: invalid literal for int() with base 10: 'x'\n")
 
 
+@pytest.mark.parametrize("text, err", [
+    ("n=100000000000\ncomposition=2,2\ndistance=6\n0,1 ; 2,99999999999\n",
+     "line 1: want n in [1, 10000]: 'n=100000000000'"),
+    ("n=-1\ncomposition=2,2\ndistance=6\n", "line 1: want n in [1, 10000]: 'n=-1'"),
+    ("n=5\ncomposition=2,2\ndistance=6\n0,1 ; 2,3\nn=9\n",
+     "line 5: header line after a codeword line: 'n=9'"),
+])
+def test_verify_code_file_with_a_bad_header_is_a_data_error(tmp_path, capsys, text, err):
+    bad = tmp_path / "bad.code"
+    bad.write_text(text)
+    status, out = run(["verify", str(bad)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_usage_error_exit_code():
     status, _ = run(["bound", "16", "--comp", "9,9"])
     assert status == 2
@@ -208,6 +223,23 @@ def test_cli_start_up_does_not_import_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", START_UP], env=env, cwd=tmp_path,
                    check=True)
+
+
+# Run without the site module, which may itself import typing, so that only
+# what cccodes.cli imports is seen.
+LEAN_START_UP = """
+import sys
+before = set(sys.modules)
+import cccodes.cli
+heavy = {"dataclasses", "inspect", "typing"} & (set(sys.modules) - before)
+assert not heavy, heavy
+"""
+
+
+def test_cli_start_up_imports_no_dataclasses_inspect_or_typing(tmp_path):
+    src = str(Path(cccodes.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-S", "-c", LEAN_START_UP],
+                   env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, check=True)
 
 
 def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Data-model and verification checks."""
 
+import copy
+import pickle
 import random
 from typing import Sequence
 
@@ -16,6 +18,7 @@ from cccodes.core import (
     Gdc,
     GdcType,
     GroupPartition,
+    VerificationReport,
     Violation,
     composition_of,
     conflict_pairs,
@@ -127,6 +130,22 @@ def test_codeword_validation_matches_brute_force(case):
     assert w.supports == tuple(tuple(sorted(cls)) for cls in classes)
 
 
+def test_value_records_compare_hash_and_print_by_value_and_stay_frozen():
+    c = Composition((2, 2))
+    assert repr(c) == "Composition(weights=(2, 2))"
+    assert c == Composition((2, 2)) and c != (2, 2) and hash(c) == hash(((2, 2),))
+    v = Violation("distance", (0, 1), 3)
+    assert repr(v) == "Violation(kind='distance', witness=(0, 1), measured=3)"
+    assert repr(GdcType.parse("2^3")) == "GdcType(factors=((2, 3),))"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'kind'$"):
+        v.kind = "duplicate"
+    with pytest.raises(AttributeError, match="^cannot delete field 'weights'$"):
+        del c.weights
+    for r in [c, v, VerificationReport((v,)), GroupPartition.of([(1, 0)]), GdcType.parse("2^3")]:
+        assert pickle.loads(pickle.dumps(r)) == r == copy.deepcopy(r)
+        assert hash(copy.copy(r)) == hash(r)
+
+
 def test_metric_properties_random_triples():
     rng = random.Random(7)
     words = []
@@ -227,12 +246,13 @@ def _random_word(rng, n, classes):
     return Codeword(out, n)
 
 
-SHAPES = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,)]
+SHAPES = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,), (2, 1, 1), (1, 1, 1)]
 
 
 def _random_words(rng, size, n):
-    # Mixed compositions (weights 0 to 5, so the rows take a threshold per
-    # weight), with about one word in five a duplicate of an earlier one.
+    # Mixed compositions (weights 0 to 5 over 0 to 3 symbol classes, so the
+    # rows take a threshold per weight), with about one word in five a
+    # duplicate of an earlier one.
     words = []
     for _ in range(size):
         if words and rng.random() < 0.2:
@@ -254,10 +274,12 @@ def test_conflict_pairs_match_brute_force(rng, size, distance, n):
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 30),
-       st.integers(-1, 9), st.integers(5, 12))
+       st.integers(-1, 12), st.integers(5, 12))
 def test_conflict_rows_match_brute_force(rng, size, distance, n):
     # One row per word in order, no self bit, symmetric, and bit j set exactly
-    # when the two words lie closer than max(d, 1).
+    # when the two words lie closer than max(d, 1).  With weights up to 5,
+    # d from -1 to 12 gives thresholds w_u + w_v - d + 1 at most 0 (a whole
+    # weight class), above 2 * w_u (none), and in between.
     words = _random_words(rng, size, n)
     rows = list(conflict_rows(words, distance))
     assert [i for i, _ in rows] == list(range(size))
@@ -308,6 +330,47 @@ def test_words_off_the_composition_are_still_scanned():
     ]
 
 
+def _group_hits(g):
+    # Brute-force reference for verify_gdc's group-hit entries: each point, in
+    # order, that meets a group an earlier point of its word already met.
+    out = []
+    for i, w in enumerate(g.code.words):
+        pts = w.support()
+        for b, x in enumerate(pts):
+            k, grp = next((k, grp) for k, grp in enumerate(g.partition.groups) if x in grp)
+            first = next((y for y in pts[:b] if y in grp), None)
+            if first is not None:
+                out.append(Violation("group-hit", (i, k), f"points {first} and {x}"))
+    return out
+
+
+@pytest.mark.parametrize("rel, seed", [("c22/type-2^10.man", 1), ("c31/type-3^7.man", 2),
+                                       ("c22/type-10^7.man", 3)])
+def test_verify_gdc_matches_brute_force_on_a_corrupted_development(rel, seed):
+    # Seeded moves of one point each to a free point, every other one into
+    # a group that the word already meets, and a duplicated word.
+    from cccodes.dataio import develop_manifest
+    g = develop_manifest(rel)
+    rng = random.Random(seed)
+    words = list(g.code.words)
+    for move in range(8):
+        i = rng.randrange(len(words))
+        w = words[i]
+        x, z = rng.sample(w.support(), 2)
+        free = [p for p in range(g.n) if p not in w.support()]
+        if move % 2 == 0:
+            free = [p for p in free if any(z in grp and p in grp for grp in g.partition.groups)]
+        y = rng.choice(free)
+        words[i] = Codeword([[y if p == x else p for p in cls] for cls in w.supports], g.n)
+    words.append(words[rng.randrange(len(words))])
+    bad = Gdc(Code(g.n, g.code.composition, g.code.distance, words), g.partition)
+    want = _pair_scan_python(words, g.code.distance) + _group_hits(bad)
+    want.sort(key=lambda v: (v.witness, v.kind))
+    got = verify_gdc(bad).violations
+    assert triples(got) == triples(want)
+    assert {v.kind for v in got} == {"distance", "duplicate", "group-hit"}
+
+
 def test_relabeling_one_word_breaks_the_21_word_code():
     # swapping two coordinate labels inside a single word of a tight code
     # must surface as a distance violation
@@ -356,11 +419,27 @@ HEAD = "n=5\ncomposition=2,2\ndistance=6\n"
     ("n=five\n", "line 1: invalid literal for int() with base 10: 'five'"),
     ("n=5\ncomposition=2,0\n", "line 2: composition entries must be positive: (2, 0)"),
     ("n=5\ncomposition=2,2\n", "missing header (n=, composition=, distance=)"),
+    # n lies in [1, 10000]; no word is built for a larger one.
+    ("n=100000000000\ncomposition=2,2\ndistance=6\n0,1 ; 2,99999999999\n",
+     "line 1: want n in [1, 10000]: 'n=100000000000'"),
+    ("n=-1\ncomposition=2,2\ndistance=6\n", "line 1: want n in [1, 10000]: 'n=-1'"),
+    ("composition=2,2\nn=0\n", "line 2: want n in [1, 10000]: 'n=0'"),
+    # Each header line comes once, before the first codeword line.
+    (HEAD + "0,1 ; 2,3\nn=9\n", "line 5: header line after a codeword line: 'n=9'"),
+    (HEAD + "groups=\n0,1,2,3,4\n0,1 ; 2,3\ngroups=\n",
+     "line 7: header line after a codeword line: 'groups='"),
+    (HEAD + "distance=5\n", "line 4: repeated header line: 'distance=5'"),
+    (HEAD + "groups=\n0,1\ngroups=\n2,3,4\n", "line 6: repeated header line: 'groups='"),
 ])
 def test_code_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(CodeTextError) as e:
         read_code_text(text)
     assert str(e.value) == message
+
+
+def test_code_text_accepts_n_up_to_the_bound():
+    c = read_code_text("n=10000\ncomposition=2,2\ndistance=6\n0,1 ; 2,9999\n")
+    assert c.n == 10000 and verify_code(c).ok
 
 
 @settings(max_examples=300, deadline=None)
