@@ -239,26 +239,20 @@ _STEPS = {
 
 
 @lru_cache(maxsize=None)
-def _build(n: int, comp: Composition) -> Code:
-    """Run the recipe for (n, comp) as a pipeline, which verifies the result;
-    the cache makes that one verification per code and process."""
+def build_optimal(n: int, comp: Composition) -> Code:
+    """Run the recipe for (n, comp) as a pipeline, which verifies the result,
+    and check the size against the spectrum (the exact value, or the recorded
+    bound for lengths whose exact value is open).  The cache makes that one
+    verification per code and process, for nested ``code`` steps too."""
     reg = _registry(comp)
     if n not in reg:
         raise RecipeError(f"no recipe for ({n}, [{comp}])")
     kind, arg, _note = reg[n]
     if kind == "pipeline":
-        obj = pipelines.run_pipeline(arg, build_code=_build)
+        obj = pipelines.run_pipeline(arg)
     else:
-        text = _STEPS[kind].format(arg=arg, comp=comp, n=n)
-        obj = pipelines.run_pipeline_text(text, build_code=_build)
-    return obj.as_code()
-
-
-def build_optimal(n: int, comp: Composition) -> Code:
-    """Execute the recipe for (n, comp), verified by the pipeline runner, and
-    check the size against the spectrum (the exact value, or the recorded
-    bound for lengths whose exact value is open)."""
-    code = _build(n, comp)
+        obj = pipelines.run_pipeline_text(_STEPS[kind].format(arg=arg, comp=comp, n=n))
+    code = obj.as_code()
     entry = spectrum(n, comp.weights)
     if entry.kind == "exact":
         if len(code) != entry.exact:

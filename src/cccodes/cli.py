@@ -126,8 +126,7 @@ def cmd_search(args) -> int:
 def cmd_build(args) -> int:
     from . import catalog, pipelines
     if args.pipeline:
-        obj = pipelines.run_pipeline_text(_read_text(args.pipeline),
-                                          build_code=catalog.build_optimal)
+        obj = pipelines.run_pipeline_text(_read_text(args.pipeline))
     elif args.n is None:
         raise CliError("build needs <n> or --pipeline")
     else:
@@ -185,16 +184,15 @@ def cmd_table(args) -> int:
 
 
 def cmd_design(args) -> int:
-    from .designs import (DifferenceMatrix, Gdd, Pbd, RoomFrame, build_dm,
-                          build_td, read_design_text, search_skew_room_frame,
-                          verify_dm, verify_gdd, verify_pbd,
-                          verify_skew_room_frame, write_design_text)
+    from .designs import (DifferenceMatrix, Gdd, RoomFrame, build_dm, build_td,
+                          read_design_text, search_skew_room_frame, verify_dm,
+                          verify_gdd, verify_skew_room_frame, write_design_text)
     a = args.args
     if args.action == "verify":
         if len(a) != 1:
             raise CliError("design verify wants: <file>")
         obj = read_design_text(_read_text(a[0]))
-        rep = {Gdd: verify_gdd, Pbd: verify_pbd, DifferenceMatrix: verify_dm,
+        rep = {Gdd: verify_gdd, DifferenceMatrix: verify_dm,
                RoomFrame: verify_skew_room_frame}[type(obj)](obj)
         print("OK" if rep.ok else f"FAIL {rep.summary()}")
         return 0 if rep.ok else 1

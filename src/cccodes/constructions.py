@@ -153,11 +153,12 @@ def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
     return result
 
 
-def adjoin_points(g: Gdc, y: int, first_group: int,
-                  first_code: Code | Gdc, fillers: dict[int, Code | Gdc]) -> Code:
-    """Adjoin y ideal points: the designated first group plus the ideal points
-    receive a (g1+y)-code; every other group G plus the ideal points receives
-    a GDC of type 1^{|G|} y^1 whose y-group lands on the ideal points.
+def adjoin_points(g: Gdc, y: int, first_code: Code | Gdc,
+                  fillers: dict[int, Code | Gdc]) -> Code:
+    """Adjoin y ideal points: the first group (group 0) plus the ideal points
+    receive ``first_code``, a (g0+y)-code; every other group G plus the ideal
+    points receives a GDC of type 1^{|G|} y^1 whose y-group lands on the
+    ideal points.
 
     Filler point convention: indices [0, s) map onto the group's points in
     sorted order and [s, s+y) onto the ideal points, matching a type
@@ -172,9 +173,9 @@ def adjoin_points(g: Gdc, y: int, first_group: int,
     words = [Codeword(w.supports, n_new) for w in code.words]
     for gi, grp in enumerate(g.partition.groups):
         size = len(grp)
-        filler = _filler(first_code if gi == first_group else fillers.get(size),
+        filler = _filler(fillers.get(size) if gi else first_code,
                          size, code.composition)
-        if gi != first_group and y > 1:
+        if gi and y > 1:
             if not isinstance(filler, Gdc):
                 raise ConstructionError(
                     f"filler for size {size} must be a GDC of type 1^{size} {y}^1")
@@ -198,61 +199,45 @@ def shorten(code: Code, point: int) -> Code:
     return Code(code.n - 1, code.composition, code.distance, words)
 
 
-def fundamental(master: Gdd, weights: list[int], ingredients: Iterable[Gdc]) -> Gdc:
-    """Wilson-style weighting (the fundamental construction).
+def fundamental(master: Gdd, w: int, ingredients: Iterable[Gdc]) -> Gdc:
+    """Wilson's fundamental construction with every point of weight ``w``.
 
-    Point x of the master GDD becomes a fiber of ``weights[x]`` points, and
-    each master block A is replaced by the ingredient GDC whose type is the
-    multiset of A's weights, its groups laid on A's fibers.  Ingredients are
-    looked up by type; of two with the same type the later one is used.  The
-    result's groups are the master groups' fibers.
+    Point x of the master GDD becomes the fiber [x*w, (x+1)*w), and each
+    master block of k >= 2 points is replaced by the ingredient GDC of type
+    w^k: its groups, in sorted order, land on the fibers of the block's
+    points in sorted order.  Ingredients are looked up by type; of two with
+    the same type the later one is used.  The result's groups are the master
+    groups' fibers.
     """
-    if len(weights) != master.n or any(w < 0 for w in weights):
-        raise ConstructionError("need one nonnegative weight per master point")
-    if all(w == 0 for w in weights):
-        raise ConstructionError("all-zero weight function is degenerate")
+    if w < 1:
+        raise ConstructionError(f"need a weight w >= 1, got {w}")
     rep = verify_gdd(master)
     if not rep.ok:
         raise ConstructionError(f"invalid master design: {rep.summary()}")
-
-    offset = [0] * (master.n + 1)
-    for x in range(master.n):
-        offset[x + 1] = offset[x] + weights[x]
-    n = offset[master.n]
-
+    n = master.n * w
     by_type = {gdc_type(g): g for g in ingredients}
     words: list[Codeword] = []
     composition: Composition | None = None
     distance = 6
     for block in master.blocks:
-        pts = [a for a in sorted(block) if weights[a] > 0]
-        if len(pts) < 2:
+        if len(block) < 2:
             continue
-        typ = GdcType.of_sizes(weights[a] for a in pts)
+        typ = GdcType.of_sizes([w] * len(block))
         if typ not in by_type:
             raise ConstructionError(f"no ingredient of type {typ}")
         ing = by_type[typ]
         if composition is None and len(ing.code.words) > 0:
             composition = ing.code.composition
             distance = ing.code.distance
-        # assign ingredient groups (sorted by size then first point) to block
-        # points (sorted) with matching weights, deterministically
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for grp in sorted(ing.partition.groups):
-            by_size.setdefault(len(grp), []).append(grp)
         mapping = [0] * ing.code.n
-        for a in pts:
-            grp = by_size[weights[a]].pop(0)
+        for a, grp in zip(sorted(block), sorted(ing.partition.groups)):
             for slot, x in enumerate(sorted(grp)):
-                mapping[x] = offset[a] + slot
-        words.extend(w.relabel(mapping, n) for w in ing.code.words)
+                mapping[x] = a * w + slot
+        words.extend(u.relabel(mapping, n) for u in ing.code.words)
     if composition is None:
         composition = Composition((2, 2))
-    out_groups = []
-    for grp in master.partition.groups:
-        pts2 = [i for a in sorted(grp) for i in range(offset[a], offset[a + 1])]
-        if pts2:
-            out_groups.append(tuple(pts2))
+    out_groups = [tuple(a * w + slot for a in sorted(grp) for slot in range(w))
+                  for grp in master.partition.groups]
     return Gdc(Code(n, composition, distance, words), GroupPartition.of(out_groups))
 
 

@@ -2,9 +2,9 @@
 
 Covers transversal designs over finite fields, difference matrices (with a
 multiplicative construction and a deterministic backtracking search), skew
-Room frames (verifier plus a small-order search oracle), pairwise balanced
-designs, and group divisible designs with an optional hole partition (the
-double-GDD variant).
+Room frames (verifier plus a small-order search oracle), and group divisible
+designs.  An index-1 pairwise balanced design reads as a GDD over singleton
+groups.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "DifferenceMatrix",
     "Gdd",
     "GfTable",
-    "Pbd",
     "RoomFrame",
     "SearchExhausted",
     "build_dm",
@@ -28,7 +27,6 @@ __all__ = [
     "search_skew_room_frame",
     "verify_dm",
     "verify_gdd",
-    "verify_pbd",
     "verify_skew_room_frame",
     "write_design_text",
 ]
@@ -150,7 +148,7 @@ class GfTable:
 
 
 # ---------------------------------------------------------------------------
-# Group divisible designs / PBDs
+# Group divisible designs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -161,42 +159,25 @@ class Gdd:
     block_sizes: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Pbd:
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
-    block_sizes: frozenset[int]
-    index: int = 1
-
-
-def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationReport:
+def verify_gdd(d: Gdd) -> VerificationReport:
     """Exhaustive pair coverage: cross-group pairs exactly once, in-group pairs
-    never.  With ``holes`` the design is read as a double GDD: pairs inside a
-    hole are exempt from coverage and blocks may meet a hole at most once."""
+    never."""
+    try:
+        d.partition.validate(d.n)
+    except ValueError as e:
+        return VerificationReport((Violation("type-mismatch", (), str(e)),))
     violations: list[Violation] = []
-    for prefix, part in (("", d.partition), ("holes: ", holes)):
-        try:
-            if part is not None:
-                part.validate(d.n)
-        except ValueError as e:
-            return VerificationReport((Violation("type-mismatch", (), prefix + str(e)),))
     gid = d.partition.group_of()
-    hid = holes.group_of() if holes is not None else None
     counts: dict[tuple[int, int], int] = {}
     for bi, block in enumerate(d.blocks):
         if len(block) not in d.block_sizes:
             violations.append(Violation("size-mismatch", (bi,), len(block)))
         if len(set(block)) != len(block):
             violations.append(Violation("duplicate", (bi,), "repeated point in block"))
-        hseen: set[int] = set()
         for x in block:
             if not 0 <= x < d.n:
                 violations.append(Violation("type-mismatch", (bi,),
                                             f"point {x} outside [0, {d.n})"))
-            elif hid is not None:
-                if hid[x] in hseen:
-                    violations.append(Violation("group-hit", (bi,), f"hole {hid[x]} twice"))
-                hseen.add(hid[x])
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
                 a, b = sorted((block[i], block[j]))
@@ -204,23 +185,13 @@ def verify_gdd(d: Gdd, holes: GroupPartition | None = None) -> VerificationRepor
     for a in range(d.n):
         for b in range(a + 1, d.n):
             c = counts.get((a, b), 0)
-            if hid is not None and hid[a] == hid[b]:
-                if c != 0:
-                    violations.append(Violation("distance", (a, b), f"hole pair covered {c}x"))
-            elif gid[a] == gid[b]:
+            if gid[a] == gid[b]:
                 if c != 0:
                     violations.append(Violation("distance", (a, b), f"group pair covered {c}x"))
             elif c != 1:
                 violations.append(Violation("distance", (a, b), f"covered {c}x"))
     violations.sort(key=lambda v: (v.witness, v.kind))
     return VerificationReport(tuple(violations))
-
-
-def verify_pbd(p: Pbd) -> VerificationReport:
-    """Pair coverage of an index-1 PBD, read as a GDD with singleton groups."""
-    if p.index != 1:
-        raise DesignError("only index-1 PBDs read as GDDs")
-    return verify_gdd(Gdd(p.v, GroupPartition.singletons(p.v), p.blocks, p.block_sizes))
 
 
 def build_td(k: int, m: int) -> Gdd:
@@ -514,16 +485,13 @@ def search_skew_room_frame(hole_sizes: list[int]) -> RoomFrame | None:
 # Design file format: `kind=...` header then content lines, `#` comments.
 # ---------------------------------------------------------------------------
 
-def write_design_text(obj: Gdd | Pbd | DifferenceMatrix | RoomFrame) -> str:
+def write_design_text(obj: Gdd | DifferenceMatrix | RoomFrame) -> str:
     def csv(items) -> str:
         return ",".join(str(x) for x in items)
 
     if isinstance(obj, Gdd):
         lines = ["kind=gdd", f"n={obj.n}", "k=" + csv(sorted(obj.block_sizes)), "groups=",
                  *map(csv, obj.partition.groups), "blocks=", *map(csv, obj.blocks)]
-    elif isinstance(obj, Pbd):
-        lines = ["kind=pbd", f"v={obj.v}", f"lambda={obj.index}",
-                 "k=" + csv(sorted(obj.block_sizes)), "blocks=", *map(csv, obj.blocks)]
     elif isinstance(obj, DifferenceMatrix):
         lines = ["kind=dm", f"g={obj.g}", f"k={obj.k}",
                  "moduli=" + "x".join(str(m) for m in obj.moduli), "rows=", *map(csv, obj.rows)]
@@ -556,10 +524,11 @@ _FIELDS = {
 }
 
 
-def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
+def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
     """Parse the design file format.  Every fault raises DesignError; the
     message of a fault on a line starts with ``line N: `` (1-based).  A
-    header or section that the file's kind does not have is a fault."""
+    header or section that the file's kind does not have is a fault.  A pbd
+    file reads as a Gdd over singleton groups, and only with index 1."""
     header: dict[str, tuple[int, str]] = {}
     body: dict[str, list[tuple[int, str]]] = {}
     starts: dict[str, int] = {}
@@ -610,8 +579,10 @@ def read_design_text(text: str) -> Gdd | Pbd | DifferenceMatrix | RoomFrame:
         return Gdd(head("n"), GroupPartition.of(lines("groups")), lines("blocks"),
                    frozenset(head("k", _ints)))
     if kind == "pbd":
-        return Pbd(head("v"), lines("blocks"), frozenset(head("k", _ints)),
-                   head("lambda") if "lambda" in header else 1)
+        v, blocks, k = head("v"), lines("blocks"), frozenset(head("k", _ints))
+        if "lambda" in header and head("lambda") != 1:
+            raise DesignError(f"line {header['lambda'][0]}: only index-1 PBDs read as GDDs")
+        return Gdd(v, GroupPartition.singletons(v), blocks, k)
     if kind == "dm":
         moduli = (head("moduli", lambda v: _ints(v, "x")) if "moduli" in header
                   else (head("g"),))

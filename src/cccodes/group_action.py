@@ -67,7 +67,7 @@ class DevelopmentError(ValueError):
 
 class Permutation:
     """A bijection on [0, n), stored as its image tuple: point x goes to
-    ``image[x]``.  It acts on a codeword point by point."""
+    ``image[x]``; it acts on a codeword through ``Codeword.relabel(image)``."""
 
     __slots__ = ("image",)
 
@@ -75,10 +75,6 @@ class Permutation:
         if sorted(image) != list(range(len(image))):
             raise ManifestError("generator is not a bijection")
         self.image = tuple(image)
-
-    def apply_word(self, w: Codeword) -> Codeword:
-        img = self.image
-        return Codeword(tuple(tuple(img[x] for x in cls) for cls in w.supports), w.n)
 
 
 @dataclass(frozen=True)
@@ -257,10 +253,10 @@ def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
     """Distinct images of ``base`` under repeated application of ``g``, in
     generation order, stopping when the base recurs."""
     out = [base]
-    w = g.apply_word(base)
+    w = base.relabel(g.image)
     while w != base:
         out.append(w)
-        w = g.apply_word(w)
+        w = w.relabel(g.image)
     return out
 
 

@@ -7,17 +7,18 @@ calls), a single ``result OP ARGS...``, and optional ``expect`` assertions::
     let d = dm 19
     let g = dm2gdc d
     let c20 = code 20 2,2
-    result adjoin g y=1 first=0 code=c20 fill=19:c20
+    result adjoin g y=1 code=c20 fill=19:c20
     expect size=962
 
-The operations and their arguments are listed in ``_SIGNATURES``; a step
-that lacks one quotes the line.  Every fault on a line (an unknown op, a
-missing argument, an unbound name, a name bound to the wrong kind of object,
-a bad number or file, or an error of the step's construction) raises
-PipelineError with a message that starts ``line N: ``.  A ``manifest`` step
-checks the manifest's declared size and type, and ``expect size=N type=T``
-lines check the result's, both with :func:`cccodes.core.verify_expectations`
-(no pair scan).  The result itself
+The operations and their arguments are declared in ``_SIGNATURES``; a step
+that lacks one, or has a positional argument or key the declaration does not
+list, quotes the line.  A ``code N COMP`` step is the catalog's optimal code.
+Every fault on a line (an unknown op, a missing or extra argument, an unbound
+name, a name bound to the wrong kind of object, a bad number or file, or an
+error of the step's construction) raises PipelineError with a message that
+starts ``line N: ``.  A ``manifest`` step checks the manifest's declared size
+and type, and ``expect size=N type=T`` lines check the result's, both with
+:func:`cccodes.core.verify_expectations` (no pair scan).  The result itself
 is verified exhaustively, once, before it is returned.  The catalog builds
 every recipe through this runner, so its codes are certified here too.
 """
@@ -46,13 +47,15 @@ class _Env(dict):
         raise PipelineError(f"unbound name {name!r}")
 
 
-# op -> its positional, then required key=value arguments.  Optional: adjoin's
-# first=G and fill=SIZE:REF,...  A SIZE:empty filler is an empty code.
+# op -> its positional arguments, then its key=value arguments; a final
+# positional ending in ... takes one or more values, and a key in brackets is
+# optional.  A SIZE:empty filler is an empty code.
 _SIGNATURES = {
     "manifest": "REL", "codefile": "REL", "code": "N COMP",
     "dm": "G", "td": "K M", "dm2gdc": "REF", "inflate": "REF M",
     "fundamental": "REF w=W ingredients=REF,...", "fill": "REF SIZE:REF...",
-    "adjoin": "REF y=Y code=REF", "ascode": "REF", "shorten": "REF POINT",
+    "adjoin": "REF y=Y code=REF [fill=SIZE:REF,...]", "ascode": "REF",
+    "shorten": "REF POINT",
 }
 
 
@@ -83,14 +86,20 @@ def _parse_fillers(spec: str, env: dict, comp: Composition, line: str) -> dict:
     return fillers
 
 
-def _run_op(tokens: list[str], env: dict, build_code, line: str):
+def _run_op(tokens: list[str], env: dict, line: str):
     if not tokens or tokens[0] not in _SIGNATURES:
         raise PipelineError(f"want one of {', '.join(_SIGNATURES)}: {line!r}")
-    op, args = tokens[0], tokens[1:]
-    sig = _SIGNATURES[op].split()
-    keys = [a.split("=")[0] for a in sig if "=" in a]
-    kv = dict(a.split("=", 1) for a in args if "=" in a)
-    if len(args) - len(kv) < len(sig) - len(keys) or not all(k in kv for k in keys):
+    op, sig = tokens[0], _SIGNATURES[tokens[0]].split()
+    want = [a for a in sig if "=" not in a]
+    keys = {a.strip("[]").split("=")[0]: a.startswith("[") for a in sig if "=" in a}
+    # Exactly the declared positionals, then the declared keys, each once; a
+    # positional after a key reads as an undeclared key.
+    rest = tokens[1:]
+    n = next((i for i, a in enumerate(rest) if "=" in a), len(rest))
+    args, kv = rest[:n], dict(a.partition("=")[::2] for a in rest[n:])
+    counted = len(args) == len(want) or want[-1].endswith("...") and len(args) > len(want)
+    if (not counted or len(kv) < len(rest) - n
+            or not {k for k, opt in keys.items() if not opt} <= kv.keys() <= keys.keys()):
         raise PipelineError(f"want {op} {_SIGNATURES[op]}: {line!r}")
     if op == "manifest":
         m = dataio.load_manifest(args[0])
@@ -103,9 +112,8 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
     if op == "codefile":
         return dataio.load_code(args[0])
     if op == "code":
-        if build_code is None:
-            raise PipelineError("no catalog available for `code` steps")
-        return build_code(int(args[0]), Composition.parse(args[1]))
+        from .catalog import build_optimal  # the catalog imports this module
+        return build_optimal(int(args[0]), Composition.parse(args[1]))
     if op == "dm":
         return build_dm(int(args[0]))
     if op == "td":
@@ -120,7 +128,7 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
     if op == "fundamental":
         master = _ref(env, args[0], (Gdd,), line)
         ingredients = [_ref(env, r, (Gdc,), line) for r in kv["ingredients"].split(",")]
-        return fundamental(master, [int(kv["w"])] * master.n, ingredients)
+        return fundamental(master, int(kv["w"]), ingredients)
     if op == "fill":
         target = _ref(env, args[0], (Gdc,), line)
         fillers = _parse_fillers(",".join(args[1:]), env,
@@ -130,15 +138,15 @@ def _run_op(tokens: list[str], env: dict, build_code, line: str):
         target = _ref(env, args[0], (Gdc,), line)
         fillers = _parse_fillers(kv["fill"], env, target.as_code().composition,
                                  line) if kv.get("fill") else {}
-        return adjoin_points(target, int(kv["y"]), int(kv.get("first", "0")),
-                             _ref(env, kv["code"], _CODE, line), fillers)
+        return adjoin_points(target, int(kv["y"]), _ref(env, kv["code"], _CODE, line),
+                             fillers)
     if op == "ascode":
         return _ref(env, args[0], _CODE, line).as_code()
     # op == "shorten"
     return shorten(_ref(env, args[0], _CODE, line).as_code(), int(args[1]))
 
 
-def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
+def run_pipeline_text(text: str) -> Code | Gdc:
     """Execute a pipeline; check each expect line, then verify the result once.
     Every fault raises PipelineError; the message of a fault on a line starts
     with ``line N: `` (1-based)."""
@@ -153,15 +161,16 @@ def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
             if tokens[0] == "let":
                 if len(tokens) < 3 or tokens[2] != "=":
                     raise PipelineError(f"bad let line: {line!r}")
-                env[tokens[1]] = _run_op(tokens[3:], env, build_code, line)
+                env[tokens[1]] = _run_op(tokens[3:], env, line)
             elif tokens[0] == "result":
-                result = _run_op(tokens[1:], env, build_code, line)
+                result = _run_op(tokens[1:], env, line)
                 env["result"] = result
             elif tokens[0] == "expect":
                 if result is None:
                     raise PipelineError("expect before result")
                 kv = dict(a.partition("=")[::2] for a in tokens[1:])
-                if not set(kv) <= {"size", "type"} or "" in kv.values():
+                if (not set(kv) <= {"size", "type"} or "" in kv.values()
+                        or len(kv) < len(tokens) - 1):
                     raise PipelineError(f"want expect size=N type=T: {line!r}")
                 rep = verify_expectations(
                     result, GdcType.parse(kv["type"]) if "type" in kv else None,
@@ -180,6 +189,6 @@ def run_pipeline_text(text: str, build_code=None) -> Code | Gdc:
     return result
 
 
-def run_pipeline(rel: str, build_code=None) -> Code | Gdc:
+def run_pipeline(rel: str) -> Code | Gdc:
     path = dataio.data_root() / "recipes" / rel
-    return run_pipeline_text(path.read_text(), build_code)
+    return run_pipeline_text(path.read_text())

@@ -153,8 +153,7 @@ def test_criterion_5_end_to_end_pipelines():
     from cccodes.catalog import build_optimal
 
     # (a) TD(4,5) + weighting by 4 + filling with 2^10
-    g = run_pipeline("c22/n80.pipe",
-                     build_code=lambda n, c: build_optimal(n, c))
+    g = run_pipeline("c22/n80.pipe")
     rep = verify_gdc(g, GdcType.parse("2^40"), 1040)
     assert rep.ok and len(g) == 2 * 13 * 40  # 2t(3t+1) at t=13
 

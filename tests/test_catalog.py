@@ -99,9 +99,9 @@ def test_every_recipe_builds_and_verifies():
 
 @pytest.fixture
 def cold_build():
-    catalog._build.cache_clear()
+    catalog.build_optimal.cache_clear()
     yield
-    catalog._build.cache_clear()
+    catalog.build_optimal.cache_clear()
 
 
 def test_build_scans_each_artefact_once(cold_build, monkeypatch):

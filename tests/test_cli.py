@@ -166,7 +166,11 @@ def test_design_verify_pbd_index_two_is_a_data_error(tmp_path, capsys):
     pbd.write_text("kind=pbd\nv=3\nlambda=2\nk=3\nblocks=\n0,1,2\n0,1,2\n")
     status, _ = run(["design", "verify", str(pbd)])
     assert status == 2
-    assert capsys.readouterr().err == "error: only index-1 PBDs read as GDDs\n"
+    assert capsys.readouterr().err == "error: line 3: only index-1 PBDs read as GDDs\n"
+
+
+def test_design_verify_shipped_pbd():
+    assert run(["design", "verify", "pbd-13-4.design"]) == (0, "OK\n")
 
 
 def test_design_verify_malformed_file_names_the_line(tmp_path, capsys):
@@ -194,12 +198,14 @@ def test_search_emit_roundtrip(tmp_path):
     assert status == 0 and "size 9 OK" in out
 
 
-def test_pipeline_build():
-    from cccodes.dataio import data_root
-    status, out = run(["build", "--pipeline",
-                       str(data_root() / "recipes" / "c22" / "n77.pipe")])
-    assert status == 0
-    assert "size 962 OK" in out
+def test_pipeline_build(tmp_path):
+    # The recipe file run as a pipeline and the catalog's recipe for n = 77
+    # emit the same bytes.
+    a, b = tmp_path / "a.code", tmp_path / "b.code"
+    status, out = run(["build", "--pipeline", "c22/n77.pipe", "--emit", str(a)])
+    assert (status, out) == (0, "n 77 size 962 OK\n")
+    assert run(["build", "77", "--emit", str(b)]) == (0, "n 77 size 962 OK\n")
+    assert a.read_bytes() == b.read_bytes()
 
 
 # Run in a fresh interpreter: importing cccodes.cli loads only core, and
@@ -315,6 +321,7 @@ def test_verify_never_ends_in_a_traceback(tmp_path_factory, path, where, token):
 
 
 G10 = "let g = manifest c22/type-2^10.man\n"
+A77 = "let d = dm 19\nlet g = dm2gdc d\nlet c20 = code 20 2,2\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -327,6 +334,12 @@ G10 = "let g = manifest c22/type-2^10.man\n"
     # Names bound to the wrong kind of object.
     "let d = dm 4\nresult fill d 2:empty\n", "let d = dm 4\nresult inflate d 2\n",
     "let c = code 5 2,2\nresult dm2gdc c\n", G10 + "let s = shorten g 0\nresult fill s 2:g\n",
+    # A positional argument or a key that the step does not declare.
+    "let d = dm 4 99\n", "let d = dm 4\nlet g = dm2gdc d frist=1\n",
+    G10 + "result ascode g junk\n",
+    A77 + "result adjoin g y=1 frist=2 code=c20 fill=19:c20\n",
+    A77 + "result adjoin g y=1 first=0 code=c20 fill=19:c20\n",
+    A77 + "result adjoin g y=1 code=c20 fill=19:c20 20:c20\n",
 ])
 def test_pipeline_missing_argument_is_a_data_error(tmp_path, capsys, text):
     pipe = tmp_path / "bad.pipe"

@@ -95,7 +95,7 @@ def test_adjoin_one_point_chain_77():
     assert verify_gdc(g, GdcType.parse("19^4"), 722).ok
     c20 = fill_groups(develop_manifest("c22/type-2^10.man"),
                       {2: empty_code(2, C22)})
-    code = adjoin_points(g, 1, 0, c20, {19: c20})
+    code = adjoin_points(g, 1, c20, {19: c20})
     assert len(code) == 722 + 4 * 60 == 962 == upper_22(77).value
     assert verify_code(code).ok
 
@@ -104,7 +104,7 @@ def test_adjoin_zero_points_equals_fill():
     g = develop_manifest("c22/type-2^10.man")
     empty2 = empty_code(2, C22)
     filled = fill_groups(g, {2: empty2})
-    adjoined = adjoin_points(g, 0, 0, empty2, {2: empty2})
+    adjoined = adjoin_points(g, 0, empty2, {2: empty2})
     assert set(filled.words) == set(adjoined.words)
     assert filled.n == adjoined.n
 
@@ -115,7 +115,7 @@ def test_adjoin_rejects_a_filler_of_another_composition(first, filler):
     g = dm_to_gdc(build_dm(4))  # [2,2], type 4^4
     codes = {"c31": load_code("n5-31.code"), "empty": empty_code(5, C22)}
     with pytest.raises(ConstructionError, match="filler composition mismatch"):
-        adjoin_points(g, 1, 0, codes[first], {4: codes[filler]})
+        adjoin_points(g, 1, codes[first], {4: codes[filler]})
 
 
 def test_shorten_interior_point_relabels():
@@ -151,7 +151,7 @@ def test_shorten_rejects_point_outside_code():
 
 def test_fundamental_uniform_weight_4():
     td = build_td(4, 5)
-    g = fundamental(td, [4] * 20, [dm_to_gdc(build_dm(4))])
+    g = fundamental(td, 4, [dm_to_gdc(build_dm(4))])
     assert verify_gdc(g, GdcType.parse("20^4"), 800).ok
     assert g.code.composition == C22
 
@@ -161,25 +161,25 @@ def test_fundamental_uses_the_later_ingredient_of_a_type():
     real = dm_to_gdc(build_dm(4))
     empty = Gdc(empty_code(16, C22), real.partition)
     assert gdc_type(empty) == gdc_type(real)
-    assert len(fundamental(td, [4] * 20, [empty, real])) == 800
-    assert len(fundamental(td, [4] * 20, [real, empty])) == 0
+    assert len(fundamental(td, 4, [empty, real])) == 800
+    assert len(fundamental(td, 4, [real, empty])) == 0
 
 
 def test_fundamental_rejects_degenerate_weights():
     td = build_td(4, 5)
     with pytest.raises(ConstructionError):
-        fundamental(td, [0] * 20, [])
+        fundamental(td, 0, [])
 
 
 def test_fundamental_missing_ingredient():
     td = build_td(4, 5)
     with pytest.raises(ConstructionError, match="no ingredient"):
-        fundamental(td, [4] * 20, [])
+        fundamental(td, 4, [])
 
 
 def test_full_chain_2x40():
     td = build_td(4, 5)
-    g20 = fundamental(td, [4] * 20, [dm_to_gdc(build_dm(4))])
+    g20 = fundamental(td, 4, [dm_to_gdc(build_dm(4))])
     g = fill_groups(g20, {20: develop_manifest("c22/type-2^10.man")})
     assert verify_gdc(g, GdcType.parse("2^40"), 1040).ok
     assert len(g) == 1040 == upper_22(80).value

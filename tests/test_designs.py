@@ -15,7 +15,6 @@ from cccodes.designs import (
     DifferenceMatrix,
     Gdd,
     GfTable,
-    Pbd,
     RoomFrame,
     SearchExhausted,
     build_dm,
@@ -24,7 +23,6 @@ from cccodes.designs import (
     search_skew_room_frame,
     verify_dm,
     verify_gdd,
-    verify_pbd,
     verify_skew_room_frame,
     write_design_text,
 )
@@ -65,19 +63,6 @@ def test_td_mutation_detected():
     blocks[0] = tuple(b0)
     bad = Gdd(td.n, td.partition, tuple(blocks), td.block_sizes)
     assert not verify_gdd(bad).ok
-
-
-def test_dgdd_verifier_with_holes():
-    # TD(4,4) over GF(4): dropping the a=0 blocks (which are exactly the rows
-    # of constant field value) leaves a 4-DGDD of type (4,1^4)^4.
-    td = build_td(4, 4)
-    holes = GroupPartition.of([[i * 4 + v for i in range(4)] for v in range(4)])
-    kept = tuple(b for b in td.blocks
-                 if len({x % 4 for x in b}) > 1)  # drop constant-value blocks
-    dgdd = Gdd(td.n, td.partition, kept, td.block_sizes)
-    assert len(kept) == 12
-    assert verify_gdd(dgdd, holes=holes).ok
-    assert not verify_gdd(dgdd).ok  # hole pairs are uncovered without holes
 
 
 def test_build_dm_multiplicative_examples():
@@ -169,38 +154,36 @@ def test_srf_search_is_deterministic_oracle():
     assert f.cells == shipped.cells and f.holes == shipped.holes
 
 
+def pbd(v, blocks, sizes):
+    """An index-1 PBD on v points: a GDD over singleton groups."""
+    return Gdd(v, GroupPartition.singletons(v), blocks, frozenset(sizes))
+
+
 def test_pbd_trivial_and_shipped():
-    assert verify_pbd(Pbd(4, ((0, 1, 2, 3),), frozenset({4}), 1)).ok
+    assert verify_gdd(pbd(4, ((0, 1, 2, 3),), {4})).ok
     p = load_design("pbd-13-4.design")
-    assert verify_pbd(p).ok
-    broken = Pbd(13, p.blocks[1:], p.block_sizes, 1)
+    assert verify_gdd(p).ok
+    broken = pbd(13, p.blocks[1:], p.block_sizes)
     a, b, c, d = p.blocks[0]
     pairs = sorted([(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)])
-    assert verify_pbd(broken).violations == tuple(
+    assert verify_gdd(broken).violations == tuple(
         Violation("distance", pair, "covered 0x") for pair in pairs)
 
 
 def test_pbd_repeated_point_is_duplicate():
-    p = Pbd(3, ((0, 1, 2), (0, 0)), frozenset({2, 3}), 1)
-    assert verify_pbd(p).violations == (
+    assert verify_gdd(pbd(3, ((0, 1, 2), (0, 0)), {2, 3})).violations == (
         Violation("duplicate", (1,), "repeated point in block"),)
 
 
 def test_point_outside_the_design_is_reported():
-    p = Pbd(3, ((0, 1, 2), (1, 5)), frozenset({2, 3}), 1)
-    assert verify_pbd(p).violations == (
+    assert verify_gdd(pbd(3, ((0, 1, 2), (1, 5)), {2, 3})).violations == (
         Violation("type-mismatch", (1,), "point 5 outside [0, 3)"),)
-    # With holes the point is not looked up in the hole partition either.
-    g = Gdd(4, GroupPartition.singletons(4),
-            ((0, 2), (0, 3), (1, 2), (1, 3), (0, 7)), frozenset({2}))
-    holes = GroupPartition.of([[0, 1], [2, 3]])
-    assert verify_gdd(g, holes=holes).violations == (
-        Violation("type-mismatch", (4,), "point 7 outside [0, 4)"),)
 
 
 def test_pbd_index_above_one_is_rejected():
-    with pytest.raises(DesignError, match="index-1"):
-        verify_pbd(Pbd(3, ((0, 1, 2), (0, 1, 2)), frozenset({3}), 2))
+    with pytest.raises(DesignError) as err:
+        read_design_text("kind=pbd\nv=3\nk=3\nlambda=2\nblocks=\n0,1,2\n0,1,2\n")
+    assert str(err.value) == "line 4: only index-1 PBDs read as GDDs"
 
 
 def test_shipped_gdd_2x7():
@@ -212,13 +195,11 @@ def test_shipped_gdd_2x7():
 
 
 def test_gdd_pbd_adapters():
+    # A pbd file reads as the GDD over singleton groups, explicit index 1 or not.
     p = load_design("pbd-13-4.design")
-    g = Gdd(p.v, GroupPartition.singletons(p.v), p.blocks, p.block_sizes)
-    assert verify_gdd(g).ok
-    assert verify_pbd(p) == verify_gdd(g)
-    broken = Pbd(p.v, p.blocks[1:], p.block_sizes, 1)
-    assert verify_pbd(broken) == verify_gdd(
-        Gdd(p.v, g.partition, broken.blocks, p.block_sizes))
+    assert p == pbd(13, p.blocks, {4})
+    text = "kind=pbd\nv=4\nk=4\nblocks=\n0,1,2,3\n"
+    assert read_design_text(text) == read_design_text(text.replace("k=4", "k=4\nlambda=1"))
 
 
 SHIPPED = ("dm-4-4.design", "srf-2^5.design", "pbd-13-4.design", "gdd-4-2^7.design")
@@ -230,19 +211,6 @@ def test_design_text_roundtrip():
         again = read_design_text(write_design_text(obj))
         assert type(again) is type(obj)
         assert write_design_text(again) == write_design_text(obj)
-
-
-@pytest.mark.parametrize("holes, message", [
-    ([[0, 1]], "holes: groups do not partition [0, n)"),
-    ([[0, 1], [1, 2, 3]], "holes: groups do not partition [0, n)"),
-    ([[0, 1], [2, 3], []], "holes: empty group in partition"),
-])
-def test_hole_partition_must_cover_the_points(holes, message):
-    g = Gdd(4, GroupPartition.singletons(4), ((0, 2), (0, 3), (1, 2), (1, 3)),
-            frozenset({2}))
-    assert verify_gdd(g, holes=GroupPartition.of([[0, 1], [2, 3]])).ok
-    assert verify_gdd(g, holes=GroupPartition.of(holes)).violations == (
-        Violation("type-mismatch", (), message),)
 
 
 @pytest.mark.parametrize("text, key", [

@@ -147,10 +147,10 @@ def test_closure_under_generator():
         assert all(o.kind != "fixed" for o in m.orbits)
         g = develop(m)
         words = set(g.code.words)
-        image = {m.generator.apply_word(w) for w in words}
+        image = {w.relabel(m.generator.image) for w in words}
         assert image == words
         if m.generator2 is not None:
-            image2 = {m.generator2.apply_word(w) for w in words}
+            image2 = {w.relabel(m.generator2.image) for w in words}
             assert image2 == words
 
 
