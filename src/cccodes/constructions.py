@@ -217,8 +217,7 @@ def fundamental(master: Gdd, w: int, ingredients: Iterable[Gdc]) -> Gdc:
     n = master.n * w
     by_type = {gdc_type(g): g for g in ingredients}
     words: list[Codeword] = []
-    composition: Composition | None = None
-    distance = 6
+    first: Code | None = None  # the first ingredient used; it labels the result
     for block in master.blocks:
         if len(block) < 2:
             continue
@@ -226,19 +225,19 @@ def fundamental(master: Gdd, w: int, ingredients: Iterable[Gdc]) -> Gdc:
         if typ not in by_type:
             raise ConstructionError(f"no ingredient of type {typ}")
         ing = by_type[typ]
-        if composition is None and len(ing.code.words) > 0:
-            composition = ing.code.composition
-            distance = ing.code.distance
+        if first is None:
+            first = ing.code
         mapping = [0] * ing.code.n
         for a, grp in zip(sorted(block), sorted(ing.partition.groups)):
             for slot, x in enumerate(sorted(grp)):
                 mapping[x] = a * w + slot
         words.extend(u.relabel(mapping, n) for u in ing.code.words)
-    if composition is None:
-        composition = Composition((2, 2))
+    if first is None:
+        raise ConstructionError("the master design has no block of two or more points")
     out_groups = [tuple(a * w + slot for a in sorted(grp) for slot in range(w))
                   for grp in master.partition.groups]
-    return Gdc(Code(n, composition, distance, words), GroupPartition.of(out_groups))
+    return Gdc(Code(n, first.composition, first.distance, words),
+               GroupPartition.of(out_groups))
 
 
 def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:

@@ -138,37 +138,53 @@ class Codeword:
     and index range, so two equal words always compare and hash equal.
     """
 
-    __slots__ = ("n", "supports", "_mask_all", "_masks", "_hash")
+    __slots__ = ("n", "supports", "_bits", "_hash")
 
     def __init__(self, supports: Sequence[Iterable[int]], n: int):
-        sup = tuple(tuple(sorted(cls)) for cls in supports)
-        # One pass: a sorted class lies in range when its ends do, repeats a
-        # point when its mask has fewer bits than it has points, and overlaps
-        # an earlier class when its mask meets their union.  An overlap is
-        # raised only once every class has passed its own two checks.
-        masks = []
-        m_all = 0
-        overlap = False
+        sup = tuple([tuple(sorted(cls)) for cls in supports])
+        # A sorted class lies in range when its ends do.  While the union of
+        # the classes so far is as large as their sizes' sum, no class
+        # repeats a point and none overlaps another; otherwise a class whose
+        # set is smaller than it repeats one.  An overlap is raised only once
+        # every class has passed its own two checks.
+        union: set[int] = set()
+        size = 0
         for cls in sup:
             if cls and (cls[0] < 0 or cls[-1] >= n):
                 x = next(x for x in cls if not 0 <= x < n)
                 raise ValueError(f"point {x} outside ambient range [0, {n})")
-            m = 0
-            for x in cls:
-                m |= 1 << x
-            if m.bit_count() != len(cls):
+            union.update(cls)
+            size += len(cls)
+            if len(union) != size and len(set(cls)) != len(cls):
                 raise ValueError(f"repeated point within a symbol class: {cls}")
-            if m & m_all:
-                overlap = True
-            m_all |= m
-            masks.append(m)
-        if overlap:
+        if len(union) != size:
             raise ValueError(f"symbol classes overlap: {sup}")
+        self._init(sup, n)
+
+    def _init(self, sup: tuple[tuple[int, ...], ...], n: int) -> None:
         self.n = n
         self.supports = sup
-        self._masks = tuple(masks)
-        self._mask_all = m_all
+        self._bits = None
         self._hash = hash((n, sup))
+
+    @classmethod
+    def _valid(cls, sup: tuple[tuple[int, ...], ...], n: int) -> "Codeword":
+        # For classes already sorted and known to pass every check of
+        # __init__, such as a valid word's image under a bijection of [0, n).
+        w = cls.__new__(cls)
+        w._init(sup, n)
+        return w
+
+    def _bitmasks(self) -> tuple[tuple[int, ...], int]:
+        # Per symbol, the int with the class's points as bits, and their
+        # union; built on first use, as only hamming_distance reads them.
+        if self._bits is None:
+            masks = tuple(sum(1 << x for x in cls) for cls in self.supports)
+            self._bits = masks, sum(masks)
+        return self._bits
+
+    _masks = property(lambda self: self._bitmasks()[0])
+    _mask_all = property(lambda self: self._bitmasks()[1])
 
     @property
     def weight(self) -> int:
@@ -203,10 +219,8 @@ def hamming_distance(u: Codeword, v: Codeword) -> int:
     """Hamming distance between the implied full vectors."""
     if u.n != v.n:
         raise AmbientLengthError(f"ambient lengths differ: {u.n} != {v.n}")
-    same = 0
-    for j in range(min(len(u._masks), len(v._masks))):
-        same += (u._masks[j] & v._masks[j]).bit_count()
-    return (u._mask_all | v._mask_all).bit_count() - same
+    (mu, au), (mv, av) = u._bitmasks(), v._bitmasks()
+    return (au | av).bit_count() - sum((a & b).bit_count() for a, b in zip(mu, mv))
 
 
 def composition_of(u: Codeword) -> Composition:
@@ -303,13 +317,19 @@ class GroupPartition(_Record):
 
 
 class Gdc:
-    """A code plus a coordinate partition; every word meets each group at most once."""
+    """A code plus a coordinate partition; every word meets each group at most once.
 
-    __slots__ = ("code", "partition")
+    ``symmetry`` is None or a claim (image, lengths) that the words fall, in
+    order, into cycles of a permutation of the points, which
+    :func:`verify_gdc` checks exactly before it relies on it.
+    """
+
+    __slots__ = ("code", "partition", "symmetry")
 
     def __init__(self, code: Code, partition: GroupPartition):
         self.code = code
         self.partition = partition
+        self.symmetry: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def n(self) -> int:
@@ -370,56 +390,56 @@ def _bitset(indices: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[int, int]]:
-    """Yield (i, row) for each word in turn, where bit j of ``row`` is set
-    exactly when j != i and words i and j are equal or lie at Hamming
-    distance below ``distance``.
-
-    This is the one definition of conflicting words, shared by the verifier
-    and the search.  As equal words always conflict, ``distance`` counts as
-    at least 1.  Since d(u, v) = w_u + w_v - overlap - agreements, v
-    conflicts with u exactly when overlap + agreements >= th, where th =
-    w_u + w_v - distance + 1 is taken per weight of v.  As agreements <=
-    overlap, that holds exactly when, for some k with ceil(th/2) <= k <=
-    min(th, w_u), v shares at least k of u's points and agrees with u at
-    at least th - k of them; th <= 0 takes v's whole weight class.  The rows
-    are bit-parallel: over all words, one mask A(x, s) of the words with
-    symbol s at point x, and P(x), the union of the A(x, s).  Walking u's
-    cells (x, s), C[k] |= C[k-1] & P(x) keeps in C[k] the words sharing at
-    least k of u's points, and D[j] |= D[j-1] & A(x, s) in D[j] those
-    agreeing with u at at least j points, so no pair is measured.  Only the
-    masks are held, never all rows.  Raises AmbientLengthError for the
-    first word whose length differs from word 0's.
+def _cells(words: Sequence[Codeword]) -> tuple:
+    """The kernel's masks over all words, built once per scan: per symbol s,
+    A(x, s) for each point x that carries s; P(x), the union of the A(x, s);
+    each word's weight; and (weight, mask) for each weight class.  Raises
+    AmbientLengthError for the first word whose length differs from word 0's.
     """
     for w in words:
         if w.n != words[0].n:
             raise AmbientLengthError(f"ambient lengths differ: {words[0].n} != {w.n}")
-    distance = max(distance, 1)
     nw = len(words)
-    # One pass: per symbol, the words with that symbol at each point, and
-    # each word's weight and the words of each weight.
-    agree: list[dict[int, list[int]]] = []
+    size = (nw + 7) // 8
+    # One pass: per symbol, the bytes of the words with that symbol at each
+    # point, and each word's weight and the words of each weight.
+    a_mask: list[dict] = []
     weight: list[int] = []
     classes: dict[int, list[int]] = {}
     for i, w in enumerate(words):
+        byte, bit = i >> 3, 1 << (i & 7)
         wt = 0
         for s, cls in enumerate(w.supports):
-            if s == len(agree):
-                agree.append({})
-            at = agree[s]
+            if s == len(a_mask):
+                a_mask.append({})
+            at = a_mask[s]
             for x in cls:
-                at.setdefault(x, []).append(i)
+                buf = at.get(x)
+                if buf is None:
+                    buf = at[x] = bytearray(size)
+                buf[byte] |= bit
             wt += len(cls)
         weight.append(wt)
         classes.setdefault(wt, []).append(i)
-    a_mask = [{x: _bitset(ix, nw) for x, ix in at.items()} for at in agree]
+    # Each buffer becomes its int in place, so only one is held twice.
+    for at in a_mask:
+        for x, buf in at.items():
+            at[x] = int.from_bytes(buf, "little")
     p_mask: dict[int, int] = {}
     for masks in a_mask:
         for x, m in masks.items():
             p_mask[x] = p_mask.get(x, 0) | m
     w_mask = [(wv, _bitset(ix, nw)) for wv, ix in classes.items()]
+    return a_mask, p_mask, weight, w_mask
+
+
+def _rows(words: Sequence[Codeword], distance: int, cells: tuple,
+          rows: Iterable[int] | None = None) -> Iterator[tuple[int, int]]:
+    # conflict_rows on masks that _cells built from the same words.
+    a_mask, p_mask, weight, w_mask = cells
+    distance = max(distance, 1)
     plans: dict[int, tuple] = {}
-    for i, u in enumerate(words):
+    for i in range(len(words)) if rows is None else rows:
         wu = weight[i]
         plan = plans.get(wu)
         if plan is None:
@@ -442,7 +462,7 @@ def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[in
         whole, terms, top_c, top_d, up_c, up_d = plan
         row = whole
         if terms:
-            sup = u.supports
+            sup = words[i].supports
             c = [0] * (top_c + 1)
             for p, levels in zip([p_mask[x] for cls in sup for x in cls], up_c):
                 for k in levels:
@@ -467,6 +487,49 @@ def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[in
         yield i, row ^ (1 << i)
 
 
+def conflict_rows(words: Sequence[Codeword], distance: int,
+                  rows: Iterable[int] | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (i, row) for each word i of ``rows`` in turn (by default every
+    word, in order), where bit j of ``row`` is set exactly when j != i and
+    words i and j are equal or lie at Hamming distance below ``distance``.
+
+    This is the one definition of conflicting words, shared by the verifier
+    and the search.  As equal words always conflict, ``distance`` counts as
+    at least 1.  Since d(u, v) = w_u + w_v - overlap - agreements, v
+    conflicts with u exactly when overlap + agreements >= th, where th =
+    w_u + w_v - distance + 1 is taken per weight of v.  As agreements <=
+    overlap, that holds exactly when, for some k with ceil(th/2) <= k <=
+    min(th, w_u), v shares at least k of u's points and agrees with u at
+    at least th - k of them; th <= 0 takes v's whole weight class.  The rows
+    are bit-parallel: over all words, one mask A(x, s) of the words with
+    symbol s at point x, and P(x), the union of the A(x, s).  Walking u's
+    cells (x, s), C[k] |= C[k-1] & P(x) keeps in C[k] the words sharing at
+    least k of u's points, and D[j] |= D[j-1] & A(x, s) in D[j] those
+    agreeing with u at at least j points, so no pair is measured.  Only the
+    masks are held, never all rows.  Raises AmbientLengthError for the
+    first word whose length differs from word 0's.
+    """
+    yield from _rows(words, distance, _cells(words), rows)
+
+
+def _ones(m: int) -> Iterator[int]:
+    # The positions of the set bits of m >= 0, ascending.
+    i = -1
+    while m:
+        low = (m & -m).bit_length()
+        m >>= low
+        i += low
+        yield i
+
+
+def _pairs(words: Sequence[Codeword],
+           rows: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    # The pairs i < j of the given conflict rows, with their distances.
+    for i, row in rows:
+        for j in _ones(row >> i >> 1):
+            yield i, i + 1 + j, hamming_distance(words[i], words[i + 1 + j])
+
+
 def conflict_pairs(words: Sequence[Codeword],
                    distance: int) -> Iterator[tuple[int, int, int]]:
     """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
@@ -474,14 +537,25 @@ def conflict_pairs(words: Sequence[Codeword],
     (i, j) order.  Only these pairs are measured, so a valid code costs no
     distance at all.  Raises AmbientLengthError as :func:`conflict_rows`.
     """
-    for i, row in conflict_rows(words, distance):
-        row >>= i + 1
-        j = i
-        while row:
-            low = (row & -row).bit_length()
-            row >>= low
-            j += low
-            yield i, j, hamming_distance(words[i], words[j])
+    return _pairs(words, conflict_rows(words, distance))
+
+
+def _word_violations(c: Code) -> list[Violation]:
+    # Each word's ambient length and class sizes against the code's.
+    violations = []
+    comp = c.composition.weights
+    for i, w in enumerate(c.words):
+        if w.n != c.n:
+            violations.append(Violation("composition", (i,), f"ambient length {w.n} != {c.n}"))
+        sizes = tuple(map(len, w.supports))
+        if sizes != comp:
+            violations.append(Violation("composition", (i,), str(sizes)))
+    return violations
+
+
+def _pair_violations(c: Code, cells: tuple) -> list[Violation]:
+    return [Violation("distance" if d else "duplicate", (i, j), d)
+            for i, j, d in _pairs(c.words, _rows(c.words, c.distance, cells))]
 
 
 def verify_code(c: Code) -> VerificationReport:
@@ -491,17 +565,8 @@ def verify_code(c: Code) -> VerificationReport:
     (the scan does not stop at the first violation).  Words of different
     ambient lengths cannot be compared and raise AmbientLengthError.
     """
-    violations: list[Violation] = []
-    comp = c.composition.weights
-    for i, w in enumerate(c.words):
-        if w.n != c.n:
-            violations.append(Violation("composition", (i,), f"ambient length {w.n} != {c.n}"))
-        sizes = tuple(map(len, w.supports))
-        if sizes != comp:
-            violations.append(Violation("composition", (i,), str(sizes)))
-    for i, j, d in conflict_pairs(c.words, c.distance):
-        violations.append(Violation("distance" if d else "duplicate", (i, j), d))
-    return VerificationReport(tuple(violations))
+    cells = _cells(c.words)
+    return VerificationReport(tuple(_word_violations(c) + _pair_violations(c, cells)))
 
 
 def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
@@ -519,20 +584,81 @@ def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
     return VerificationReport(tuple(out))
 
 
+def _cycle_starts(g: Gdc, cells: tuple) -> list[int] | None:
+    """The first word of each cycle of ``g.symmetry`` when that claim holds,
+    else None.
+
+    The claim (image, lengths) says that the words fall, in order, into
+    cycles of the given lengths, and that x -> image[x] maps each word of a
+    cycle onto the next one and the last onto the first.  Let pi be that
+    shift of word indices.  The claim holds exactly when image is a
+    permutation of [0, n), the lengths are positive and sum to N, and pi
+    maps A(x, s) onto A(image[x], s) for every point x and symbol s: then
+    word pi(i) carries s at image[x] just when word i carries s at x.
+    """
+    if g.symmetry is None:
+        return None
+    image, lengths = g.symmetry
+    words, n = g.code.words, g.n
+    nw = len(words)
+    if (sorted(image) != list(range(n)) or min(lengths, default=1) < 1
+            or sum(lengths) != nw or nw and words[0].n != n):
+        return None
+    # pi moves each bit up by one, except a cycle's last bit, which moves
+    # down to the cycle's first: one shift per distinct cycle length.
+    starts, ends, i = [], {}, 0
+    for length in lengths:
+        starts.append(i)
+        i += length
+        ends.setdefault(length, []).append(i - 1)
+    down = [(length - 1, _bitset(ix, nw)) for length, ix in ends.items()]
+    up = ((1 << nw) - 1) ^ reduce(or_, (m for _, m in down), 0)
+    for at in cells[0]:
+        for x in range(n):
+            a = at.get(x, 0)
+            moved = (a & up) << 1
+            for k, m in down:
+                moved |= (a & m) >> k
+            if moved != at.get(image[x], 0):
+                return None
+    return starts
+
+
 def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
                expected_size: int | None = None) -> VerificationReport:
-    """verify_code, the group-hit constraint and :func:`verify_expectations`."""
-    violations = list(verify_code(g.code).violations)
+    """verify_code, the group-hit constraint and :func:`verify_expectations`,
+    on one build of the kernel's masks.
+
+    When ``g.symmetry`` holds (see :func:`_cycle_starts`), every pair of
+    words is the image under a power of the generator of a pair that holds
+    a cycle's first word, and distances are preserved, so the scan reads
+    only the first words' conflict rows.  A claim that fails, or any such row
+    that is set, scans every row: the violations are those of the full scan.
+    """
+    code = g.code
+    cells = _cells(code.words)
+    violations = _word_violations(code)
+    starts = _cycle_starts(g, cells)
+    if starts is None or any(row for _, row in _rows(code.words, code.distance, cells, starts)):
+        violations += _pair_violations(code, cells)
     try:
         g.partition.validate(g.n)
     except ValueError as e:
         violations.append(Violation("group-hit", (), str(e)))
         return VerificationReport(tuple(violations))
+    # Per group, ``one`` holds the words meeting it so far and ``two`` those
+    # meeting some group twice.
+    p_mask = cells[1]
+    two = 0
+    for grp in g.partition.groups:
+        one = 0
+        for x in grp:
+            p = p_mask.get(x, 0)
+            two |= one & p
+            one |= p
     gid = g.partition.group_of()
-    for i, w in enumerate(g.code.words):
-        hit = {gid[x] for cls in w.supports for x in cls}
-        if len(hit) == sum(map(len, w.supports)):
-            continue
+    for i in _ones(two):
+        w = code.words[i]
         # A group hit twice: name each repeat in point order.
         seen: dict[int, int] = {}
         for x in w.support():
@@ -549,11 +675,11 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
 # ---------------------------------------------------------------------------
 # Text interchange format
 #
-# Header lines `n=` (1 to 10,000), `composition=`, `distance=`, then an
-# optional `groups=` block (one comma-separated group per line; ends at the
-# first codeword line), then one codeword per line: symbol-1 points, `;`,
-# symbol-2 points.  Each header line appears at most once, before the first
-# codeword line.  `#` starts a comment.
+# Header lines `n=` (1 to 10,000), `composition=`, `distance=` (at most
+# twice the composition's weight), then an optional `groups=` block (one
+# comma-separated group per line; ends at the first codeword line), then one
+# codeword per line: symbol-1 points, `;`, symbol-2 points.  Each header line
+# appears at most once, before the first codeword line.  `#` starts a comment.
 # ---------------------------------------------------------------------------
 
 def write_code_text(obj: Code | Gdc) -> str:
@@ -561,10 +687,8 @@ def write_code_text(obj: Code | Gdc) -> str:
     lines = [f"n={code.n}", f"composition={code.composition}", f"distance={code.distance}"]
     if isinstance(obj, Gdc):
         lines.append("groups=")
-        for grp in obj.partition.groups:
-            lines.append(",".join(str(x) for x in grp))
-    for w in code.words:
-        lines.append(" ; ".join(",".join(str(x) for x in cls) for cls in w.supports))
+        lines += [",".join(map(str, grp)) for grp in obj.partition.groups]
+    lines += [" ; ".join([",".join(map(str, cls)) for cls in w.supports]) for w in code.words]
     return "\n".join(lines) + "\n"
 
 
@@ -601,6 +725,11 @@ def read_code_text(text: str) -> Code | Gdc:
                         raise ValueError(f"text after groups=: {line!r}")
                     else:
                         groups = block = []
+                    # No two words lie further apart than twice the weight,
+                    # so a larger distance would report every pair.
+                    if comp is not None and dist is not None and dist > 2 * comp.weight:
+                        raise ValueError(f"want a distance of at most twice the weight "
+                                         f"({2 * comp.weight}): {line!r}")
                     continue
             if n is None or comp is None or dist is None:
                 raise ValueError(f"codeword line before complete header: {line!r}")

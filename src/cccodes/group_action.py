@@ -251,13 +251,20 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
 
 def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
     """Distinct images of ``base`` under repeated application of ``g``, in
-    generation order, stopping when the base recurs."""
+    generation order, stopping when the base recurs.
+
+    A valid word's image under a bijection of [0, n) is a valid word, so each
+    image is only sorted, not validated again."""
+    image, n = g.image, base.n
+    if len(image) != n:
+        raise ValueError(f"generator on {len(image)} points, word of length {n}")
     out = [base]
-    w = base.relabel(g.image)
-    while w != base:
-        out.append(w)
-        w = w.relabel(g.image)
-    return out
+    sup = base.supports
+    while True:
+        sup = tuple([tuple(sorted([image[x] for x in cls])) for cls in sup])
+        if sup == base.supports:
+            return out
+        out.append(Codeword._valid(sup, n))
 
 
 def _group_orbit(base: Codeword, g1: Permutation, g2: Permutation | None) -> list[Codeword]:
@@ -277,13 +284,19 @@ def develop(m: Manifest) -> Gdc:
     """Union of all declared orbits, in declaration order.
 
     Only builds the words: the declared size and type, and duplicates across
-    orbits, are checked by :func:`cccodes.core.verify_gdc`.  Raises
+    orbits, are checked by :func:`cccodes.core.verify_gdc`.  When every orbit
+    is ``full`` or ``fixed`` under the one generator, the result carries the
+    claim that the generator maps each orbit's words one onto the next (a
+    fixed base onto itself), which the verifier checks before it scans only
+    the orbits' first words.  Raises
     :class:`DevelopmentError` when a short orbit's declared length does not
     divide the base word's full orbit length, a fact about the manifest text
     that no check on the developed code can see.
     """
     words: list[Codeword] = []
+    lengths = []
     for k, decl in enumerate(m.orbits):
+        start = len(words)
         if decl.kind == "fixed":
             words.append(decl.base)
         elif decl.kind == "short":
@@ -298,5 +311,9 @@ def develop(m: Manifest) -> Gdc:
             words.extend(full[:decl.length])
         else:
             words.extend(_group_orbit(decl.base, m.generator, m.generator2))
+        lengths.append(len(words) - start)
     partition = m.partition if m.partition is not None else GroupPartition.singletons(m.n)
-    return Gdc(Code(m.n, m.composition, m.distance, words), partition)
+    g = Gdc(Code(m.n, m.composition, m.distance, words), partition)
+    if m.generator2 is None and all(decl.kind != "short" for decl in m.orbits):
+        g.symmetry = m.generator.image, tuple(lengths)
+    return g

@@ -79,6 +79,8 @@ def _parse_fillers(spec: str, env: dict, comp: Composition, line: str) -> dict:
             raise PipelineError(f"bad filler {item!r}, want SIZE:REF: {line!r}")
         size_s, ref = item.split(":", 1)
         size = int(size_s)
+        if size in fillers:
+            raise PipelineError(f"repeated filler size {size}: {line!r}")
         if ref == "empty":
             fillers[size] = empty_code(size, comp)
         else:

@@ -105,14 +105,15 @@ def cold_build():
 
 
 def test_build_scans_each_artefact_once(cold_build, monkeypatch):
+    # Every scan starts with one build of the kernel's masks.
     scanned = []
-    real = core.conflict_pairs
+    real = core._cells
 
-    def counting(words, distance):
+    def counting(words):
         scanned.append(words)
-        return real(words, distance)
+        return real(words)
 
-    monkeypatch.setattr(core, "conflict_pairs", counting)
+    monkeypatch.setattr(core, "_cells", counting)
     code = build_optimal(23, C22)
     # n23.pipe: the 1-word sub-code `code 5 2,2`, then the 79-word result
     assert sorted(len(words) for words in scanned) == [1, 79]

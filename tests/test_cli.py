@@ -55,6 +55,8 @@ def test_verify_malformed_code_file_names_the_line(tmp_path, capsys):
     ("n=-1\ncomposition=2,2\ndistance=6\n", "line 1: want n in [1, 10000]: 'n=-1'"),
     ("n=5\ncomposition=2,2\ndistance=6\n0,1 ; 2,3\nn=9\n",
      "line 5: header line after a codeword line: 'n=9'"),
+    ("n=10\ncomposition=2,2\ndistance=100\n0,1 ; 2,3\n4,5 ; 6,7\n",
+     "line 3: want a distance of at most twice the weight (8): 'distance=100'"),
 ])
 def test_verify_code_file_with_a_bad_header_is_a_data_error(tmp_path, capsys, text, err):
     bad = tmp_path / "bad.code"

@@ -17,7 +17,7 @@ from cccodes.constructions import (
 from cccodes.core import (Code, Codeword, Composition, Gdc, GdcType,
                           GroupPartition, gdc_type, verify_code, verify_gdc)
 from cccodes.dataio import data_root, develop_manifest, load_code
-from cccodes.designs import RoomFrame, build_dm, build_td, read_design_text
+from cccodes.designs import Gdd, RoomFrame, build_dm, build_td, read_design_text
 
 C22 = Composition((2, 2))
 C31 = Composition((3, 1))
@@ -163,6 +163,20 @@ def test_fundamental_uses_the_later_ingredient_of_a_type():
     assert gdc_type(empty) == gdc_type(real)
     assert len(fundamental(td, 4, [empty, real])) == 800
     assert len(fundamental(td, 4, [real, empty])) == 0
+
+
+def test_fundamental_takes_the_composition_of_an_empty_ingredient():
+    td = build_td(4, 5)
+    real = dm_to_gdc(build_dm(4))
+    empty = Gdc(empty_code(16, C31), real.partition)
+    g = fundamental(td, 4, [empty])
+    assert len(g) == 0 and g.code.composition == C31 and verify_gdc(g).ok
+
+
+def test_fundamental_needs_a_block_to_label_its_result():
+    one_group = Gdd(4, GroupPartition.of([range(4)]), (), frozenset({2}))
+    with pytest.raises(ConstructionError, match="no block of two or more points"):
+        fundamental(one_group, 4, [])
 
 
 def test_fundamental_rejects_degenerate_weights():

@@ -429,6 +429,11 @@ HEAD = "n=5\ncomposition=2,2\ndistance=6\n"
     (HEAD + "groups=\n0,1,2,3,4\n0,1 ; 2,3\ngroups=\n",
      "line 7: header line after a codeword line: 'groups='"),
     (HEAD + "distance=5\n", "line 4: repeated header line: 'distance=5'"),
+    # No two words of weight 4 lie further apart than 8.
+    ("n=5\ncomposition=2,2\ndistance=9\n",
+     "line 3: want a distance of at most twice the weight (8): 'distance=9'"),
+    ("distance=100\nn=5\ncomposition=3,1\n0,1,2 ; 3\n",
+     "line 3: want a distance of at most twice the weight (8): 'composition=3,1'"),
     (HEAD + "groups=\n0,1\ngroups=\n2,3,4\n", "line 6: repeated header line: 'groups='"),
 ])
 def test_code_text_errors_are_typed_and_numbered(text, message):

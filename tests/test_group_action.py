@@ -38,6 +38,13 @@ def test_orbit_full_cycle():
     assert words[1].supports == ((1, 6), (4, 8))
 
 
+def test_orbit_needs_a_generator_on_the_word_s_points():
+    # Images are only sorted, so a generator on other points is refused.
+    m = parse_manifest(MINIMAL)
+    with pytest.raises(ValueError, match="^generator on 20 points, word of length 21$"):
+        orbit(Codeword(((0, 5), (3, 7)), 21), m.generator)
+
+
 def test_orbit_with_fixed_point():
     text = """
 [meta]

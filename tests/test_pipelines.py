@@ -106,6 +106,12 @@ OPS = ("manifest, codefile, code, dm, td, dm2gdc, inflate, fundamental, fill, ad
     ("resolve dm 4\n", "line 1: unparseable pipeline line: 'resolve dm 4'"),
     ("let g = manifest c22/type-2^10.man\nresult fill g 2\n",
      "line 2: bad filler '2', want SIZE:REF: 'result fill g 2'"),
+    # A filler size given twice: the length-5 code does not fill a size-2 group.
+    ("let c5 = code 5 2,2\nlet g = manifest c22/type-2^10.man\nresult fill g 2:c5,2:empty\n",
+     "line 3: repeated filler size 2: 'result fill g 2:c5,2:empty'"),
+    ("let c = codefile n5-22.code\nlet g = manifest c22/type-2^10.man\n"
+     "result adjoin g y=1 code=c fill=2:empty,2:empty\n",
+     "line 3: repeated filler size 2: 'result adjoin g y=1 code=c fill=2:empty,2:empty'"),
     # A name bound to the wrong kind of object.
     ("let d = dm 4\nresult fill d 2:empty\n",
      "line 2: 'd' names a DifferenceMatrix, want Gdc: 'result fill d 2:empty'"),
