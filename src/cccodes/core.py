@@ -435,7 +435,8 @@ def _cells(words: Sequence[Codeword]) -> tuple:
 
 def _rows(words: Sequence[Codeword], distance: int, cells: tuple,
           rows: Iterable[int] | None = None) -> Iterator[tuple[int, int]]:
-    # conflict_rows on masks that _cells built from the same words.
+    # conflict_rows on masks that _cells built from the same words, for the
+    # words of ``rows`` in turn (by default every word, in order).
     a_mask, p_mask, weight, w_mask = cells
     distance = max(distance, 1)
     plans: dict[int, tuple] = {}
@@ -487,11 +488,10 @@ def _rows(words: Sequence[Codeword], distance: int, cells: tuple,
         yield i, row ^ (1 << i)
 
 
-def conflict_rows(words: Sequence[Codeword], distance: int,
-                  rows: Iterable[int] | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (i, row) for each word i of ``rows`` in turn (by default every
-    word, in order), where bit j of ``row`` is set exactly when j != i and
-    words i and j are equal or lie at Hamming distance below ``distance``.
+def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[int, int]]:
+    """Yield (i, row) for each word in turn, where bit j of ``row`` is set
+    exactly when j != i and words i and j are equal or lie at Hamming
+    distance below ``distance``.
 
     This is the one definition of conflicting words, shared by the verifier
     and the search.  As equal words always conflict, ``distance`` counts as
@@ -509,7 +509,7 @@ def conflict_rows(words: Sequence[Codeword], distance: int,
     masks are held, never all rows.  Raises AmbientLengthError for the
     first word whose length differs from word 0's.
     """
-    yield from _rows(words, distance, _cells(words), rows)
+    yield from _rows(words, distance, _cells(words))
 
 
 def _ones(m: int) -> Iterator[int]:
