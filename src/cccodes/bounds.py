@@ -28,9 +28,6 @@ class BoundValue:
     provenance: str  # general | johnson | closed-form-U | per-position
     caveat: str | None = None  # set when the formula carries an asymptotic proviso
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def _norm_tuple(weights: tuple[int, ...]) -> tuple[int, ...]:
     """Drop zero entries and sort non-increasing (neither affects the maximum size)."""

@@ -183,13 +183,6 @@ class Codeword:
             self._bits = masks, sum(masks)
         return self._bits
 
-    _masks = property(lambda self: self._bitmasks()[0])
-    _mask_all = property(lambda self: self._bitmasks()[1])
-
-    @property
-    def weight(self) -> int:
-        return sum(len(cls) for cls in self.supports)
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(x for cls in self.supports for x in cls))
 
@@ -641,11 +634,12 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
     starts = _cycle_starts(g, cells)
     if starts is None or any(row for _, row in _rows(code.words, code.distance, cells, starts)):
         violations += _pair_violations(code, cells)
+    expected = verify_expectations(g, expected_type, expected_size).violations
     try:
         g.partition.validate(g.n)
     except ValueError as e:
         violations.append(Violation("group-hit", (), str(e)))
-        return VerificationReport(tuple(violations))
+        return VerificationReport(tuple(violations) + expected)
     # Per group, ``one`` holds the words meeting it so far and ``two`` those
     # meeting some group twice.
     p_mask = cells[1]
@@ -659,15 +653,18 @@ def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
     gid = g.partition.group_of()
     for i in _ones(two):
         w = code.words[i]
-        # A group hit twice: name each repeat in point order.
+        # A group hit twice: name each repeat in point order.  A point
+        # outside [0, n) is in no group; its word's length is reported apart.
         seen: dict[int, int] = {}
         for x in w.support():
-            k = gid[x]
+            k = gid.get(x)
+            if k is None:
+                continue
             if k in seen:
                 violations.append(Violation("group-hit", (i, k), f"points {seen[k]} and {x}"))
             else:
                 seen[k] = x
-    violations += verify_expectations(g, expected_type, expected_size).violations
+    violations += expected
     violations.sort(key=lambda v: (v.witness, v.kind))
     return VerificationReport(tuple(violations))
 

@@ -283,7 +283,7 @@ def build_dm(g: int) -> DifferenceMatrix:
     if gcd(g, 6) == 1:
         rows = tuple(tuple((i * j) % g for j in range(g)) for i in range(4))
         return DifferenceMatrix(g, 4, rows, (g,))
-    if _is_prime(g) or g in _IRREDUCIBLE:
+    if g in _IRREDUCIBLE:
         gf = GfTable(g)
         rows = tuple(tuple(gf.mul[i][j] for j in range(g)) for i in range(4))
         return DifferenceMatrix(g, 4, rows, gf.moduli)

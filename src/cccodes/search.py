@@ -23,9 +23,11 @@ against this incidence-capacity bound: with candidates P and chosen words R
 
     min over s of  floor( sum over x of min(|P & M(x,s)|, cap - |R & M(x,s)|) / w_s )
 
-words, where M(x,s) is the set of words with symbol s at x.  The bound only
-cuts subtrees that cannot beat the incumbent, so the search finds the same
-witness with fewer nodes; for other parameters it is not used.
+words, where M(x,s), the candidates with symbol s at x, is the kernel's mask
+A(x,s) over the candidates, from the one mask build that gives the graph's
+rows.  The bound only cuts subtrees that cannot beat the incumbent, so the
+search finds the same witness with fewer nodes; for other parameters it is
+not used.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import core
 from .core import Code, Codeword, Composition, conflict_rows
 
 __all__ = [
@@ -65,20 +68,13 @@ def enumerate_codewords(n: int, comp: Composition) -> list[Codeword]:
     (symbol-1 support, symbol-2 support, ...)."""
     if n < comp.weight:
         raise ValueError(f"n={n} smaller than weight {comp.weight}")
-    out: list[Codeword] = []
-
-    def rec(prefix: list[tuple[int, ...]], used: set[int], k: int) -> None:
-        if k == len(comp.weights):
-            out.append(Codeword(tuple(prefix), n))
-            return
-        free = [x for x in range(n) if x not in used]
-        for cls in combinations(free, comp.weights[k]):
-            prefix.append(cls)
-            rec(prefix, used | set(cls), k + 1)
-            prefix.pop()
-
-    rec([], set(), 0)
-    return out
+    # Each class in turn takes every choice of points that the classes before
+    # it left free, so the words come out in lexicographic order.
+    prefixes: list[tuple[tuple[int, ...], ...]] = [()]
+    for k in comp.weights:
+        prefixes = [p + (cls,) for p in prefixes
+                    for cls in combinations(sorted(set(range(n)).difference(*p)), k)]
+    return [Codeword(p, n) for p in prefixes]
 
 
 def compatible(u: Codeword, v: Codeword, d: int) -> bool:
@@ -95,13 +91,14 @@ def _check_deadline(deadline: float | None) -> None:
         raise _BudgetExceeded
 
 
-def _adjacency(words: list[Codeword], d: int,
+def _adjacency(words: list[Codeword], d: int, cells: tuple,
                deadline: float | None = None) -> list[int]:
-    # The complement of the verifier's conflict rows, without self loops; the
-    # deadline is checked at each row.
+    # The complement of the verifier's conflict rows, read off the masks that
+    # core._cells built from the words, without self loops; the deadline is
+    # checked at each row.
     full = (1 << len(words)) - 1
     adj = []
-    for i, row in conflict_rows(words, d):
+    for i, row in core._rows(words, d, cells):
         _check_deadline(deadline)
         adj.append(full & ~(row | 1 << i))
     return adj
@@ -112,36 +109,34 @@ class _CliqueSearch:
     int-bitset adjacency.
 
     ``incidence`` holds, per symbol, its multiplicity w_s and one
-    ``(mask, room)`` cell per point x: the candidates with that symbol at x
-    and how many words other than word 0 the cell may hold.  It is empty
-    when the capacity premise does not hold.
+    ``(mask, room)`` cell per point x where some candidate has it: those
+    candidates and how many words other than word 0 the cell may hold.  It
+    is empty when the capacity premise does not hold.
     """
 
-    def __init__(self, adj: list[int], budget: SearchBudget, start: float,
-                 incidence: list[tuple[int, list[tuple[int, int]]]]):
+    def __init__(self, adj: list[int],
+                 incidence: list[tuple[int, list[tuple[int, int]]]],
+                 max_nodes: int | None, deadline: float | None):
         self.adj = adj
         self.incidence = incidence
-        self.budget = budget
-        self.start = start
+        self.max_nodes = max_nodes
+        self.deadline = deadline
         self.nodes = 0
-        self.best = 0
-        self.best_mask = 0
+        # The incumbent starts as the lexicographic greedy clique, independent
+        # of any catalog data: each vertex in index order joins when it is
+        # adjacent to every vertex already taken.
+        mask = 0
+        for v, row in enumerate(adj):
+            if mask & row == mask:
+                mask |= 1 << v
+        self.best, self.best_mask = mask.bit_count(), mask
 
     def _check_budget(self) -> None:
-        b = self.budget
-        if b.nodes is not None and self.nodes > b.nodes:
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExceeded
-        if b.seconds is not None and self.nodes % 256 == 0:
-            if time.monotonic() - self.start > b.seconds:
-                raise _BudgetExceeded
-
-    def seed(self, mask: int, size: int) -> None:
-        if size > self.best:
-            self.best = size
-            self.best_mask = mask
-
-    def run(self, pmask: int) -> None:
-        self.expand(pmask, 0, 0)
+        if (self.deadline is not None and self.nodes % 256 == 0
+                and time.monotonic() > self.deadline):
+            raise _BudgetExceeded
 
     def expand(self, pmask: int, rmask: int, rsize: int) -> None:
         self.nodes += 1
@@ -191,16 +186,6 @@ class _CliqueSearch:
                 self.expand(newp, nm, nr)
 
 
-def _greedy_clique(adj: list[int]) -> int:
-    # Lexicographic greedy: each vertex in index order joins when it is
-    # adjacent to every vertex already taken.
-    mask = 0
-    for v, row in enumerate(adj):
-        if mask & row == mask:
-            mask |= 1 << v
-    return mask
-
-
 def max_code(n: int, d: int, comp: Composition,
              budget: SearchBudget | None = None) -> SearchOutcome:
     """Exact maximum code size (status "exact") unless the budget runs out,
@@ -209,49 +194,38 @@ def max_code(n: int, d: int, comp: Composition,
     budget = budget or SearchBudget()
     words = enumerate_codewords(n, comp)
     # Symmetry reduction: search only codes through word 0, over its
-    # candidates (the words off its conflict row) in enumeration order.  A
-    # seconds budget is checked after enumeration and at each row of the
-    # graph; if it runs out before the graph exists, word 0 alone is the
-    # witness.
+    # candidates (the words off its conflict row) in enumeration order, on
+    # one build of the kernel's masks over them.  The deadline is checked
+    # after enumeration and at each row of the graph; if it passes before
+    # the graph exists, word 0 alone is the witness.
     deadline = None if budget.seconds is None else t0 + budget.seconds
     try:
         _check_deadline(deadline)
         _, row0 = next(conflict_rows(words, d))
         cand = [u for j, u in enumerate(words[1:], 1) if not row0 >> j & 1]
-        adj = _adjacency(cand, d, deadline)
+        cells = core._cells(cand)
+        adj = _adjacency(cand, d, cells, deadline)
     except _BudgetExceeded:
         return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, words[:1]),
                              0, time.monotonic() - t0)
 
-    # The incidence-capacity cells of the module docstring, indexed like cand.
-    # Word 0 is always chosen, so its own cells start with one word in them.
+    # The incidence-capacity cells are the A(x, s) over cand.  Word 0 is
+    # always chosen, so its own cells start with one word in them.
     incidence: list[tuple[int, list[tuple[int, int]]]] = []
-    w = comp.weight
-    if w >= 2 and d >= 2 * w - 2:
-        cap = (n - 1) // (w - 1)
-        for s, ws in enumerate(comp.weights):
-            masks = [0] * n
-            for i, u in enumerate(cand):
-                for x in u.supports[s]:
-                    masks[x] |= 1 << i
-            first = words[0].supports[s]
-            incidence.append((ws, [(m, cap - (x in first))
-                                   for x, m in enumerate(masks)]))
+    if comp.weight >= 2 and d >= 2 * comp.weight - 2:
+        cap = (n - 1) // (comp.weight - 1)
+        incidence = [(ws, [(m, cap - (x in first)) for x, m in at.items()])
+                     for ws, at, first in zip(comp.weights, cells[0], words[0].supports)]
 
-    searcher = _CliqueSearch(adj, budget, t0, incidence)
-    # Seed the incumbent greedily (independent of any catalog data).
-    g = _greedy_clique(adj)
-    searcher.seed(g, g.bit_count())
+    searcher = _CliqueSearch(adj, incidence, budget.nodes, deadline)
     status = "exact"
     try:
         if cand:
-            searcher.run((1 << len(cand)) - 1)
+            searcher.expand((1 << len(cand)) - 1, 0, 0)
     except _BudgetExceeded:
         status = "lower-bound-only"
 
     # cand follows word 0 in enumeration order, so the witness stays sorted.
-    bm = searcher.best_mask
-    witness = Code(n, comp, d, [words[0]] + [u for i, u in enumerate(cand)
-                                             if (bm >> i) & 1])
+    witness = Code(n, comp, d, [words[0]] + [cand[i] for i in core._ones(searcher.best_mask)])
     return SearchOutcome(status, 1 + searcher.best, witness,
                          searcher.nodes, time.monotonic() - t0)

@@ -130,3 +130,17 @@ def test_corrupt_recipe_file_is_rejected(cold_build, monkeypatch, tmp_path):
     with pytest.raises(ValueError, match=r"^pipeline result fails verification: "
                                          r"1 violation\(s\): duplicate at \(0, 8\): 0$"):
         build_optimal(9, C22)
+
+
+@pytest.mark.parametrize("n, message", [
+    (9, r"^recipe size 1 != exact spectrum value 9$"),
+    (13, r"^recipe size 1 outside spectrum bounds \[21, 26\]$"),
+])
+def test_recipe_of_the_wrong_size_is_refused(cold_build, monkeypatch, tmp_path, n, message):
+    # A one-word code verifies, but its size is neither the exact value at
+    # n = 9 nor inside the open range at n = 13.
+    one = tmp_path / f"n{n}-one.code"
+    one.write_text(f"n={n}\ncomposition=2,2\ndistance=6\n0,1 ; 2,3\n")
+    monkeypatch.setitem(catalog._R22, n, ("witness", str(one), "one word"))
+    with pytest.raises(RecipeError, match=message):
+        build_optimal(n, C22)

@@ -118,6 +118,18 @@ def test_adjoin_rejects_a_filler_of_another_composition(first, filler):
         adjoin_points(g, 1, codes[first], {4: codes[filler]})
 
 
+def test_adjoin_more_than_one_point_needs_grouped_fillers():
+    # With y = 2 each filler must be a GDC of type 1^4 2^1 whose 2-group is
+    # its final two points, which land on the ideal points.
+    g = dm_to_gdc(build_dm(4))  # [2,2], type 4^4
+    first = empty_code(6, C22)
+    with pytest.raises(ConstructionError, match=r"^filler for size 4 must be a GDC of type 1\^4 2\^1$"):
+        adjoin_points(g, 2, first, {4: empty_code(6, C22)})
+    misplaced = Gdc(empty_code(6, C22), GroupPartition.of([[0, 1], [2], [3], [4], [5]]))
+    with pytest.raises(ConstructionError, match="y-group on its final points"):
+        adjoin_points(g, 2, first, {4: misplaced})
+
+
 def test_shorten_interior_point_relabels():
     code = Code(6, C22, 6, [Codeword(((0, 1), (2, 3)), 6),
                             Codeword(((1, 2), (4, 5)), 6),

@@ -125,8 +125,7 @@ def test_codeword_validation_matches_brute_force(case):
         return
     w = Codeword(classes, n)
     masks = tuple(sum(1 << x for x in cls) for cls in w.supports)
-    assert w._masks == masks
-    assert w._mask_all == sum(masks)
+    assert w._bitmasks() == (masks, sum(masks))
     assert w.supports == tuple(tuple(sorted(cls)) for cls in classes)
 
 
@@ -209,6 +208,30 @@ def test_verify_gdc_size_and_type_mismatch():
     kinds = {v.kind for v in rep.violations}
     assert "size-mismatch" in kinds and "type-mismatch" in kinds
     assert verify_gdc(g, expected_type=GdcType.parse("2^4"), expected_size=1).ok
+
+
+def test_verify_gdc_names_group_hits_of_a_word_with_a_point_outside_the_groups():
+    # Point 9 lies in no group: the word's length is reported, its repeat
+    # in group 0 is named, and point 9 is passed over.
+    word = Codeword(((0, 1), (2, 9)), 10)
+    g = Gdc(Code(4, Composition((2, 2)), 6, [word]), GroupPartition.of([[0, 1], [2, 3]]))
+    assert triples(verify_gdc(g).violations) == [
+        ("composition", (0,), "ambient length 10 != 4"),
+        ("group-hit", (0, 0), "points 0 and 1"),
+    ]
+
+
+def test_verify_gdc_keeps_the_expectations_when_the_partition_is_invalid():
+    g = Gdc(Code(4, Composition((2, 2)), 6, [w22(0, 1, 2, 3, n=4)]),
+            GroupPartition.of([[0, 1], [2]]))
+    assert triples(verify_gdc(g, GdcType.parse("1^1 4^1"), expected_size=5).violations) == [
+        ("group-hit", (), "groups do not partition [0, n)"),
+        ("size-mismatch", (), "1 != 5"),
+        ("type-mismatch", (), "1^1 2^1 != 1^1 4^1"),
+    ]
+    assert triples(verify_gdc(g).violations) == [
+        ("group-hit", (), "groups do not partition [0, n)"),
+    ]
 
 
 def triples(violations):

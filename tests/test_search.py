@@ -85,9 +85,10 @@ def test_seconds_budget_is_honoured_during_set_up():
     assert verify_code(out.witness).ok
     # The graph checks its deadline per row and is unchanged by one it meets.
     words = enumerate_codewords(7, C22)
+    cells = core._cells(words)
     with pytest.raises(_BudgetExceeded):
-        _adjacency(words, 6, deadline=0.0)
-    assert _adjacency(words, 6, deadline=math.inf) == _adjacency(words, 6)
+        _adjacency(words, 6, cells, deadline=0.0)
+    assert _adjacency(words, 6, cells, deadline=math.inf) == _adjacency(words, 6, cells)
 
 
 def test_seconds_budget_is_honoured_during_branch_and_bound(monkeypatch):
@@ -115,7 +116,7 @@ def test_compatibility_graph_is_complement_of_conflicts():
     for n, comp in ((7, C22), (7, C31)):
         words = enumerate_codewords(n, comp)
         for d in (5, 6, 7):
-            adj = _adjacency(words, d)
+            adj = _adjacency(words, d, core._cells(words))
             for i, u in enumerate(words):
                 want = 0
                 for j, v in enumerate(words):
@@ -144,6 +145,24 @@ def test_graph_set_up_measures_no_pair_distance(monkeypatch):
     out = max_code(10, 6, C22)
     assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
     assert len(out.witness) == 15
+
+
+def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
+    # Once over all words, for word 0's conflict row, and once over its
+    # candidates, for the graph's rows and the incidence-capacity cells.
+    words = enumerate_codewords(10, C22)
+    n_cand = sum(compatible(words[0], u, 6) for u in words[1:])
+    built = []
+    real = core._cells
+
+    def counting(ws):
+        built.append(len(ws))
+        return real(ws)
+
+    monkeypatch.setattr(core, "_cells", counting)
+    out = max_code(10, 6, C22)
+    assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
+    assert built == [len(words), n_cand]
 
 
 def _graph(words, d):
