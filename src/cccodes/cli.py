@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import (Composition, Gdc, GdcType, read_code_text, verify_code,
-                   verify_gdc, write_code_text)
+from .core import (Composition, Gdc, GdcType, read_code_text, violations,
+                   write_code_text)
 
 
 class CliError(Exception):
@@ -49,32 +49,38 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _head(obj) -> str:
-    # Unvalidated type: a bad partition is a violation that verify_gdc lists.
+    # Unvalidated type: a bad partition is a violation that the verifier lists.
     if isinstance(obj, Gdc):
         typ = GdcType.of_sizes(len(grp) for grp in obj.partition.groups)
         return f"type {typ} size {len(obj)}"
     return f"n {obj.n} size {len(obj)}"
 
 
-def _print_failure(obj, rep) -> int:
-    print(f"{_head(obj)} FAIL")
-    for v in rep.violations:
+def _listed(obj, *expect) -> int:
+    # Each violation is printed as it is found, under one FAIL header: 1 if
+    # there is any, else 0.
+    status = 0
+    for v in violations(obj, *expect):
+        if not status:
+            print(f"{_head(obj)} FAIL")
+            status = 1
         print(f"  {v}")
-    return 1
+    return status
 
 
 def cmd_verify(args) -> int:
     text = _read_text(args.file)
-    if args.file.endswith(".man") or "[orbits]" in text:
+    # A manifest is named *.man or starts, after comments, with a [section].
+    first = next(filter(None, (raw.split("#", 1)[0].strip() for raw in text.splitlines())), "")
+    expect = ()
+    if args.file.endswith(".man") or first.startswith("[") and first.endswith("]"):
         from .group_action import develop, parse_manifest
         m = parse_manifest(text, name=args.file)
-        obj = develop(m)
-        rep = verify_gdc(obj, m.expected_type, m.expected_size)
+        obj, expect = develop(m), (m.expected_type, m.expected_size)
     else:
         obj = read_code_text(text)
-        rep = verify_gdc(obj) if isinstance(obj, Gdc) else verify_code(obj)
-    if not rep.ok:
-        return _print_failure(obj, rep)
+    if _listed(obj, *expect):
+        return 1
     print(f"{_head(obj)} OK")
     return 0
 
@@ -83,9 +89,8 @@ def cmd_develop(args) -> int:
     from .group_action import develop, parse_manifest
     m = parse_manifest(_read_text(args.manifest), name=args.manifest)
     g = develop(m)
-    rep = verify_gdc(g, m.expected_type, m.expected_size)
-    if not rep.ok:
-        return _print_failure(g, rep)
+    if _listed(g, m.expected_type, m.expected_size):
+        return 1
     _emit(write_code_text(g), args.emit)
     if args.emit:
         print(f"{_head(g)} OK -> {args.emit}")
@@ -164,22 +169,19 @@ def cmd_table(args) -> int:
     def cell(e) -> str:
         return str(e.exact) if e.kind == "exact" else f"{e.lo}..{e.hi}"
 
+    # Each composition's row of cells, computed once whatever the format.
+    rows = [(comp, [cell(catalog.spectrum(n, comp)) for n in ns]) for comp in comps]
     if args.format == "csv":
-        print("composition," + ",".join(str(n) for n in ns))
-        for comp in comps:
-            row = [cell(catalog.spectrum(n, comp)) for n in ns]
-            print(f"[{comp}]," + ",".join(row))
+        lines = ["composition," + ",".join(map(str, ns))]
+        lines += [f"[{comp}]," + ",".join(row) for comp, row in rows]
     elif args.format == "md":
-        print("| n | " + " | ".join(str(n) for n in ns) + " |")
-        print("|---" * (len(ns) + 1) + "|")
-        for comp in comps:
-            row = [cell(catalog.spectrum(n, comp)) for n in ns]
-            print(f"| A(n,[{comp}]) | " + " | ".join(row) + " |")
+        lines = ["| n | " + " | ".join(map(str, ns)) + " |", "|---" * (len(ns) + 1) + "|"]
+        lines += [f"| A(n,[{comp}]) | " + " | ".join(row) + " |" for comp, row in rows]
     else:
-        print("n".ljust(12) + " ".join(str(n).rjust(6) for n in ns))
-        for comp in comps:
-            row = [cell(catalog.spectrum(n, comp)).rjust(6) for n in ns]
-            print(f"A(n,[{comp}])".ljust(12) + " ".join(row))
+        lines = ["n".ljust(12) + " ".join(str(n).rjust(6) for n in ns)]
+        lines += [f"A(n,[{comp}])".ljust(12) + " ".join(c.rjust(6) for c in row)
+                  for comp, row in rows]
+    print("\n".join(lines))
     return 0
 
 

@@ -9,7 +9,10 @@ bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
 share.  Walking a word's points, it keeps two counters as masks over all
 words: how many of its points each word shares, and at how many it agrees.
 It measures no pair distance, and :func:`conflict_pairs` measures only the
-pairs that conflict.  The value records (:class:`Composition`,
+pairs that conflict.  The verifier is one generator, :func:`violations`,
+which yields each violation of a code or a GDC as it finds it, by witness
+length, witness and kind; :func:`verify_code` and :func:`verify_gdc` collect
+it into a report.  The value records (:class:`Composition`,
 :class:`Violation`, ...) are plain slotted classes, so importing this module
 loads neither ``dataclasses`` nor ``typing``.
 """
@@ -40,6 +43,7 @@ __all__ = [
     "verify_code",
     "verify_expectations",
     "verify_gdc",
+    "violations",
     "write_code_text",
 ]
 
@@ -289,24 +293,17 @@ class GroupPartition(_Record):
     def singletons(n: int) -> "GroupPartition":
         return GroupPartition(tuple((i,) for i in range(n)))
 
-    def n_points(self) -> int:
-        return sum(len(g) for g in self.groups)
-
     def validate(self, n: int) -> None:
         seen: set[int] = set()
         for g in self.groups:
             if not g:
                 raise ValueError("empty group in partition")
             seen.update(g)
-        if len(seen) != self.n_points() or seen != set(range(n)):
+        if len(seen) != sum(map(len, self.groups)) or seen != set(range(n)):
             raise ValueError("groups do not partition [0, n)")
 
     def group_of(self) -> dict[int, int]:
-        gid = {}
-        for i, g in enumerate(self.groups):
-            for x in g:
-                gid[x] = i
-        return gid
+        return {x: i for i, g in enumerate(self.groups) for x in g}
 
 
 class Gdc:
@@ -314,7 +311,7 @@ class Gdc:
 
     ``symmetry`` is None or a claim (image, lengths) that the words fall, in
     order, into cycles of a permutation of the points, which
-    :func:`verify_gdc` checks exactly before it relies on it.
+    :func:`violations` checks exactly before it relies on it.
     """
 
     __slots__ = ("code", "partition", "symmetry")
@@ -533,35 +530,6 @@ def conflict_pairs(words: Sequence[Codeword],
     return _pairs(words, conflict_rows(words, distance))
 
 
-def _word_violations(c: Code) -> list[Violation]:
-    # Each word's ambient length and class sizes against the code's.
-    violations = []
-    comp = c.composition.weights
-    for i, w in enumerate(c.words):
-        if w.n != c.n:
-            violations.append(Violation("composition", (i,), f"ambient length {w.n} != {c.n}"))
-        sizes = tuple(map(len, w.supports))
-        if sizes != comp:
-            violations.append(Violation("composition", (i,), str(sizes)))
-    return violations
-
-
-def _pair_violations(c: Code, cells: tuple) -> list[Violation]:
-    return [Violation("distance" if d else "duplicate", (i, j), d)
-            for i, j, d in _pairs(c.words, _rows(c.words, c.distance, cells))]
-
-
-def verify_code(c: Code) -> VerificationReport:
-    """Exhaustively check composition, length and all pairwise distances.
-
-    Failures are report entries, never exceptions; the report is complete
-    (the scan does not stop at the first violation).  Words of different
-    ambient lengths cannot be compared and raise AmbientLengthError.
-    """
-    cells = _cells(c.words)
-    return VerificationReport(tuple(_word_violations(c) + _pair_violations(c, cells)))
-
-
 def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
                         expected_size: int | None = None) -> VerificationReport:
     """Size and type of ``obj`` against those that a manifest or a pipeline
@@ -577,9 +545,9 @@ def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
     return VerificationReport(tuple(out))
 
 
-def _cycle_starts(g: Gdc, cells: tuple) -> list[int] | None:
+def _cycle_starts(g: Code | Gdc, cells: tuple) -> list[int] | None:
     """The first word of each cycle of ``g.symmetry`` when that claim holds,
-    else None.
+    else None (a plain code makes no claim).
 
     The claim (image, lengths) says that the words fall, in order, into
     cycles of the given lengths, and that x -> image[x] maps each word of a
@@ -589,7 +557,7 @@ def _cycle_starts(g: Gdc, cells: tuple) -> list[int] | None:
     maps A(x, s) onto A(image[x], s) for every point x and symbol s: then
     word pi(i) carries s at image[x] just when word i carries s at x.
     """
-    if g.symmetry is None:
+    if getattr(g, "symmetry", None) is None:
         return None
     image, lengths = g.symmetry
     words, n = g.code.words, g.n
@@ -617,56 +585,85 @@ def _cycle_starts(g: Gdc, cells: tuple) -> list[int] | None:
     return starts
 
 
-def verify_gdc(g: Gdc, expected_type: GdcType | None = None,
-               expected_size: int | None = None) -> VerificationReport:
-    """verify_code, the group-hit constraint and :func:`verify_expectations`,
-    on one build of the kernel's masks.
+def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
+               expected_size: int | None = None) -> Iterator[Violation]:
+    """Yield every violation of a code or a GDC, as found, on one build of
+    the kernel's masks, ordered by witness length, then witness, then kind:
+    an invalid partition and :func:`verify_expectations` (witness ``()``);
+    each word's length and class sizes, in word order; then, a row at a
+    time, the conflicting pairs (i, j > i), measured, and the group hits
+    (i, k) of word i.  Only one row's entries are held; the first ``next``
+    raises AmbientLengthError for words of different ambient lengths.
 
-    When ``g.symmetry`` holds (see :func:`_cycle_starts`), every pair of
-    words is the image under a power of the generator of a pair that holds
-    a cycle's first word, and distances are preserved, so the scan reads
-    only the first words' conflict rows.  A claim that fails, or any such row
-    that is set, scans every row: the violations are those of the full scan.
+    When a GDC's ``symmetry`` holds (see :func:`_cycle_starts`), every pair
+    of words is the image under a power of the generator of a pair that
+    holds a cycle's first word, and distances are preserved, so the scan
+    reads only those words' rows.  A claim that fails, or any such row that
+    is set, scans every row, as a plain code always does.
     """
-    code = g.code
-    cells = _cells(code.words)
-    violations = _word_violations(code)
-    starts = _cycle_starts(g, cells)
-    if starts is None or any(row for _, row in _rows(code.words, code.distance, cells, starts)):
-        violations += _pair_violations(code, cells)
-    expected = verify_expectations(g, expected_type, expected_size).violations
-    try:
-        g.partition.validate(g.n)
-    except ValueError as e:
-        violations.append(Violation("group-hit", (), str(e)))
-        return VerificationReport(tuple(violations) + expected)
+    code = obj.as_code()
+    words = code.words
+    cells = _cells(words)
+    part = obj.partition if isinstance(obj, Gdc) else None
+    if part is not None:
+        try:
+            part.validate(code.n)
+        except ValueError as e:
+            part = None
+            yield Violation("group-hit", (), str(e))
+    yield from verify_expectations(obj, expected_type, expected_size).violations
+    comp = code.composition.weights
+    for i, w in enumerate(words):
+        if w.n != code.n:
+            yield Violation("composition", (i,), f"ambient length {w.n} != {code.n}")
+        sizes = tuple(map(len, w.supports))
+        if sizes != comp:
+            yield Violation("composition", (i,), str(sizes))
     # Per group, ``one`` holds the words meeting it so far and ``two`` those
     # meeting some group twice.
-    p_mask = cells[1]
     two = 0
-    for grp in g.partition.groups:
+    for grp in () if part is None else part.groups:
         one = 0
         for x in grp:
-            p = p_mask.get(x, 0)
+            p = cells[1].get(x, 0)
             two |= one & p
             one |= p
-    gid = g.partition.group_of()
-    for i in _ones(two):
-        w = code.words[i]
-        # A group hit twice: name each repeat in point order.  A point
-        # outside [0, n) is in no group; its word's length is reported apart.
-        seen: dict[int, int] = {}
-        for x in w.support():
-            k = gid.get(x)
-            if k is None:
-                continue
-            if k in seen:
-                violations.append(Violation("group-hit", (i, k), f"points {seen[k]} and {x}"))
-            else:
-                seen[k] = x
-    violations += expected
-    violations.sort(key=lambda v: (v.witness, v.kind))
-    return VerificationReport(tuple(violations))
+    hits = set(_ones(two))
+    gid = part.group_of() if hits else {}
+    starts = _cycle_starts(obj, cells)
+    if starts is None or any(row for _, row in _rows(words, code.distance, cells, starts)):
+        rows = _rows(words, code.distance, cells)
+    else:
+        rows = ((i, 0) for i in _ones(two))
+    for i, row in rows:
+        # A clear row of a word with no group hit costs no allocation.
+        if not row and i not in hits:
+            continue
+        found = [Violation("distance" if d else "duplicate", (i, j), d)
+                 for _, j, d in _pairs(words, ((i, row),))]
+        if i in hits:
+            # Name each repeat of a group in point order.  A point outside
+            # [0, n) is in no group; its word's length is reported apart.
+            seen: dict[int, int] = {}
+            for x in words[i].support():
+                k = gid.get(x)
+                if k in seen:
+                    found.append(Violation("group-hit", (i, k), f"points {seen[k]} and {x}"))
+                elif k is not None:
+                    seen[k] = x
+            found.sort(key=lambda v: (v.witness, v.kind))
+        yield from found
+
+
+def verify_code(c: Code) -> VerificationReport:
+    """Every violation of a code: composition, length and pair distances."""
+    return VerificationReport(tuple(violations(c)))
+
+
+def verify_gdc(g: Code | Gdc, expected_type: GdcType | None = None,
+               expected_size: int | None = None) -> VerificationReport:
+    """Every violation of a GDC or a code, the expectations included."""
+    return VerificationReport(tuple(violations(g, expected_type, expected_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +729,9 @@ def read_code_text(text: str) -> Code | Gdc:
                 raise ValueError(f"codeword line before complete header: {line!r}")
             if ";" in line:
                 block = None
-                words.append(Codeword(
-                    [[int(x) for x in part.split(",") if x and not x.isspace()]
-                     for part in line.split(";")], n))
+                # A class of blank text is empty; an empty item is a fault.
+                words.append(Codeword([[int(x) for x in part.split(",")] if part.strip() else []
+                                       for part in line.split(";")], n))
             elif block is not None:
                 block.append(tuple(int(x) for x in line.split(",")))
             else:

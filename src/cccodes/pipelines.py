@@ -26,7 +26,7 @@ every recipe through this runner, so its codes are certified here too.
 from __future__ import annotations
 
 from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
-                   verify_code, verify_expectations, verify_gdc)
+                   verify_expectations, verify_gdc)
 from .constructions import (adjoin_points, dm_to_gdc, empty_code, fill_groups,
                             fundamental, inflate, shorten)
 from .designs import DifferenceMatrix, Gdd, build_dm, build_td
@@ -185,7 +185,7 @@ def run_pipeline_text(text: str) -> Code | Gdc:
             raise PipelineError(f"line {lineno}: {e}") from None
     if result is None:
         raise PipelineError("pipeline has no result step")
-    rep = verify_gdc(result) if isinstance(result, Gdc) else verify_code(result)
+    rep = verify_gdc(result)
     if not rep.ok:
         raise PipelineError(f"pipeline result fails verification: {rep.summary()}")
     return result

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cccodes
 from cccodes.cli import main
-from cccodes.dataio import iter_manifest_paths
+from cccodes.dataio import data_root, iter_manifest_paths
 
 
 def run(argv):
@@ -24,6 +24,9 @@ def run(argv):
     with redirect_stdout(buf):
         status = main(argv)
     return status, buf.getvalue()
+
+
+MANIFEST_G10 = (data_root() / "manifests" / "c22" / "type-2^10.man").read_text()
 
 
 def test_verify_manifest_ok():
@@ -368,6 +371,48 @@ def test_verify_code_with_a_bad_group_partition_lists_it(tmp_path, capsys):
     assert out == ("type 1^1 2^1 size 1 FAIL\n"
                    "  group-hit at (): groups do not partition [0, n)\n")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, text, want", [
+    # A code file that mentions a section in a comment stays a code file.
+    ("n4.code", "n=4\ncomposition=2,2\ndistance=6\n# words listed as in [orbits]\n0,1 ; 2,3\n",
+     "n 4 size 1 OK\n"),
+    # A file whose first line that is not a comment is a [section] header is
+    # a manifest, whatever its name.
+    ("g10.txt", "# a manifest\n\n" + MANIFEST_G10, "type 2^10 size 60 OK\n"),
+])
+def test_verify_reads_a_manifest_by_its_name_or_first_line(tmp_path, name, text, want):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["verify", str(path)]) == (0, want)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("type-2^10.man", None),
+    ("bad.man", ("0,8 ; 14,19", "0,8 ; 14,18")),
+    ("good.code", None),
+    ("bad.code", ("0,5 ; 3,7\n", "0,5 ; 3,7\n0,5 ; 3,8\n")),
+])
+def test_verify_builds_the_kernel_masks_once(tmp_path, monkeypatch, name, edit):
+    # Valid or not, manifest or code file: one build of the kernel's masks.
+    from cccodes import core
+    builds = []
+    real = core._cells
+
+    def counting(words):
+        builds.append(len(words))
+        return real(words)
+
+    text = MANIFEST_G10
+    if name.endswith(".code"):
+        status, text = run(["develop", "c22/type-2^10.man"])
+        assert status == 0
+    path = tmp_path / name
+    path.write_text(text.replace(*edit) if edit else text)
+    monkeypatch.setattr(core, "_cells", counting)
+    status, out = run(["verify", str(path)])
+    assert status == (1 if "bad" in name else 0)
+    assert len(builds) == 1 and out.splitlines()[0].endswith("FAIL" if status else "OK")
 
 
 BUILD_USAGE = "design build wants: td <k> <m> | dm <g> | srf <t> <u>"

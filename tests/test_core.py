@@ -27,7 +27,9 @@ from cccodes.core import (
     hamming_distance,
     read_code_text,
     verify_code,
+    verify_expectations,
     verify_gdc,
+    violations,
     write_code_text,
 )
 
@@ -394,6 +396,82 @@ def test_verify_gdc_matches_brute_force_on_a_corrupted_development(rel, seed):
     assert {v.kind for v in got} == {"distance", "duplicate", "group-hit"}
 
 
+def _one_order(v):
+    # The verifier's order: witness length, then witness, then kind.
+    return len(v.witness), v.witness, v.kind
+
+
+def _mixed_faults(rel, seed):
+    # A shipped development with seeded faults of every kind: points moved to
+    # free points (some into a group the word already meets), a point moved
+    # between classes in two words, and a duplicated word.
+    from cccodes.dataio import develop_manifest
+    g = develop_manifest(rel)
+    rng = random.Random(seed)
+    words = list(g.code.words)
+    for move in range(6):
+        i = rng.randrange(len(words))
+        w = words[i]
+        x, z = rng.sample(w.support(), 2)
+        free = [p for p in range(g.n) if p not in w.support()]
+        if move % 2 == 0:
+            free = [p for p in free if any(z in grp and p in grp for grp in g.partition.groups)]
+        y = rng.choice(free)
+        words[i] = Codeword([[y if p == x else p for p in cls] for cls in w.supports], g.n)
+    for i in rng.sample(range(len(words)), 2):
+        a, b = words[i].supports
+        words[i] = Codeword([a + b[:1], b[1:]], g.n)
+    words.append(words[rng.randrange(len(words))])
+    return Gdc(Code(g.n, g.code.composition, g.code.distance, words), g.partition)
+
+
+@pytest.mark.parametrize("rel, seed", [("c22/type-2^10.man", 4), ("c31/type-3^7.man", 5)])
+def test_one_stream_in_one_order_for_report_and_cli(rel, seed, tmp_path):
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    from cccodes.cli import main
+    bad = _mixed_faults(rel, seed)
+    expect = GdcType.parse("1^1"), len(bad) + 1
+    words, comp = bad.code.words, bad.code.composition.weights
+    want = list(verify_expectations(bad, *expect).violations)
+    want += [Violation("composition", (i,), str(tuple(map(len, w.supports))))
+             for i, w in enumerate(words) if tuple(map(len, w.supports)) != comp]
+    want += _pair_scan_python(words, bad.code.distance) + _group_hits(bad)
+    want.sort(key=_one_order)
+    got = list(violations(bad, *expect))
+    assert got == list(verify_gdc(bad, *expect).violations)
+    assert triples(got) == triples(want)
+    assert {v.kind for v in got} == {"size-mismatch", "type-mismatch", "composition",
+                                     "distance", "duplicate", "group-hit"}
+    # ccc verify prints the same stream, in the same order, under its header.
+    path = tmp_path / "bad.code"
+    path.write_text(write_code_text(bad))
+    with redirect_stdout(StringIO()) as out:
+        assert main(["verify", str(path)]) == 1
+    head, *lines = out.getvalue().splitlines()
+    assert head.endswith(f" size {len(bad)} FAIL")
+    assert lines == [f"  {v}" for v in violations(bad)]
+
+
+def test_the_first_violation_reads_one_conflict_row(monkeypatch):
+    from cccodes import core
+    from cccodes.dataio import develop_manifest
+    code = develop_manifest("c22/code-n13.man").as_code()
+    rows = []
+    real = core._rows
+
+    def counting(*args):
+        for i, row in real(*args):
+            rows.append(i)
+            yield i, row
+
+    monkeypatch.setattr(core, "_rows", counting)
+    twin = Code(13, code.composition, 6, [*code.words, code.words[0]])
+    assert next(violations(twin)) == Violation("duplicate", (0, 21), 0)
+    assert rows == [0]
+
+
 def test_relabeling_one_word_breaks_the_21_word_code():
     # swapping two coordinate labels inside a single word of a tight code
     # must surface as a distance violation
@@ -432,6 +510,10 @@ HEAD = "n=5\ncomposition=2,2\ndistance=6\n"
 
 @pytest.mark.parametrize("text, message", [
     (HEAD + "0,1 ; 2,x\n", "line 4: invalid literal for int() with base 10: 'x'"),
+    # An empty item is a fault, wherever it lies in the class.
+    (HEAD + "0,,1 ; 2,3\n", "line 4: invalid literal for int() with base 10: ''"),
+    (HEAD + "0,1, ; 2,3\n", "line 4: invalid literal for int() with base 10: ' '"),
+    (HEAD + ",0,1 ; 2,3\n", "line 4: invalid literal for int() with base 10: ''"),
     (HEAD + "0,1 ; 2,9\n", "line 4: point 9 outside ambient range [0, 5)"),
     (HEAD + "0,1 ; 1,2\n", "line 4: symbol classes overlap: ((0, 1), (1, 2))"),
     (HEAD + "0,1 ; 2,3\nhello\n", "line 5: unparseable line: 'hello'"),
@@ -463,6 +545,11 @@ def test_code_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(CodeTextError) as e:
         read_code_text(text)
     assert str(e.value) == message
+
+
+def test_code_text_class_of_blank_text_is_empty():
+    c = read_code_text(HEAD + "0,1 ; \n ; 2,3\n")
+    assert [w.supports for w in c.words] == [((0, 1), ()), ((), (2, 3))]
 
 
 def test_code_text_accepts_n_up_to_the_bound():
