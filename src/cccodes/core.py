@@ -1,8 +1,9 @@
 """Core data model for ternary constant-composition codes and group divisible codes.
 
-Points are dense integers in [0, n).  A codeword is stored as one support set
-per nonzero symbol; the implied vector has symbol j+1 on ``supports[j]`` and 0
-elsewhere.  All types are immutable after construction and safe to share.
+Points are dense integers in [0, n).  A codeword is its length and its
+supports, one sorted set per nonzero symbol (symbol j+1 on ``supports[j]``, 0
+elsewhere); two words differ at w_u + w_v - overlap - agreements points.  All
+types are immutable after construction and safe to share.
 
 Conflicting words (equal, or closer than the declared distance) come from one
 bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
@@ -136,13 +137,13 @@ class Composition(_Record):
 
 
 class Codeword:
-    """A sparse ternary (or general q-ary) word: one sorted support per symbol.
+    """A sparse q-ary word, nothing but its length ``n`` and one sorted support per symbol.
 
     Construction canonicalizes (sorts each class) and validates disjointness
     and index range, so two equal words always compare and hash equal.
     """
 
-    __slots__ = ("n", "supports", "_bits", "_hash")
+    __slots__ = ("n", "supports")
 
     def __init__(self, supports: Sequence[Iterable[int]], n: int):
         sup = tuple([tuple(sorted(cls)) for cls in supports])
@@ -163,29 +164,17 @@ class Codeword:
                 raise ValueError(f"repeated point within a symbol class: {cls}")
         if len(union) != size:
             raise ValueError(f"symbol classes overlap: {sup}")
-        self._init(sup, n)
-
-    def _init(self, sup: tuple[tuple[int, ...], ...], n: int) -> None:
         self.n = n
         self.supports = sup
-        self._bits = None
-        self._hash = hash((n, sup))
 
     @classmethod
     def _valid(cls, sup: tuple[tuple[int, ...], ...], n: int) -> "Codeword":
         # For classes already sorted and known to pass every check of
         # __init__, such as a valid word's image under a bijection of [0, n).
         w = cls.__new__(cls)
-        w._init(sup, n)
+        w.n = n
+        w.supports = sup
         return w
-
-    def _bitmasks(self) -> tuple[tuple[int, ...], int]:
-        # Per symbol, the int with the class's points as bits, and their
-        # union; built on first use, as only hamming_distance reads them.
-        if self._bits is None:
-            masks = tuple(sum(1 << x for x in cls) for cls in self.supports)
-            self._bits = masks, sum(masks)
-        return self._bits
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(x for cls in self.supports for x in cls))
@@ -205,7 +194,7 @@ class Codeword:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.supports))
 
     def __repr__(self) -> str:
         inner = " ; ".join(",".join(str(x) for x in cls) for cls in self.supports)
@@ -213,11 +202,13 @@ class Codeword:
 
 
 def hamming_distance(u: Codeword, v: Codeword) -> int:
-    """Hamming distance between the implied full vectors."""
+    """Hamming distance of the implied full vectors: w_u + w_v - overlap - agreements."""
     if u.n != v.n:
         raise AmbientLengthError(f"ambient lengths differ: {u.n} != {v.n}")
-    (mu, au), (mv, av) = u._bitmasks(), v._bitmasks()
-    return (au | av).bit_count() - sum((a & b).bit_count() for a, b in zip(mu, mv))
+    symbol = {x: s for s, cls in enumerate(u.supports) for x in cls}
+    # For each point that both words carry, whether their symbols agree there.
+    shared = [symbol[x] == s for s, cls in enumerate(v.supports) for x in cls if x in symbol]
+    return len(symbol) + sum(map(len, v.supports)) - len(shared) - sum(shared)
 
 
 def composition_of(u: Codeword) -> Composition:
@@ -351,14 +342,16 @@ class GdcType(_Record):
 
     @staticmethod
     def parse(text: str) -> "GdcType":
-        sizes: list[int] = []
+        """Read ``g^u`` factors and bare sizes ``g`` (one group each); a
+        size or count below 1 is a ValueError."""
+        counts: dict[int, int] = {}
         for part in text.split():
-            if "^" in part:
-                base, exp = part.split("^")
-                sizes.extend([int(base)] * int(exp))
-            else:
-                sizes.append(int(part))
-        return GdcType.of_sizes(sizes)
+            base, caret, exp = part.partition("^")
+            size, count = int(base), int(exp) if caret else 1
+            if size < 1 or count < 1:
+                raise ValueError(f"want group sizes and counts of at least 1: {part!r}")
+            counts[size] = counts.get(size, 0) + count
+        return GdcType(tuple(sorted(counts.items())))
 
     def total_points(self) -> int:
         return sum(s * m for s, m in self.factors)

@@ -527,8 +527,9 @@ _FIELDS = {
 def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
     """Parse the design file format.  Every fault raises DesignError; the
     message of a fault on a line starts with ``line N: `` (1-based).  A
-    header or section that the file's kind does not have is a fault.  A pbd
-    file reads as a Gdd over singleton groups, and only with index 1."""
+    header or section that repeats, or that the file's kind does not have, is
+    a fault.  A pbd file reads as a Gdd over singleton groups, and only with
+    index 1."""
     header: dict[str, tuple[int, str]] = {}
     body: dict[str, list[tuple[int, str]]] = {}
     starts: dict[str, int] = {}
@@ -539,11 +540,15 @@ def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
             continue
         if line.endswith("="):
             section = line[:-1]
+            if section in body:
+                raise DesignError(f"line {lineno}: repeated section {section}=")
             body[section] = []
             starts[section] = lineno
         elif "=" in line and section is None:
-            k, v = line.split("=", 1)
-            header[k.strip()] = (lineno, v.strip())
+            k, v = map(str.strip, line.split("=", 1))
+            if k in header:
+                raise DesignError(f"line {lineno}: repeated header {k}=")
+            header[k] = (lineno, v)
         elif section is None:
             raise DesignError(f"line {lineno}: content before any section: {line!r}")
         else:

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from collections.abc import Iterator
+from itertools import combinations, islice
 
 from . import core
 from .core import Code, Codeword, Composition, conflict_rows
@@ -66,15 +67,26 @@ class SearchOutcome:
 def enumerate_codewords(n: int, comp: Composition) -> list[Codeword]:
     """All canonical codewords of the given composition, lexicographic by
     (symbol-1 support, symbol-2 support, ...)."""
+    return list(_codewords(n, comp))
+
+
+def _codewords(n: int, comp: Composition) -> Iterator[Codeword]:
+    # The words of enumerate_codewords, one at a time.  Each class in turn
+    # takes every choice of points that the classes before it left free, so
+    # the words come out in lexicographic order, and as each class is sorted
+    # and disjoint from the others, each word is valid as built.
     if n < comp.weight:
         raise ValueError(f"n={n} smaller than weight {comp.weight}")
-    # Each class in turn takes every choice of points that the classes before
-    # it left free, so the words come out in lexicographic order.
-    prefixes: list[tuple[tuple[int, ...], ...]] = [()]
-    for k in comp.weights:
-        prefixes = [p + (cls,) for p in prefixes
-                    for cls in combinations(sorted(set(range(n)).difference(*p)), k)]
-    return [Codeword(p, n) for p in prefixes]
+
+    def extend(prefix: tuple, free: list[int], ks: tuple[int, ...]) -> Iterator[Codeword]:
+        more = ks[1:]
+        for cls in combinations(free, ks[0]):
+            if more:
+                yield from extend(prefix + (cls,), [x for x in free if x not in cls], more)
+            else:
+                yield Codeword._valid(prefix + (cls,), n)
+
+    return extend((), list(range(n)), comp.weights)
 
 
 def compatible(u: Codeword, v: Codeword, d: int) -> bool:
@@ -192,18 +204,27 @@ def max_code(n: int, d: int, comp: Composition,
     in which case the best witness found so far is returned."""
     t0 = time.monotonic()
     budget = budget or SearchBudget()
-    words = enumerate_codewords(n, comp)
     # Symmetry reduction: search only codes through word 0, over its
     # candidates (the words off its conflict row) in enumeration order, on
     # one build of the kernel's masks over them.  The deadline is checked
-    # after enumeration and at each row of the graph; if it passes before
-    # the graph exists, word 0 alone is the witness.
+    # every 4,096 words of the enumeration, after each of the two mask
+    # builds and at each row of the graph; if it passes before the graph
+    # exists, word 0 alone is the witness.
     deadline = None if budget.seconds is None else t0 + budget.seconds
+    words: list[Codeword] = []
     try:
+        gen = _codewords(n, comp)
+        while chunk := list(islice(gen, 4096)):
+            words += chunk
+            _check_deadline(deadline)
+        cells = core._cells(words)
         _check_deadline(deadline)
-        _, row0 = next(conflict_rows(words, d))
-        cand = [u for j, u in enumerate(words[1:], 1) if not row0 >> j & 1]
+        _, row0 = next(core._rows(words, d, cells))
+        # Row 0's bits, read once: bit j is character j.
+        bits = format(row0, f"0{len(words)}b")[::-1]
+        cand = [u for u, bit in zip(words[1:], bits[1:]) if bit == "0"]
         cells = core._cells(cand)
+        _check_deadline(deadline)
         adj = _adjacency(cand, d, cells, deadline)
     except _BudgetExceeded:
         return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, words[:1]),

@@ -70,6 +70,49 @@ def test_hamming_length_mismatch():
         hamming_distance(w22(0, 5, 3, 7, n=20), w22(0, 5, 3, 7, n=21))
 
 
+def _full_vector(w: Codeword) -> list[int]:
+    vec = [0] * w.n
+    for s, cls in enumerate(w.supports):
+        for x in cls:
+            vec[x] = s + 1
+    return vec
+
+
+@st.composite
+def _word_pairs(draw):
+    # Two valid words of one length, each of any class count and sizes: a
+    # shuffled [0, n) cut at sorted ends, the rest of it left at 0.
+    n = draw(st.integers(1, 12))
+
+    def word():
+        points = draw(st.permutations(range(n)))
+        ends = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+        return Codeword([points[a:b] for a, b in zip([0] + ends, ends)], n)
+
+    return word(), word()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_pairs())
+def test_hamming_distance_matches_the_full_vectors(pair):
+    u, v = pair
+    want = sum(a != b for a, b in zip(_full_vector(u), _full_vector(v)))
+    assert hamming_distance(u, v) == hamming_distance(v, u) == want
+
+
+def test_a_word_hashes_as_its_length_and_supports():
+    from cccodes.group_action import Permutation, orbit
+
+    shift = Permutation([(x + 1) % 20 for x in range(20)])
+    images = orbit(w22(0, 5, 3, 7), shift)
+    assert len(images) == 20
+    for k, w in enumerate(images):
+        built = Codeword([reversed(cls) for cls in w.supports], w.n)
+        relabeled = w22(0, 5, 3, 7).relabel([(x + k) % 20 for x in range(20)])
+        assert w == built == relabeled
+        assert hash(w) == hash(built) == hash(relabeled) == hash((w.n, w.supports))
+
+
 def test_composition_of():
     assert composition_of(w22(0, 5, 3, 7)).weights == (2, 2)
     assert composition_of(Codeword(((2, 5, 0), (7,)), 10)).weights == (3, 1)
@@ -126,8 +169,6 @@ def test_codeword_validation_matches_brute_force(case):
         assert str(e.value) == fault
         return
     w = Codeword(classes, n)
-    masks = tuple(sum(1 << x for x in cls) for cls in w.supports)
-    assert w._bitmasks() == (masks, sum(masks))
     assert w.supports == tuple(tuple(sorted(cls)) for cls in classes)
 
 

@@ -252,6 +252,12 @@ def test_missing_header_key_is_a_design_error(text, key):
      "line 2: header n= is not part of a roomframe file"),
     ("kind=dm\ng=2\nk=2\nrows=\n0,0\n0,1\nblocks=\n0,1\n",
      "line 7: section blocks= is not part of a dm file"),
+    ("kind=pbd\nv=4\nv=7\nk=4\nblocks=\n0,1,2,3\n", "line 3: repeated header v="),
+    ("kind=pbd\nkind = pbd\nv=4\nk=4\nblocks=\n0,1,2,3\n", "line 2: repeated header kind="),
+    ("kind=pbd\nv=4\nk=4\nblocks=\n0,1,2,3\nblocks=\n0,1,2,3\n",
+     "line 6: repeated section blocks="),
+    ("kind=gdd\nn=2\nk=2\ngroups=\n0\nblocks=\n0,1\ngroups=\n1\n",
+     "line 8: repeated section groups="),
 ])
 def test_design_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(DesignError) as err:

@@ -254,6 +254,16 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
      f"line 5: want {META}: 'expected_sise = 61'"),
     (edit(("distance = 6", "")), "line 2: meta must declare composition and distance"),
     (edit(("= 6", "= six")), "line 4: invalid literal for int() with base 10: 'six'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = 2^-1 3^7")),
+     "line 5: want group sizes and counts of at least 1: '2^-1'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = 3^7 2^0")),
+     "line 5: want group sizes and counts of at least 1: '2^0'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = 0^3")),
+     "line 5: want group sizes and counts of at least 1: '0^3'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = -2^3")),
+     "line 5: want group sizes and counts of at least 1: '-2^3'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = 2 0")),
+     "line 5: want group sizes and counts of at least 1: '0'"),
     (edit(("2,2", "2,0")), "line 3: composition entries must be positive: (2, 0)"),
     # [classes]
     (edit(("plain 20", "plain")), f"line 6: want {CLASSES}: 'plain'"),

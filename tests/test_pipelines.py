@@ -104,6 +104,17 @@ OPS = ("manifest, codefile, code, dm, td, dm2gdc, inflate, fundamental, fill, ad
     (MANIFEST + "expect size=61 size=60\n",
      "line 2: want expect size=N type=T: 'expect size=61 size=60'"),
     ("resolve dm 4\n", "line 1: unparseable pipeline line: 'resolve dm 4'"),
+    # A group size or count below 1 in an expected type.
+    (MANIFEST + "expect type=2^0\n",
+     "line 2: want group sizes and counts of at least 1: '2^0'"),
+    (MANIFEST + "expect type=0^10\n",
+     "line 2: want group sizes and counts of at least 1: '0^10'"),
+    (MANIFEST + "expect size=60 type=-2^10\n",
+     "line 2: want group sizes and counts of at least 1: '-2^10'"),
+    # A count is not expanded into a list of sizes.
+    (MANIFEST + "expect type=2^1000000000000\n",
+     "line 2: pipeline verify failed: 1 violation(s): type-mismatch at (): "
+     "2^10 != 2^1000000000000"),
     ("let g = manifest c22/type-2^10.man\nresult fill g 2\n",
      "line 2: bad filler '2', want SIZE:REF: 'result fill g 2'"),
     # A filler size given twice: the length-5 code does not fill a size-2 group.

@@ -1,7 +1,9 @@
 """Exact-search oracle: enumeration, small exact values, budgets, witnesses."""
 
+import itertools
 import math
 import sys
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -163,6 +165,45 @@ def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
     out = max_code(10, 6, C22)
     assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
     assert built == [len(words), n_cand]
+
+
+def test_the_budget_is_read_during_enumeration(monkeypatch):
+    # A fake clock that reads the enumeration's progress, so no wall-clock
+    # time is asserted: it passes the deadline once 1,000 point choices have
+    # been drawn, long before all 11,040 of n = 16 [2,2] are.
+    first = enumerate_codewords(16, C22)[0]
+    drawn = [0]
+
+    def counted(points, k):
+        for cls in itertools.combinations(points, k):
+            drawn[0] += 1
+            yield cls
+
+    monkeypatch.setattr(search, "combinations", counted)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: drawn[0]))
+    out = max_code(16, 6, C22, SearchBudget(seconds=1000))
+    assert (out.status, out.size, out.nodes) == ("lower-bound-only", 1, 0)
+    assert out.witness.words == (first,)
+    assert drawn[0] < 120 + 120 * 91
+
+
+def test_the_budget_is_read_after_each_mask_build(monkeypatch):
+    # The fake clock passes the deadline during the first mask build, so the
+    # second one, over word 0's candidates, is never made.
+    now = [0]
+    built = []
+    real = core._cells
+
+    def building(ws):
+        built.append(len(ws))
+        now[0] = 2
+        return real(ws)
+
+    monkeypatch.setattr(core, "_cells", building)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    out = max_code(10, 6, C22, SearchBudget(seconds=1))
+    assert (out.status, out.size, out.nodes) == ("lower-bound-only", 1, 0)
+    assert built == [len(enumerate_codewords(10, C22))]
 
 
 def _graph(words, d):
