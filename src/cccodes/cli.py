@@ -12,8 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import (Composition, Gdc, GdcType, read_code_text, violations,
-                   write_code_text)
+from .core import Composition, Gdc, read_code_text, violations, write_code_text
 
 
 class CliError(Exception):
@@ -51,8 +50,7 @@ def _emit(text: str, out: str | None) -> None:
 def _head(obj) -> str:
     # Unvalidated type: a bad partition is a violation that the verifier lists.
     if isinstance(obj, Gdc):
-        typ = GdcType.of_sizes(len(grp) for grp in obj.partition.groups)
-        return f"type {typ} size {len(obj)}"
+        return f"type {obj.partition.type()} size {len(obj)}"
     return f"n {obj.n} size {len(obj)}"
 
 

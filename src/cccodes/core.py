@@ -296,6 +296,11 @@ class GroupPartition(_Record):
     def group_of(self) -> dict[int, int]:
         return {x: i for i, g in enumerate(self.groups) for x in g}
 
+    def type(self) -> "GdcType":
+        """The multiset of group sizes, whether or not the groups partition
+        [0, n): :func:`gdc_type` validates first."""
+        return GdcType.of_sizes(map(len, self.groups))
+
 
 class Gdc:
     """A code plus a coordinate partition; every word meets each group at most once.
@@ -324,7 +329,7 @@ class Gdc:
         return self.code
 
     def __repr__(self) -> str:
-        return f"Gdc({self.code!r}, type={gdc_type(self)})"
+        return f"Gdc({self.code!r}, type={self.partition.type()})"
 
 
 class GdcType(_Record):
@@ -362,7 +367,7 @@ class GdcType(_Record):
 
 def gdc_type(g: Gdc) -> GdcType:
     g.partition.validate(g.n)
-    return GdcType.of_sizes(len(grp) for grp in g.partition.groups)
+    return g.partition.type()
 
 
 def _bitset(indices: Iterable[int], size: int) -> int:
@@ -531,8 +536,7 @@ def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
     if expected_size is not None and len(obj) != expected_size:
         out.append(Violation("size-mismatch", (), f"{len(obj)} != {expected_size}"))
     if expected_type is not None:
-        actual = (GdcType.of_sizes(len(grp) for grp in obj.partition.groups)
-                  if isinstance(obj, Gdc) else "a plain code")
+        actual = obj.partition.type() if isinstance(obj, Gdc) else "a plain code"
         if actual != expected_type:
             out.append(Violation("type-mismatch", (), f"{actual} != {expected_type}"))
     return VerificationReport(tuple(out))

@@ -522,14 +522,16 @@ _FIELDS = {
     "dm": ({"kind", "g", "k", "moduli"}, {"rows"}),
     "roomframe": ({"kind"}, {"holes", "cells"}),
 }
+_HEADERS = set().union(*(keys for keys, _ in _FIELDS.values()))
 
 
 def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
     """Parse the design file format.  Every fault raises DesignError; the
     message of a fault on a line starts with ``line N: `` (1-based).  A
     header or section that repeats, or that the file's kind does not have, is
-    a fault.  A pbd file reads as a Gdd over singleton groups, and only with
-    index 1."""
+    a fault.  A line ``NAME=`` opens a section unless NAME is a header of
+    some kind, so ``k=`` is a header with an empty value.  A pbd file reads
+    as a Gdd over singleton groups, and only with index 1."""
     header: dict[str, tuple[int, str]] = {}
     body: dict[str, list[tuple[int, str]]] = {}
     starts: dict[str, int] = {}
@@ -538,7 +540,7 @@ def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.endswith("="):
+        if line.endswith("=") and line[:-1].strip() not in _HEADERS:
             section = line[:-1]
             if section in body:
                 raise DesignError(f"line {lineno}: repeated section {section}=")

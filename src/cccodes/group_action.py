@@ -1,8 +1,8 @@
-"""Development of base codewords under a permutation group.
+"""Development of base codewords under the cyclic group of one permutation.
 
 A manifest describes a point set built from labeled classes, one generator
-permutation (optionally two commuting ones for product actions), a group
-partition, and base codewords with orbit declarations.  Developing a manifest
+permutation g, a group partition, and base codewords, each developed as its
+whole orbit under g or as a true truncation of it.  Developing a manifest
 produces a group divisible code whose size is the exact sum of the declared
 orbit lengths: words are never deduplicated, because transcription bugs show
 up precisely as collapsed or colliding orbits, which the verifier then reports
@@ -24,18 +24,16 @@ a message that starts ``line N: ``::
     ring 12 x 3              # labels x_0, x_1, x_2 with x in Z_12
     inf 2                    # fixed labels inf0, inf1 (a single one: inf)
     [generator]              # omitted = the identity
-    shift 1 on c0            # x -> x+1 (mod m) inside class c0 (and any more)
-    [generator2]             # optional second commuting generator
-    rotate c0 c1 c2          # x_c0 -> x_c1 -> x_c2 -> x_c0
+    shift 1 on c0            # x -> x+1 (mod m) inside class c0 (and any more);
+                             # each class is shifted at most once
     [groups]                 # omitted = all singletons
     coset 10 on c0           # {i, i+10, ...} inside class c0 (1 <= S <= its size)
     coset 6 across c0 c1 c2  # {x : x = i mod 6} over the listed classes
     whole c1 c2              # one group: all points of the listed classes
     singletons c0
     [orbits]
-    full: 0,5 ; 3,7
-    short 6: 0_0,6_0 ; 0_1,6_1
-    fixed: 0,8,16 ; inf
+    full: 0,5 ; 3,7          # the word's whole orbit under the generator
+    short 4: 0,6 ; 1,7       # its first 4 words: a proper divisor of 20
 """
 
 from __future__ import annotations
@@ -62,7 +60,8 @@ class ManifestError(ValueError):
 
 
 class DevelopmentError(ValueError):
-    """A short orbit whose declared length does not divide its full orbit."""
+    """A short orbit whose declared length is not a proper divisor of its
+    full orbit's length."""
 
 
 class Permutation:
@@ -80,8 +79,8 @@ class Permutation:
 @dataclass(frozen=True)
 class OrbitDecl:
     base: Codeword
-    kind: str  # "full" | "short" | "fixed"
-    length: int | None = None  # declared length for short (truncated) orbits
+    kind: str  # "full" | "short"
+    length: int | None = None  # declared length of a short (truncated) orbit
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ class Manifest:
     composition: Composition
     distance: int
     generator: Permutation
-    generator2: Permutation | None
     partition: GroupPartition | None
     orbits: tuple[OrbitDecl, ...]
     expected_size: int | None
@@ -98,7 +96,7 @@ class Manifest:
     name: str = ""
 
 
-_SECTIONS = ("meta", "classes", "generator", "generator2", "groups", "orbits")
+_SECTIONS = ("meta", "classes", "generator", "groups", "orbits")
 _META = {"composition": Composition.parse, "distance": int,
          "expected_size": int, "expected_type": GdcType.parse}
 
@@ -180,28 +178,20 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                         raise ValueError(f"duplicate label {label!r}")
                     labels[label] = x
 
-        generators = []
-        for key in ("generator", "generator2"):
-            image = list(range(n))
-            for lineno, line in sections.get(key, ()):
-                op, *args = line.split()
-                if op == "shift" and len(args) >= 3 and args[1] == "on":
-                    for c in (classes[ref] for ref in args[2:]):
-                        if c in fixed:
-                            raise ValueError("cannot shift an inf class")
-                        k = int(args[0]) % len(c)
-                        image[c.start:c.stop] = [*c[k:], *c[:k]]
-                elif op == "rotate" and args:
-                    cs = [classes[ref] for ref in args]
-                    if len({len(c) for c in cs}) != 1:
-                        raise ValueError("rotate requires classes of equal size")
-                    for a, b in zip(cs, cs[1:] + cs[:1]):
-                        image[a.start:a.stop] = b
-                else:
-                    raise ValueError(f"want shift S on cK ... or rotate cK ...: {line!r}")
-            lineno = heads.get(key)
-            generators.append(Permutation(image)
-                              if key in heads or key == "generator" else None)
+        image, shifted = list(range(n)), set()
+        for lineno, line in sections.get("generator", ()):
+            op, *args = line.split()
+            if op != "shift" or len(args) < 3 or args[1] != "on":
+                raise ValueError(f"want shift S on cK ...: {line!r}")
+            for ref in args[2:]:
+                c = classes[ref]
+                if c in fixed:
+                    raise ValueError("cannot shift an inf class")
+                if ref in shifted:
+                    raise ValueError(f"class {ref} is shifted twice: {line!r}")
+                shifted.add(ref)
+                k = int(args[0]) % len(c)
+                image[c.start:c.stop] = [*c[k:], *c[:k]]
 
         partition = None
         if "groups" in heads:
@@ -233,9 +223,9 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
         for lineno, line in sections["orbits"]:
             head, colon, body = line.partition(":")
             kind, _, length = head.strip().partition(" ")
-            if not colon or kind not in ("full", "short", "fixed") or (
+            if not colon or kind not in ("full", "short") or (
                     (kind == "short") != (length.isdecimal() and int(length) > 0)):
-                raise ValueError(f"want full: WORD, short L: WORD or fixed: WORD: {line!r}")
+                raise ValueError(f"want full: WORD or short L: WORD: {line!r}")
             word = Codeword([[labels[tok.strip()] for tok in part.split(",")]
                              for part in body.split(";")], n)
             if tuple(map(len, word.supports)) != meta["composition"].weights:
@@ -244,7 +234,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
     except ValueError as e:
         raise ManifestError(str(e) if lineno is None else f"line {lineno}: {e}") from None
     return Manifest(n=n, composition=meta["composition"], distance=meta["distance"],
-                    generator=generators[0], generator2=generators[1], partition=partition,
+                    generator=Permutation(image), partition=partition,
                     orbits=tuple(orbits), expected_size=meta["expected_size"],
                     expected_type=meta["expected_type"], name=name)
 
@@ -267,53 +257,32 @@ def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
         out.append(Codeword._valid(sup, n))
 
 
-def _group_orbit(base: Codeword, g1: Permutation, g2: Permutation | None) -> list[Codeword]:
-    if g2 is None:
-        return orbit(base, g1)
-    out: list[Codeword] = []
-    seen: set[Codeword] = set()
-    for w2 in orbit(base, g2):
-        for w in orbit(w2, g1):
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-    return out
-
-
 def develop(m: Manifest) -> Gdc:
-    """Union of all declared orbits, in declaration order.
+    """Union of all declared orbits, in declaration order: each base word's
+    orbit under the generator, a short one cut to its first L words.
 
     Only builds the words: the declared size and type, and duplicates across
     orbits, are checked by :func:`cccodes.core.verify_gdc`.  When every orbit
-    is ``full`` or ``fixed`` under the one generator, the result carries the
-    claim that the generator maps each orbit's words one onto the next (a
-    fixed base onto itself), which the verifier checks before it scans only
-    the orbits' first words.  Raises
-    :class:`DevelopmentError` when a short orbit's declared length does not
-    divide the base word's full orbit length, a fact about the manifest text
-    that no check on the developed code can see.
+    is ``full``, the result carries the claim that the generator maps each
+    orbit's words one onto the next, which the verifier checks before it
+    scans only the orbits' first words.  Raises :class:`DevelopmentError`
+    when a short orbit's length is not a proper divisor of its full orbit's,
+    a fact about the manifest text that no check on the developed code sees.
     """
     words: list[Codeword] = []
     lengths = []
     for k, decl in enumerate(m.orbits):
-        start = len(words)
-        if decl.kind == "fixed":
-            words.append(decl.base)
-        elif decl.kind == "short":
-            # Truncated development: the first L images of the base, where L
-            # divides the full orbit length (so consecutive truncated orbits
-            # tile the full orbit).
-            full = orbit(decl.base, m.generator)
-            if len(full) % decl.length != 0:
-                raise DevelopmentError(
-                    f"{m.name}: short orbit {k} declares length {decl.length} "
-                    f"which does not divide the full orbit length {len(full)}")
-            words.extend(full[:decl.length])
-        else:
-            words.extend(_group_orbit(decl.base, m.generator, m.generator2))
-        lengths.append(len(words) - start)
+        cycle = orbit(decl.base, m.generator)
+        length = len(cycle) if decl.length is None else decl.length
+        # Truncations of one length can tile the orbit, never repeat it.
+        if len(cycle) % length or decl.length == len(cycle):
+            raise DevelopmentError(
+                f"{m.name}: short orbit {k} declares length {length} which does not "
+                f"divide the full orbit length {len(cycle)} into shorter orbits")
+        words += cycle[:length]
+        lengths.append(length)
     partition = m.partition if m.partition is not None else GroupPartition.singletons(m.n)
     g = Gdc(Code(m.n, m.composition, m.distance, words), partition)
-    if m.generator2 is None and all(decl.kind != "short" for decl in m.orbits):
+    if all(decl.length is None for decl in m.orbits):
         g.symmetry = m.generator.image, tuple(lengths)
     return g

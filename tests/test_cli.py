@@ -259,8 +259,7 @@ def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):
                    "[generator]\nshift\n[orbits]\nfull: 0,5 ; 3,7\n")
     status, _ = run(["verify", str(man)])
     assert status == 2
-    assert capsys.readouterr().err == ("error: line 7: want shift S on cK ... or "
-                                       "rotate cK ...: 'shift'\n")
+    assert capsys.readouterr().err == "error: line 7: want shift S on cK ...: 'shift'\n"
 
 
 def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
@@ -290,7 +289,7 @@ def test_verify_manifest_with_a_wrong_declared_size_lists_it(tmp_path, capsys):
      "error: line 5: want one of composition, distance, expected_size, expected_type = VALUE: "
      "'expected_sise = 60'\n"),
     ("[groups]", "[group]", 2, "error: line 11: want one of [meta], [classes], [generator], "
-     "[generator2], [groups], [orbits], each at most once: '[group]'\n"),
+     "[groups], [orbits], each at most once: '[group]'\n"),
     ("0,4 ; 1,13", "0,4 ; 1,x", 2, "error: line 15: unknown label 'x'\n"),
 ])
 def test_verify_mutated_manifest_exits_1_or_2_without_a_traceback(tmp_path, old, new,

@@ -172,6 +172,16 @@ def test_codeword_validation_matches_brute_force(case):
     assert w.supports == tuple(tuple(sorted(cls)) for cls in classes)
 
 
+def test_repr_of_a_gdc_prints_the_type_of_groups_that_do_not_partition():
+    # Point 1 lies in two groups and point 3 in none: the verifier lists that,
+    # and repr still prints the group sizes.
+    g = read_code_text("n=4\ncomposition=2,2\ndistance=6\ngroups=\n0,1\n1,2\n0,1 ; 2,3\n")
+    assert repr(g) == "Gdc(Code(n=4, comp=[2,2], d=6, size=1), type=2^2)"
+    with pytest.raises(ValueError, match="^groups do not partition"):
+        gdc_type(g)
+    assert "groups do not partition [0, n)" in verify_gdc(g).summary()
+
+
 def test_value_records_compare_hash_and_print_by_value_and_stay_frozen():
     c = Composition((2, 2))
     assert repr(c) == "Composition(weights=(2, 2))"

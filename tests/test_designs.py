@@ -258,6 +258,10 @@ def test_missing_header_key_is_a_design_error(text, key):
      "line 6: repeated section blocks="),
     ("kind=gdd\nn=2\nk=2\ngroups=\n0\nblocks=\n0,1\ngroups=\n1\n",
      "line 8: repeated section groups="),
+    ("kind=pbd\nv=4\nk=\nblocks=\n0,1,2,3\n",
+     "line 3: invalid literal for int() with base 10: ''"),
+    ("kind=gdd\nn =\nk=2\ngroups=\n0\n1\nblocks=\n0,1\n",
+     "line 2: invalid literal for int() with base 10: ''"),
 ])
 def test_design_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(DesignError) as err:

@@ -1,12 +1,13 @@
 """Manifest parsing and orbit development."""
 
+import hashlib
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cccodes.core import Codeword, GdcType, Violation, gdc_type, verify_gdc
+from cccodes.core import Codeword, GdcType, Violation, gdc_type, verify_gdc, write_code_text
 from cccodes.dataio import develop_manifest, iter_manifest_paths, load_manifest
 from cccodes.group_action import (
     DevelopmentError,
@@ -135,11 +136,13 @@ def test_develop_n17_code_with_infinity():
     assert g.n == 17
 
 
-def test_develop_product_group_n25():
+def test_develop_product_group_n25_with_one_generator():
+    # Z5 x Z5 written as 20 orbits of length 5 under its first factor.
     m = load_manifest("c22/code-n25.man")
-    assert m.generator2 is not None
     g = develop(m)
-    assert len(g) == 100  # 4 orbits x 25 under the product action
+    assert len(g) == 100 and len(m.orbits) == 20
+    assert g.symmetry == (m.generator.image, (5,) * 20)
+    assert verify_gdc(g, m.expected_type, m.expected_size).ok
 
 
 def test_short_orbit_truncation():
@@ -148,17 +151,14 @@ def test_short_orbit_truncation():
 
 
 def test_closure_under_generator():
-    # develop(m) is closed under the group for manifests without fixed words
+    # develop(m) is closed under the generator for manifests of full orbits
     for rel in ["c22/type-2^10.man", "c31/type-9^4.man", "c22/code-n25.man"]:
         m = load_manifest(rel)
-        assert all(o.kind != "fixed" for o in m.orbits)
+        assert all(o.kind == "full" for o in m.orbits)
         g = develop(m)
         words = set(g.code.words)
         image = {w.relabel(m.generator.image) for w in words}
         assert image == words
-        if m.generator2 is not None:
-            image2 = {w.relabel(m.generator2.image) for w in words}
-            assert image2 == words
 
 
 def test_size_is_sum_of_orbit_lengths():
@@ -206,6 +206,27 @@ short 5: 0,6 ; 1,7
         develop(parse_manifest(text.replace("short 5", "short 24")))
 
 
+def test_a_short_orbit_of_the_full_orbit_length_is_refused():
+    # Written full, the orbit keeps the development's symmetry claim.
+    assert develop(parse_manifest(MINIMAL)).symmetry is not None
+    with pytest.raises(DevelopmentError, match="^: short orbit 0 declares length 20 which "
+                       "does not divide the full orbit length 20 into shorter orbits$"):
+        develop(parse_manifest(MINIMAL.replace("full:", "short 20:")))
+
+
+# One SHA-256 over the written development of every shipped manifest, in
+# path order: a rewrite of the manifests must not change a byte.
+DEVELOPMENTS_SHA256 = "9aa9e5b6bef6836f91c7c5d284262c70eb1514c2f599cf5f62ac544ff31e63d8"
+
+
+def test_shipped_developments_are_byte_identical():
+    digest = hashlib.sha256()
+    paths = iter_manifest_paths()
+    for path in paths:
+        digest.update(write_code_text(develop(load_manifest(path))).encode())
+    assert (len(paths), digest.hexdigest()) == (126, DEVELOPMENTS_SHA256)
+
+
 def test_expected_size_mismatch_is_error():
     text = MINIMAL.replace("distance = 6", "distance = 6\nexpected_size = 21")
     assert verify_declared(text) == (Violation("size-mismatch", (), "20 != 21"),)
@@ -230,13 +251,12 @@ def edit(*pairs):
     return text
 
 
-SECTIONS = ("one of [meta], [classes], [generator], [generator2], [groups], [orbits], "
-            "each at most once")
+SECTIONS = "one of [meta], [classes], [generator], [groups], [orbits], each at most once"
 META = "one of composition, distance, expected_size, expected_type = VALUE"
 CLASSES = "plain M, ring M x K or inf K with M, K >= 1"
-GENERATOR = "shift S on cK ... or rotate cK ..."
+GENERATOR = "shift S on cK ..."
 GROUPS = "coset S on cK, coset S across cK ..., whole cK ... or singletons cK ..."
-ORBITS = "full: WORD, short L: WORD or fixed: WORD"
+ORBITS = "full: WORD or short L: WORD"
 GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
 
 
@@ -280,10 +300,12 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
     (edit(("on c0", "on c1")), "line 8: unknown class 'c1'"),
     (edit(("plain 20", "plain 20\ninf 2"), ("on c0", "on c1")),
      "line 9: cannot shift an inf class"),
-    (edit(("plain 20", "plain 20\nplain 2"), ("shift 1 on c0", "rotate c0 c1")),
-     "line 9: rotate requires classes of equal size"),
-    (edit(("plain 20", "ring 4 x 3"), ("shift 1 on c0", "rotate c0 c1 c2\nshift 1 on c0"),
-          ("0,5 ; 3,7", "0_0,1_0 ; 0_1,1_1")), "line 7: generator is not a bijection"),
+    (edit(("shift 1 on c0", "shift 1 on c0\n[generator2]\nshift 1 on c0")),
+     f"line 9: want {SECTIONS}: '[generator2]'"),
+    (edit(("shift 1 on c0", "rotate c0")), f"line 8: want {GENERATOR}: 'rotate c0'"),
+    (edit(("shift 1 on c0", "shift 1 on c0\nshift 2 on c0")),
+     "line 9: class c0 is shifted twice: 'shift 2 on c0'"),
+    (edit(("on c0", "on c0 c0")), "line 8: class c0 is shifted twice: 'shift 1 on c0 c0'"),
     # [groups]
     (edit(GROUPS_AT_9, ("[orbits]", "coset 5\n[orbits]")), f"line 10: want {GROUPS}: 'coset 5'"),
     (edit(GROUPS_AT_9, ("[orbits]", "list 0,1\n[orbits]")), f"line 10: want {GROUPS}: 'list 0,1'"),
@@ -305,6 +327,7 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
     (edit(("full:", "full")), f"line 10: want {ORBITS}: 'full 0,5 ; 3,7'"),
     (edit(("full:", "short x:")), f"line 10: want {ORBITS}: 'short x: 0,5 ; 3,7'"),
     (edit(("full:", "short 2 5:")), f"line 10: want {ORBITS}: 'short 2 5: 0,5 ; 3,7'"),
+    (edit(("full:", "fixed:")), f"line 10: want {ORBITS}: 'fixed: 0,5 ; 3,7'"),
     (edit(("0,5 ; 3,7", "0,5,3 ; 7")),
      "line 10: codeword arity does not match composition: 'full: 0,5,3 ; 7'"),
     (edit(("0,5 ; 3,7", "0,20 ; 3,7")), "line 10: unknown label '20'"),

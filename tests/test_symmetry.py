@@ -68,8 +68,8 @@ def test_shipped_developments_certify_on_their_cycle_starts(scans):
         scans.clear()
         assert verify_gdc(g, m.expected_type, m.expected_size).ok, path.name
         if g.symmetry is None:
-            assert m.generator2 is not None or any(o.kind == "short" for o in m.orbits)
-            split["no claim", m.generator2 is None] += 1
+            assert any(o.kind == "short" for o in m.orbits)
+            split["no claim"] += 1
             assert scans == [[True, len(g)]]
         elif scans == [[True, len(g)]]:
             split["claim fails"] += 1
@@ -79,16 +79,18 @@ def test_shipped_developments_certify_on_their_cycle_starts(scans):
             split["cycle starts"] += 1
             starts += cycles
             words += len(g)
-    # No claim: 7 developments have a short orbit and 1 has a second generator.
-    assert split == {"cycle starts": 115, ("no claim", True): 7, ("no claim", False): 1,
-                     "claim fails": 3}
-    assert (starts, words) == (1328, 76432)
+    # No claim: 5 developments have a short orbit.  No claim fails.
+    assert (split["cycle starts"], split["no claim"], split["claim fails"]) == (121, 5, 0)
+    assert (starts, words) == (1437, 77620)
 
 
 def test_a_fixed_base_that_the_generator_moves_fails_the_claim(scans):
-    # code-n25 declares {0,8,16 ; inf} fixed under x -> x+4 (mod 24).
+    # code-n25 ends with the orbit {0,8,16 ; inf}, {4,12,20 ; inf} under
+    # x -> x+4 (mod 24); the claim calls each of its two words fixed.
     g = develop_manifest("c31/code-n25.man")
-    assert g.symmetry is not None and verify_gdc(g).ok
+    image, lengths = g.symmetry
+    assert lengths[-1] == 2
+    assert verify_gdc(_with(g, g.code.words, (image, lengths[:-1] + (1, 1)))).ok
     assert scans == [[True, 62]]
 
 
@@ -139,7 +141,7 @@ def test_words_swapped_across_cycles_fail_the_claim(scans):
 
 
 # Small shipped developments: claims with cycles of one length and of two,
-# with fixed points, and one claim that fails.
+# and with fixed points.
 SMALL = ["c22/type-2^10.man", "c31/type-3^7.man", "c22/code-n17.man",
          "c22/type-2^12+5^1.man", "c31/code-n23.man", "c31/code-n25.man",
          "c22/code-n13.man"]
