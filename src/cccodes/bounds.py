@@ -86,7 +86,12 @@ def johnson_bound(n: int, d: int, comp: Composition) -> BoundValue:
 
 
 def upper_22(n: int) -> BoundValue:
-    """Closed form floor((n/2) * floor((n-1)/3)) for composition [2,2], d=6."""
+    """Closed form floor((n/2) * floor((n-1)/3)) for composition [2,2], d=6.
+
+    Two words with the same symbol at a point x agree at x, so at distance 6
+    they share no other point.  So at most floor((n-1)/3) words carry each
+    symbol at x, and counting the 4 points of each word over the n points
+    and the two symbols bounds the size by n * 2 * floor((n-1)/3) / 4."""
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n}")
     return BoundValue(n * ((n - 1) // 3) // 2, "closed-form-U")

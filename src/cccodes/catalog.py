@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .bounds import upper_bound
 from .core import Code, Composition
-from . import pipelines
+from . import dataio, pipelines
 
 __all__ = [
     "RecipeInfo",
@@ -136,40 +136,27 @@ class RecipeInfo:
     n: int
     composition: str
     recipe_id: str
-    note: str
 
 
 # kind: manifest (develop, read as a plain code) | witness (shipped code file)
 #     | pipeline (declarative construction file) | shorten (delete the last
-#       point of the optimal code one longer).  Every kind runs through the
-#       pipeline runner: a pipeline kind from its file, the others from the
-#       steps in _STEPS.
-_R22: dict[int, tuple[str, str, str]] = {}
-_R31: dict[int, tuple[str, str, str]] = {}
+#       point of the optimal code one longer) | fill (fill each group of a
+#       grouped manifest with the optimal code of the group's length, or an
+#       empty code below the weight).  Every kind runs through the pipeline
+#       runner, from the text that _recipe_text gives.
+_R22: dict[int, tuple[str, str]] = {}
+_R31: dict[int, tuple[str, str]] = {}
 
 
 def _init_recipes() -> None:
     for n in range(4, 11):
-        _R22[n] = ("witness", f"n{n}-22.code", "exact-search witness")
-        _R31[n] = ("witness", f"n{n}-31.code", "exact-search witness")
-    _R22[11] = ("witness", "n11-22.code", "bounded-search witness of the known value")
-    # --- [2,2] cyclic developments that are codes outright
-    for n, rel in [
-        (12, "c22/code-n12.man"), (13, "c22/code-n13.man"),
-        (14, "c22/code-n14.man"), (15, "c22/code-n15.man"),
-        (17, "c22/code-n17.man"), (19, "c22/code-n19.man"),
-        (25, "c22/code-n25.man"), (28, "c22/code-n28.man"),
-        (31, "c22/code-n31.man"), (34, "c22/code-n34.man"),
-        (37, "c22/code-n37.man"), (40, "c22/code-n40.man"),
-        (43, "c22/code-n43.man"), (46, "c22/code-n46.man"),
-        (49, "c22/code-n49.man"), (52, "c22/code-n52.man"),
-        (55, "c22/code-n55.man"), (58, "c22/code-n58.man"),
-        (61, "c22/code-n61.man"), (67, "c22/code-n67.man"),
-        (79, "c22/code-n79.man"), (85, "c22/code-n85.man"),
-        (87, "c22/code-n87.man"), (103, "c22/code-n103.man"),
-        (123, "c22/code-n123.man"),
-    ]:
-        _R22[n] = ("manifest", rel, "cyclic development")
+        _R22[n] = ("witness", f"n{n}-22.code")
+        _R31[n] = ("witness", f"n{n}-31.code")
+    _R22[11] = ("witness", "n11-22.code")
+    # --- [2,2]: cyclic developments that are codes outright
+    for n in (12, 13, 14, 15, 17, 19, 25, 28, 31, 34, 37, 40, 43, 46, 49, 52,
+              55, 58, 61, 67, 79, 85, 87, 103, 123):
+        _R22[n] = ("manifest", f"c22/code-n{n}.man")
     # grouped codes whose underlying plain code is already optimal
     for n, rel in [
         (20, "c22/type-2^10.man"), (21, "c22/type-3^7.man"),
@@ -180,37 +167,34 @@ def _init_recipes() -> None:
         (62, "c22/type-2^31.man"), (68, "c22/type-2^34.man"),
         (86, "c22/type-2^43.man"), (104, "c22/type-2^52.man"),
     ]:
-        _R22[n] = ("manifest", rel, "grouped-code development")
+        _R22[n] = ("manifest", rel)
     for n in (18, 24, 30, 36, 42, 48, 54, 60, 66, 78, 84, 102,
               27, 45, 51, 57):
-        _R22[n] = ("shorten", str(n + 1), "shorten the next length")
-    for n in (23, 29, 35, 41, 47, 53, 70, 77, 80):
-        _R22[n] = ("pipeline", f"c22/n{n}.pipe", "multi-stage construction")
+        _R22[n] = ("shorten", str(n + 1))
+    for n in (23, 29, 35, 41, 47, 53):
+        _R22[n] = ("fill", f"c22/type-2^{(n - 5) // 2}+5^1.man")
+    _R22[70] = ("fill", "c22/type-10^7.man")
+    for n in (77, 80):
+        _R22[n] = ("pipeline", f"c22/n{n}.pipe")
 
     # --- [3,1]
-    for n, rel in [
-        (11, "c31/type-1^9+2^1.man"), (12, "c31/type-1^9+3^1.man"),
-        (14, "c31/code-n14.man"), (15, "c31/code-n15.man"),
-        (16, "c31/code-n16.man"), (17, "c31/code-n17.man"),
-        (18, "c31/code-n18.man"), (20, "c31/code-n20.man"),
-        (22, "c31/code-n22.man"), (23, "c31/code-n23.man"),
-        (25, "c31/code-n25.man"), (26, "c31/code-n26.man"),
-        (28, "c31/code-n28.man"), (29, "c31/code-n29.man"),
-        (31, "c31/code-n31.man"), (32, "c31/code-n32.man"),
-        (34, "c31/code-n34.man"),
-    ]:
-        _R31[n] = ("manifest", rel, "cyclic development")
+    _R31[11] = ("manifest", "c31/type-1^9+2^1.man")
+    _R31[12] = ("manifest", "c31/type-1^9+3^1.man")
+    for n in (14, 15, 16, 17, 18, 20, 22, 23, 25, 26, 28, 29, 31, 32, 34):
+        _R31[n] = ("manifest", f"c31/code-n{n}.man")
     for n, rel in [(21, "c31/type-3^7.man"), (57, "c31/type-3^19.man")]:
-        _R31[n] = ("manifest", rel, "grouped-code development")
-    _R31[27] = ("shorten", "28", "shorten the next length")
-    for n in (24, 30, 33, 42, 51, 69, 87):
-        _R31[n] = ("pipeline", f"c31/n{n}.pipe", "multi-stage construction")
+        _R31[n] = ("manifest", rel)
+    _R31[27] = ("shorten", "28")
+    for n in (24, 33, 51, 69, 87):
+        _R31[n] = ("fill", f"c31/type-1^{n - 6}+6^1.man")
+    _R31[42] = ("fill", "c31/type-6^7.man")
+    _R31[30] = ("pipeline", "c31/n30.pipe")
 
 
 _init_recipes()
 
 
-def _registry(comp: Composition) -> dict[int, tuple[str, str, str]]:
+def _registry(comp: Composition) -> dict[int, tuple[str, str]]:
     if comp.weights == (2, 2):
         return _R22
     if comp.weights == (3, 1):
@@ -222,8 +206,8 @@ def list_recipes() -> list[RecipeInfo]:
     out = []
     for comp, reg in ((Composition((2, 2)), _R22), (Composition((3, 1)), _R31)):
         for n in sorted(reg):
-            kind, arg, note = reg[n]
-            out.append(RecipeInfo(n, str(comp), f"{kind}:{arg}", note))
+            kind, arg = reg[n]
+            out.append(RecipeInfo(n, str(comp), f"{kind}:{arg}"))
     return out
 
 
@@ -238,21 +222,35 @@ _STEPS = {
 }
 
 
+def _recipe_text(n: int, comp: Composition) -> str:
+    """The recipe for (n, comp) as pipeline text.  A fill recipe reads its
+    manifest's declared type: each group size of at least the weight gets
+    the catalog's optimal code of that length, each smaller one an empty
+    code."""
+    reg = _registry(comp)
+    if n not in reg:
+        raise RecipeError(f"no recipe for ({n}, [{comp}])")
+    kind, arg = reg[n]
+    if kind == "pipeline":
+        return (dataio.data_root() / "recipes" / arg).read_text()
+    if kind != "fill":
+        return _STEPS[kind].format(arg=arg, comp=comp, n=n)
+    gdc_type = dataio.load_manifest(arg).expected_type
+    if gdc_type is None:
+        raise RecipeError(f"fill recipe {arg} declares no group type")
+    sizes = [s for s, _ in gdc_type.factors]
+    lets = "".join(f"let c{s} = code {s} {comp}\n" for s in sizes if s >= comp.weight)
+    fillers = ",".join(f"{s}:c{s}" if s >= comp.weight else f"{s}:empty" for s in sizes)
+    return f"let g = manifest {arg}\n{lets}result fill g {fillers}\n"
+
+
 @lru_cache(maxsize=None)
 def build_optimal(n: int, comp: Composition) -> Code:
     """Run the recipe for (n, comp) as a pipeline, which verifies the result,
     and check the size against the spectrum (the exact value, or the recorded
     bound for lengths whose exact value is open).  The cache makes that one
     verification per code and process, for nested ``code`` steps too."""
-    reg = _registry(comp)
-    if n not in reg:
-        raise RecipeError(f"no recipe for ({n}, [{comp}])")
-    kind, arg, _note = reg[n]
-    if kind == "pipeline":
-        obj = pipelines.run_pipeline(arg)
-    else:
-        obj = pipelines.run_pipeline_text(_STEPS[kind].format(arg=arg, comp=comp, n=n))
-    code = obj.as_code()
+    code = pipelines.run_pipeline_text(_recipe_text(n, comp)).as_code()
     entry = spectrum(n, comp.weights)
     if entry.kind == "exact":
         if len(code) != entry.exact:

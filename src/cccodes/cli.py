@@ -222,12 +222,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ccc",
         description="Ternary constant-composition codes of weight 4, distance 6")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution "
-                             "is single-threaded and results never depend on it")
-    sub = p.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw:
-                           argparse.ArgumentParser(parents=[common], **kw))
+    sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("verify", help="verify a manifest or code file")
     s.add_argument("file")

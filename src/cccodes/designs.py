@@ -198,6 +198,8 @@ def build_td(k: int, m: int) -> Gdd:
     """TD(k, m) over GF(m) for k <= m+1: groups {i} x GF(m); block (a,b)
     takes value a*x_i + b in group i for k' <= m distinct field elements x_i,
     plus (when k = m+1) a slope group holding a itself."""
+    if k < 2:
+        raise DesignError(f"a transversal design needs k >= 2, got k={k}")
     if m == 1:
         return Gdd(k, GroupPartition.singletons(k),
                    (tuple(range(k)),), frozenset({k}))
@@ -507,6 +509,13 @@ def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(sep))
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"want a count of at least 0: {n}")
+    return n
+
+
 def _cell(text: str) -> tuple[tuple[int, ...], frozenset[int]]:
     rc, colon, ab = text.partition(":")
     cell = _ints(rc)
@@ -583,10 +592,10 @@ def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
         lineno, what = min(unknown)
         raise DesignError(f"line {lineno}: {what} is not part of a {kind} file")
     if kind == "gdd":
-        return Gdd(head("n"), GroupPartition.of(lines("groups")), lines("blocks"),
+        return Gdd(head("n", _count), GroupPartition.of(lines("groups")), lines("blocks"),
                    frozenset(head("k", _ints)))
     if kind == "pbd":
-        v, blocks, k = head("v"), lines("blocks"), frozenset(head("k", _ints))
+        v, blocks, k = head("v", _count), lines("blocks"), frozenset(head("k", _ints))
         if "lambda" in header and head("lambda") != 1:
             raise DesignError(f"line {header['lambda'][0]}: only index-1 PBDs read as GDDs")
         return Gdd(v, GroupPartition.singletons(v), blocks, k)

@@ -1,5 +1,7 @@
 """Spectrum classification and recipe execution."""
 
+import hashlib
+
 import pytest
 
 from cccodes import catalog, core
@@ -94,7 +96,46 @@ def test_every_recipe_builds_and_verifies():
         if e.kind == "exact":
             assert len(code) == e.exact, (r.n, r.composition)
         else:
-            assert e.lo <= len(code) <= e.hi, (r.n, r.composition)
+            # A code of size hi would prove the length exact.
+            assert e.lo <= len(code) < e.hi, (r.n, r.composition)
+
+
+# SHA-256 over the emitted text of every recipe, in list_recipes() order.
+RECIPE_BYTES = "859cb2ca0ecbc6865cd28417a681b60de7eabf63471b77817e03eb6f683d25cd"
+
+
+def test_recipe_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for r in list_recipes():
+        code = build_optimal(r.n, Composition.parse(r.composition))
+        digest.update(core.write_code_text(code).encode())
+    assert len(list_recipes()) == 106
+    assert digest.hexdigest() == RECIPE_BYTES
+
+
+def test_recipe_and_code_files_are_the_ones_the_registry_names():
+    named = {tuple(r.recipe_id.split(":", 1)) for r in list_recipes()}
+    for kind, sub in (("pipeline", "recipes"), ("witness", "codes")):
+        shipped = {p.relative_to(data_root() / sub).as_posix()
+                   for p in (data_root() / sub).rglob("*") if p.is_file()}
+        assert shipped == {arg for k, arg in named if k == kind}
+
+
+def test_fill_reads_its_fillers_from_the_manifest_type():
+    assert catalog._recipe_text(23, C22) == (
+        "let g = manifest c22/type-2^9+5^1.man\n"
+        "let c5 = code 5 2,2\n"
+        "result fill g 2:empty,5:c5\n")
+    assert sum(r.recipe_id.startswith("fill:") for r in list_recipes()) == 13
+
+
+def test_fill_of_a_manifest_without_a_type_is_refused(cold_build, monkeypatch, tmp_path):
+    text = (data_root() / "manifests" / "c22" / "code-n12.man").read_text()
+    untyped = tmp_path / "untyped.man"
+    untyped.write_text(text.replace("expected_type = 1^12\n", ""))
+    monkeypatch.setitem(catalog._R22, 12, ("fill", str(untyped)))
+    with pytest.raises(RecipeError, match=r"^fill recipe .*untyped.man declares no group type$"):
+        build_optimal(12, C22)
 
 
 @pytest.fixture
@@ -115,7 +156,7 @@ def test_build_scans_each_artefact_once(cold_build, monkeypatch):
 
     monkeypatch.setattr(core, "_cells", counting)
     code = build_optimal(23, C22)
-    # n23.pipe: the 1-word sub-code `code 5 2,2`, then the 79-word result
+    # the fill recipe at n = 23: the 1-word sub-code `code 5 2,2`, then the 79-word result
     assert sorted(len(words) for words in scanned) == [1, 79]
     assert any(words is code.words for words in scanned)
     build_optimal(23, C22)
@@ -126,7 +167,7 @@ def test_corrupt_recipe_file_is_rejected(cold_build, monkeypatch, tmp_path):
     text = (data_root() / "codes" / "n9-22.code").read_text()
     bad = tmp_path / "n9-22.code"
     bad.write_text(text.replace("7,8 ; 2,4", "0,1 ; 2,3"))
-    monkeypatch.setitem(catalog._R22, 9, ("witness", str(bad), "corrupted"))
+    monkeypatch.setitem(catalog._R22, 9, ("witness", str(bad)))
     with pytest.raises(ValueError, match=r"^pipeline result fails verification: "
                                          r"1 violation\(s\): duplicate at \(0, 8\): 0$"):
         build_optimal(9, C22)
@@ -141,6 +182,6 @@ def test_recipe_of_the_wrong_size_is_refused(cold_build, monkeypatch, tmp_path, 
     # n = 9 nor inside the open range at n = 13.
     one = tmp_path / f"n{n}-one.code"
     one.write_text(f"n={n}\ncomposition=2,2\ndistance=6\n0,1 ; 2,3\n")
-    monkeypatch.setitem(catalog._R22, n, ("witness", str(one), "one word"))
+    monkeypatch.setitem(catalog._R22, n, ("witness", str(one)))
     with pytest.raises(RecipeError, match=message):
         build_optimal(n, C22)

@@ -124,7 +124,7 @@ def test_spectrum_output():
 
 def test_deterministic_output():
     a = run(["table", "4..10"])
-    b = run(["table", "4..10", "--threads", "4"])
+    b = run(["table", "4..10"])
     assert a == b
 
 
@@ -427,3 +427,18 @@ def test_design_missing_argument_is_a_usage_error(capsys, argv, usage):
     status, _ = run(argv)
     assert status == 2
     assert capsys.readouterr().err == f"error: {usage}\n"
+
+
+@pytest.mark.parametrize("k, m", [("-2", "3"), ("0", "5"), ("1", "3")])
+def test_design_build_td_with_fewer_than_two_groups_is_a_data_error(capsys, k, m):
+    status, out = run(["design", "build", "td", k, m])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: a transversal design needs k >= 2, got k={k}\n")
+
+
+def test_design_verify_of_a_negative_point_count_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "td.design"
+    path.write_text("kind=gdd\nn=-6\nk=-2\ngroups=\nblocks=\n\n\n")
+    assert run(["design", "verify", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: line 2: want a count of at least 0: -6\n"

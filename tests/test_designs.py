@@ -50,6 +50,13 @@ def test_build_td_small():
         build_td(6, 4)
 
 
+@pytest.mark.parametrize("k, m", [(-2, 3), (0, 5), (1, 3), (1, 1)])
+def test_build_td_needs_two_groups(k, m):
+    with pytest.raises(DesignError) as err:
+        build_td(k, m)
+    assert str(err.value) == f"a transversal design needs k >= 2, got k={k}"
+
+
 def test_build_td_full_pair_coverage_all_field_orders():
     for m in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49):
         assert verify_gdd(build_td(4, m)).ok, m
@@ -256,6 +263,8 @@ def test_missing_header_key_is_a_design_error(text, key):
     ("kind=pbd\nkind = pbd\nv=4\nk=4\nblocks=\n0,1,2,3\n", "line 2: repeated header kind="),
     ("kind=pbd\nv=4\nk=4\nblocks=\n0,1,2,3\nblocks=\n0,1,2,3\n",
      "line 6: repeated section blocks="),
+    ("kind=gdd\nn=-6\nk=-2\ngroups=\nblocks=\n\n", "line 2: want a count of at least 0: -6"),
+    ("kind=pbd\nk=2\nv=-3\nblocks=\n", "line 3: want a count of at least 0: -3"),
     ("kind=gdd\nn=2\nk=2\ngroups=\n0\nblocks=\n0,1\ngroups=\n1\n",
      "line 8: repeated section groups="),
     ("kind=pbd\nv=4\nk=\nblocks=\n0,1,2,3\n",

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cccodes import pipelines
+from cccodes import catalog, pipelines
+from cccodes.catalog import list_recipes
 from cccodes.constructions import shorten
+from cccodes.core import Composition
 from cccodes.dataio import data_root, develop_manifest
 from cccodes.pipelines import PipelineError, run_pipeline_text
 
@@ -159,6 +161,13 @@ OPS = ("manifest, codefile, code, dm, td, dm2gdc, inflate, fundamental, fill, ad
     ("let t = td 4 5\nresult fundamental t t w=4 ingredients=t\n",
      "line 2: want fundamental REF w=W ingredients=REF,...: "
      "'result fundamental t t w=4 ingredients=t'"),
+    # A transversal design with fewer than two groups.
+    ("let t = td -2 3\nresult ascode t\n",
+     "line 1: a transversal design needs k >= 2, got k=-2"),
+    ("let t = td 0 3\nresult ascode t\n",
+     "line 1: a transversal design needs k >= 2, got k=0"),
+    ("let t = td 1 3\nresult ascode t\n",
+     "line 1: a transversal design needs k >= 2, got k=1"),
 ])
 def test_malformed_step_is_a_numbered_pipeline_error(text, message):
     with pytest.raises(PipelineError) as err:
@@ -171,7 +180,9 @@ def test_missing_file_is_a_numbered_pipeline_error():
         run_pipeline_text("# the manifest is not shipped\nresult manifest c22/nosuch.man\n")
 
 
-RECIPES = [p.read_text() for p in sorted((data_root() / "recipes").glob("*/*.pipe"))]
+# The text of every pipeline and fill recipe: 16 constructions.
+RECIPES = [catalog._recipe_text(r.n, Composition.parse(r.composition))
+           for r in list_recipes() if r.recipe_id.startswith(("pipeline:", "fill:"))]
 
 
 # One whitespace-separated token of a shipped recipe replaced or deleted ("").
