@@ -10,7 +10,7 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition,
                    gdc_type)
@@ -102,6 +102,22 @@ def dm_to_gdc(d: DifferenceMatrix) -> Gdc:
                GroupPartition.of(groups))
 
 
+def _relabel(words: Iterable[Codeword], mapping: Sequence[int], n: int) -> list[Codeword]:
+    """Each word with every point x sent to ``mapping[x]``, as a word of
+    length n.  The map is checked once: its targets must be distinct and lie
+    in [0, n), and no word may be longer than the map.  A valid word's image
+    is then a valid word, so each image class is only sorted."""
+    if len(set(mapping)) != len(mapping) or not all(0 <= t < n for t in mapping):
+        raise ConstructionError(f"relabelling map is not injective into [0, {n})")
+    out = []
+    for w in words:
+        if w.n > len(mapping):
+            raise ConstructionError(f"word of length {w.n} for a map on {len(mapping)} points")
+        out.append(Codeword._valid(
+            tuple([tuple(sorted([mapping[x] for x in cls])) for cls in w.supports]), n))
+    return out
+
+
 def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Codeword], list[tuple[int, ...]]]:
     """Map a filler's points [0, len(targets)) onto ``targets`` (in order);
     returns relabeled words and relabeled groups (singletons for a Code)."""
@@ -109,7 +125,7 @@ def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Cod
     if code.n != len(targets):
         raise ConstructionError(
             f"filler length {code.n} does not match slot of size {len(targets)}")
-    words = [w.relabel(targets, n) for w in code.words]
+    words = _relabel(code.words, targets, n)
     if isinstance(obj, Gdc):
         groups = [tuple(sorted(targets[x] for x in grp))
                   for grp in obj.partition.groups]
@@ -170,7 +186,7 @@ def adjoin_points(g: Gdc, y: int, first_code: Code | Gdc,
         raise ConstructionError("adjoining requires d <= 2(w-1)")
     n_new = code.n + y
     ideal = list(range(code.n, n_new))
-    words = [Codeword(w.supports, n_new) for w in code.words]
+    words = _relabel(code.words, range(code.n), n_new)
     for gi, grp in enumerate(g.partition.groups):
         size = len(grp)
         filler = _filler(fillers.get(size) if gi else first_code,
@@ -193,9 +209,15 @@ def shorten(code: Code, point: int) -> Code:
     above it one lower, giving a code of length n-1."""
     if not 0 <= point < code.n:
         raise ConstructionError(f"point {point} outside [0, {code.n})")
-    mapping = [x if x < point else x - 1 for x in range(code.n)]
-    words = [w.relabel(mapping, code.n - 1) for w in code.words
-             if point not in w.support()]
+    # x -> x - (x > point) keeps each class sorted and sends the points
+    # other than ``point`` one to one onto [0, n-1).
+    words = []
+    for w in code.words:
+        if w.n > code.n:
+            raise ConstructionError(f"word of length {w.n} in a code of length {code.n}")
+        if not any(point in cls for cls in w.supports):
+            words.append(Codeword._valid(
+                tuple([tuple([x - (x > point) for x in cls]) for cls in w.supports]), code.n - 1))
     return Code(code.n - 1, code.composition, code.distance, words)
 
 
@@ -231,7 +253,7 @@ def fundamental(master: Gdd, w: int, ingredients: Iterable[Gdc]) -> Gdc:
         for a, grp in zip(sorted(block), sorted(ing.partition.groups)):
             for slot, x in enumerate(sorted(grp)):
                 mapping[x] = a * w + slot
-        words.extend(u.relabel(mapping, n) for u in ing.code.words)
+        words.extend(_relabel(ing.code.words, mapping, n))
     if first is None:
         raise ConstructionError("the master design has no block of two or more points")
     out_groups = [tuple(a * w + slot for a in sorted(grp) for slot in range(w))
@@ -242,7 +264,19 @@ def fundamental(master: Gdd, w: int, ingredients: Iterable[Gdc]) -> Gdc:
 
 def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
     """Multiply a GDC by m through a TD(w, m): each word times each TD block,
-    tuple position i landing at level given by the block's group-i point."""
+    in that order, the word's i-th point x (classes in order) landing at
+    x*m + v for the block's point v in TD group i.
+
+    When m = p^e, the result claims the e translations v -> v + p^k of
+    GF(p^e) on every group's levels (digit k of v in base p moves up by one,
+    mod p).  :func:`build_td`'s block (a, b) lies at index a*m + b and its
+    levels are a*x_i + b, so translating b by p^k sends each word to the
+    word p^k places later, or (p-1)*p^k earlier at the wrap: a claim with
+    cycles of length p and run p^k.  Only the words with b = 0 start a
+    cycle under every claim, so the verifier reads N/m rows.  A TD whose
+    blocks lie in another order, or with a slope group (w = m+1), fails the
+    claims and is verified on every row.
+    """
     code = g.code
     w = code.composition.weight
     if td is None:
@@ -254,21 +288,29 @@ def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
     if not rep.ok:
         raise ConstructionError(f"invalid transversal design: {rep.summary()}")
     n = code.n * m
-
-    def pt(x: int, level: int) -> int:
-        return x * m + level
-
-    # td points are (group i, value v) encoded as i*m + v
-    blocks = [tuple(sorted(b)) for b in td.blocks]
+    # Each block's levels in group order (td points are i*m + v).  x*m + v
+    # keeps every class sorted, distinct and inside [0, n).
+    levels = [[x % m for x in sorted(b)] for b in td.blocks]
     words = []
     for u in code.words:
-        flat = [x for cls in u.supports for x in cls]
+        if u.n > code.n:
+            raise ConstructionError(f"word of length {u.n} in a code of length {code.n}")
         k = len(u.supports[0])
-        for b in blocks:
-            levels = [x % m for x in b]
-            newpts = [pt(x, levels[i]) for i, x in enumerate(flat)]
-            words.append(Codeword((tuple(newpts[:k]), tuple(newpts[k:])), n))
-    groups = [tuple(sorted(pt(x, lv) for x in grp for lv in range(m)))
-              for grp in g.partition.groups]
-    return Gdc(Code(n, code.composition, code.distance, words),
-               GroupPartition.of(groups))
+        flat = [x * m for cls in u.supports for x in cls]
+        for lv in levels:
+            pts = [x + v for x, v in zip(flat, lv)]
+            words.append(Codeword._valid((tuple(pts[:k]), tuple(pts[k:])), n))
+    groups = [tuple(x * m + v for x in grp for v in range(m)) for grp in g.partition.groups]
+    out = Gdc(Code(n, code.composition, code.distance, words), GroupPartition.of(groups))
+    # When m = p^e: v -> v + p^k moves digit k of v up by one, mod p.
+    p = next((q for q in range(2, m + 1) if m % q == 0), 1)
+    steps = [p ** k for k in range(m.bit_length()) if p ** (k + 1) <= m]
+    if p ** len(steps) == m > 1:
+        claims = []
+        for step in steps:
+            shift = [v - (p - 1) * step if v // step % p == p - 1 else v + step
+                     for v in range(m)]
+            image = tuple(x * m + s for x in range(code.n) for s in shift)
+            claims.append((image, (p,) * (len(words) // (p * step)), step))
+        out.symmetry = tuple(claims)
+    return out

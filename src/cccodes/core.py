@@ -305,9 +305,12 @@ class GroupPartition(_Record):
 class Gdc:
     """A code plus a coordinate partition; every word meets each group at most once.
 
-    ``symmetry`` is None or a claim (image, lengths) that the words fall, in
-    order, into cycles of a permutation of the points, which
-    :func:`violations` checks exactly before it relies on it.
+    ``symmetry`` is None or a tuple of generator claims (image, lengths,
+    run).  Each says that the point map ``image`` sends every word to the
+    word ``run`` places later inside its cycle, where the words fall, in
+    order, into cycles of ``lengths[c] * run`` words and the last run of a
+    cycle maps back onto its first.  :func:`violations` checks every claim
+    exactly before it relies on them.
     """
 
     __slots__ = ("code", "partition", "symmetry")
@@ -315,7 +318,7 @@ class Gdc:
     def __init__(self, code: Code, partition: GroupPartition):
         self.code = code
         self.partition = partition
-        self.symmetry: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self.symmetry: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -543,42 +546,53 @@ def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
 
 
 def _cycle_starts(g: Code | Gdc, cells: tuple) -> list[int] | None:
-    """The first word of each cycle of ``g.symmetry`` when that claim holds,
-    else None (a plain code makes no claim).
+    """The words that start a cycle under every claim of ``g.symmetry`` when
+    all the claims hold, else None (a plain code makes no claim).
 
-    The claim (image, lengths) says that the words fall, in order, into
-    cycles of the given lengths, and that x -> image[x] maps each word of a
-    cycle onto the next one and the last onto the first.  Let pi be that
-    shift of word indices.  The claim holds exactly when image is a
-    permutation of [0, n), the lengths are positive and sum to N, and pi
-    maps A(x, s) onto A(image[x], s) for every point x and symbol s: then
-    word pi(i) carries s at image[x] just when word i carries s at x.
+    A claim (image, lengths, run) says that the words fall, in order, into
+    cycles of ``lengths[c] * run`` words, and that x -> image[x] maps each
+    word onto the word ``run`` places later in its cycle, a word of the last
+    run onto the word ``(lengths[c] - 1) * run`` places earlier.  Let pi be
+    that permutation of word indices.  The claim holds exactly when image is
+    a permutation of [0, n), run and the lengths are positive, the cycles
+    hold N words, and pi maps A(x, s) onto A(image[x], s) for every point x
+    and symbol s: then word pi(i) carries s at image[x] just when word i
+    carries s at x.  A word starts a cycle when it lies in the cycle's
+    first run.
     """
-    if getattr(g, "symmetry", None) is None:
+    if not getattr(g, "symmetry", None):
         return None
-    image, lengths = g.symmetry
     words, n = g.code.words, g.n
     nw = len(words)
-    if (sorted(image) != list(range(n)) or min(lengths, default=1) < 1
-            or sum(lengths) != nw or nw and words[0].n != n):
+    if nw and words[0].n != n:
         return None
-    # pi moves each bit up by one, except a cycle's last bit, which moves
-    # down to the cycle's first: one shift per distinct cycle length.
-    starts, ends, i = [], {}, 0
-    for length in lengths:
-        starts.append(i)
-        i += length
-        ends.setdefault(length, []).append(i - 1)
-    down = [(length - 1, _bitset(ix, nw)) for length, ix in ends.items()]
-    up = ((1 << nw) - 1) ^ reduce(or_, (m for _, m in down), 0)
-    for at in cells[0]:
-        for x in range(n):
-            a = at.get(x, 0)
-            moved = (a & up) << 1
-            for k, m in down:
-                moved |= (a & m) >> k
-            if moved != at.get(image[x], 0):
-                return None
+    starts = None
+    for image, lengths, run in g.symmetry:
+        if (sorted(image) != list(range(n)) or run < 1 or min(lengths, default=1) < 1
+                or sum(lengths) * run != nw):
+            return None
+        # pi moves each bit up by run, except those of a cycle's last run,
+        # which move down to its first: one shift per distinct cycle length.
+        firsts, ends, i = [], {}, 0
+        for length in lengths:
+            firsts.extend(range(i, i + run))
+            i += length * run
+            ends.setdefault(length, []).extend(range(i - run, i))
+        down = [((length - 1) * run, _bitset(ix, nw)) for length, ix in ends.items()]
+        up = ((1 << nw) - 1) ^ reduce(or_, (m for _, m in down), 0)
+        for at in cells[0]:
+            for x in range(n):
+                a = at.get(x, 0)
+                moved = (a & up) << run
+                for k, m in down:
+                    moved |= (a & m) >> k
+                if moved != at.get(image[x], 0):
+                    return None
+        if starts is None:
+            starts = firsts
+        else:
+            keep = set(firsts)
+            starts = [j for j in starts if j in keep]
     return starts
 
 
@@ -592,10 +606,13 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
     (i, k) of word i.  Only one row's entries are held; the first ``next``
     raises AmbientLengthError for words of different ambient lengths.
 
-    When a GDC's ``symmetry`` holds (see :func:`_cycle_starts`), every pair
-    of words is the image under a power of the generator of a pair that
-    holds a cycle's first word, and distances are preserved, so the scan
-    reads only those words' rows.  A claim that fails, or any such row that
+    When every claim of a GDC's ``symmetry`` holds (see
+    :func:`_cycle_starts`), the claimed maps generate a group of
+    automorphisms, which preserve distances.  The lowest word of any orbit
+    of that group starts a cycle under every claim, since each claim's
+    inverse would otherwise give a lower word of the orbit.  So every pair
+    of words is the image of a pair that holds such a start, and the scan
+    reads only the starts' rows.  A claim that fails, or any such row that
     is set, scans every row, as a plain code always does.
     """
     code = obj.as_code()

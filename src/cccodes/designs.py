@@ -509,10 +509,10 @@ def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(sep))
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 0) -> int:
     n = int(text)
-    if n < 0:
-        raise ValueError(f"want a count of at least 0: {n}")
+    if n < least:
+        raise ValueError(f"want a count of at least {least}: {n}")
     return n
 
 
@@ -600,7 +600,11 @@ def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
             raise DesignError(f"line {header['lambda'][0]}: only index-1 PBDs read as GDDs")
         return Gdd(v, GroupPartition.singletons(v), blocks, k)
     if kind == "dm":
-        moduli = (head("moduli", lambda v: _ints(v, "x")) if "moduli" in header
-                  else (head("g"),))
-        return DifferenceMatrix(head("g"), head("k"), lines("rows"), moduli)
+        g, k = head("g", lambda v: _count(v, 1)), head("k", lambda v: _count(v, 2))
+        moduli = head("moduli", lambda v: _ints(v, "x")) if "moduli" in header else (g,)
+        return DifferenceMatrix(g, k, lines("rows"), moduli)
+    for name in ("holes", "cells"):
+        if not body.get(name):
+            lineno = starts.get(name, header["kind"][0])
+            raise DesignError(f"line {lineno}: want at least one line in section {name}=")
     return RoomFrame(lines("holes"), dict(lines("cells", _cell)))

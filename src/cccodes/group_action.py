@@ -263,11 +263,12 @@ def develop(m: Manifest) -> Gdc:
 
     Only builds the words: the declared size and type, and duplicates across
     orbits, are checked by :func:`cccodes.core.verify_gdc`.  When every orbit
-    is ``full``, the result carries the claim that the generator maps each
-    orbit's words one onto the next, which the verifier checks before it
-    scans only the orbits' first words.  Raises :class:`DevelopmentError`
-    when a short orbit's length is not a proper divisor of its full orbit's,
-    a fact about the manifest text that no check on the developed code sees.
+    is ``full``, the result carries one claim, with run 1: the generator
+    maps each orbit's words one onto the next, which the verifier checks
+    before it scans only the orbits' first words.  Raises
+    :class:`DevelopmentError` when a short orbit's length is not a proper
+    divisor of its full orbit's, a fact about the manifest text that no
+    check on the developed code sees.
     """
     words: list[Codeword] = []
     lengths = []
@@ -284,5 +285,5 @@ def develop(m: Manifest) -> Gdc:
     partition = m.partition if m.partition is not None else GroupPartition.singletons(m.n)
     g = Gdc(Code(m.n, m.composition, m.distance, words), partition)
     if all(decl.length is None for decl in m.orbits):
-        g.symmetry = m.generator.image, tuple(lengths)
+        g.symmetry = ((m.generator.image, tuple(lengths), 1),)
     return g

@@ -8,7 +8,7 @@ from cccodes import catalog, core
 from cccodes.bounds import upper_22, upper_31
 from cccodes.catalog import (RecipeError, build_optimal, list_recipes,
                              spectrum)
-from cccodes.core import Composition, verify_code
+from cccodes.core import Codeword, Composition, verify_code
 from cccodes.dataio import data_root
 
 C22 = Composition((2, 2))
@@ -98,6 +98,13 @@ def test_every_recipe_builds_and_verifies():
         else:
             # A code of size hi would prove the length exact.
             assert e.lo <= len(code) < e.hi, (r.n, r.composition)
+
+
+def test_every_recipe_word_is_a_valid_word():
+    # Relabelled words are built unchecked: each must equal its validated copy.
+    for r in list_recipes():
+        code = build_optimal(r.n, Composition.parse(r.composition))
+        assert all(w == Codeword(w.supports, w.n) and w.n == code.n for w in code.words), r
 
 
 # SHA-256 over the emitted text of every recipe, in list_recipes() order.

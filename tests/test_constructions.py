@@ -1,5 +1,7 @@
 """The six code-building combinators, each checked by exhaustive verification."""
 
+import hashlib
+
 import pytest
 
 from cccodes.bounds import upper_22, upper_31
@@ -15,7 +17,8 @@ from cccodes.constructions import (
     srf_to_gdc,
 )
 from cccodes.core import (Code, Codeword, Composition, Gdc, GdcType,
-                          GroupPartition, gdc_type, verify_code, verify_gdc)
+                          GroupPartition, gdc_type, verify_code, verify_gdc,
+                          write_code_text)
 from cccodes.dataio import data_root, develop_manifest, load_code
 from cccodes.designs import Gdd, RoomFrame, build_dm, build_td, read_design_text
 
@@ -217,6 +220,21 @@ def test_inflate_by_3():
     g31 = inflate(develop_manifest("c31/type-3^7.man"), 3)
     assert verify_gdc(g31, GdcType.parse("9^7"), 378).ok
     assert g31.code.composition == C31
+
+
+# SHA-256 of the emitted text of the three benchmark inflations, each
+# through build_td(4, m): the word order and the bytes stay fixed.
+INFLATED = {
+    ("c22/type-2^10.man", 9): "4ed55b9e738935f2021bcc2928b6e9f71bb4871c7fbabb19529993ff8f7e30d5",
+    ("c22/type-2^10.man", 16): "748f1a9bc9d59284fea39787fb9b8c688f48cab13a2be6f63ef9a79ce6648ba7",
+    ("c31/type-3^7.man", 16): "995e937639ab49dc33c7a9e265bf95ddd849322a4d2849a4b64394b55e0a559e",
+}
+
+
+@pytest.mark.parametrize("rel, m", list(INFLATED))
+def test_inflate_bytes_are_pinned(rel, m):
+    g = inflate(develop_manifest(rel), m, build_td(4, m))
+    assert hashlib.sha256(write_code_text(g).encode()).hexdigest() == INFLATED[rel, m]
 
 
 def test_inflate_identity():

@@ -271,6 +271,14 @@ def test_missing_header_key_is_a_design_error(text, key):
      "line 3: invalid literal for int() with base 10: ''"),
     ("kind=gdd\nn =\nk=2\ngroups=\n0\n1\nblocks=\n0,1\n",
      "line 2: invalid literal for int() with base 10: ''"),
+    ("kind=dm\ng=-3\nk=0\nrows=\n", "line 2: want a count of at least 1: -3"),
+    ("kind=dm\ng=0\nk=2\nrows=\n", "line 2: want a count of at least 1: 0"),
+    ("kind=dm\ng=2\nk=1\nmoduli=2\nrows=\n0,1\n", "line 3: want a count of at least 2: 1"),
+    ("kind=roomframe\nholes=\ncells=\n", "line 2: want at least one line in section holes="),
+    ("kind=roomframe\nholes=\n0,1\ncells=\n",
+     "line 4: want at least one line in section cells="),
+    ("# no holes\nkind=roomframe\ncells=\n0,1:2,3\n",
+     "line 2: want at least one line in section holes="),
 ])
 def test_design_text_errors_are_typed_and_numbered(text, message):
     with pytest.raises(DesignError) as err:

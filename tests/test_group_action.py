@@ -141,7 +141,7 @@ def test_develop_product_group_n25_with_one_generator():
     m = load_manifest("c22/code-n25.man")
     g = develop(m)
     assert len(g) == 100 and len(m.orbits) == 20
-    assert g.symmetry == (m.generator.image, (5,) * 20)
+    assert g.symmetry == ((m.generator.image, (5,) * 20, 1),)
     assert verify_gdc(g, m.expected_type, m.expected_size).ok
 
 
