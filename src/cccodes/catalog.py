@@ -116,7 +116,10 @@ def _spectrum(n: int, comp_key: tuple[int, ...]) -> SpectrumEntry:
 
 def _open_lower(n: int, comp_key: tuple[int, ...]) -> int:
     """Best shipped lower bound for an open length: a stated bound if any,
-    else monotonicity from the nearest smaller settled length."""
+    else monotonicity from the nearest smaller settled length.  The words of
+    a code of length m are words of length n > m, zero-extended, so
+    ``Code(n, comp, 6, code.words)`` verifies whenever the code of length m
+    does."""
     best = KNOWN_LOWER.get((n, comp_key), 1)
     m = n - 1
     while m >= 4:

@@ -158,6 +158,8 @@ def cmd_table(args) -> int:
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
+        if lo > hi:
+            raise ValueError
     except ValueError:
         raise CliError(f"bad range {args.range!r}; want e.g. 4..10") from None
     comps = [_comp(args.comp)] if args.comp else [Composition((2, 2)),

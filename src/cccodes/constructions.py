@@ -105,17 +105,13 @@ def dm_to_gdc(d: DifferenceMatrix) -> Gdc:
 def _relabel(words: Iterable[Codeword], mapping: Sequence[int], n: int) -> list[Codeword]:
     """Each word with every point x sent to ``mapping[x]``, as a word of
     length n.  The map is checked once: its targets must be distinct and lie
-    in [0, n), and no word may be longer than the map.  A valid word's image
-    is then a valid word, so each image class is only sorted."""
+    in [0, n).  A valid word's image is then a valid word, so each image
+    class is only sorted."""
     if len(set(mapping)) != len(mapping) or not all(0 <= t < n for t in mapping):
         raise ConstructionError(f"relabelling map is not injective into [0, {n})")
-    out = []
-    for w in words:
-        if w.n > len(mapping):
-            raise ConstructionError(f"word of length {w.n} for a map on {len(mapping)} points")
-        out.append(Codeword._valid(
-            tuple([tuple(sorted([mapping[x] for x in cls])) for cls in w.supports]), n))
-    return out
+    return [Codeword._valid(tuple([tuple(sorted([mapping[x] for x in cls]))
+                                   for cls in w.supports]))
+            for w in words]
 
 
 def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Codeword], list[tuple[int, ...]]]:
@@ -213,11 +209,9 @@ def shorten(code: Code, point: int) -> Code:
     # other than ``point`` one to one onto [0, n-1).
     words = []
     for w in code.words:
-        if w.n > code.n:
-            raise ConstructionError(f"word of length {w.n} in a code of length {code.n}")
         if not any(point in cls for cls in w.supports):
             words.append(Codeword._valid(
-                tuple([tuple([x - (x > point) for x in cls]) for cls in w.supports]), code.n - 1))
+                tuple([tuple([x - (x > point) for x in cls]) for cls in w.supports])))
     return Code(code.n - 1, code.composition, code.distance, words)
 
 
@@ -293,13 +287,11 @@ def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
     levels = [[x % m for x in sorted(b)] for b in td.blocks]
     words = []
     for u in code.words:
-        if u.n > code.n:
-            raise ConstructionError(f"word of length {u.n} in a code of length {code.n}")
         k = len(u.supports[0])
         flat = [x * m for cls in u.supports for x in cls]
         for lv in levels:
             pts = [x + v for x, v in zip(flat, lv)]
-            words.append(Codeword._valid((tuple(pts[:k]), tuple(pts[k:])), n))
+            words.append(Codeword._valid((tuple(pts[:k]), tuple(pts[k:]))))
     groups = [tuple(x * m + v for x in grp for v in range(m)) for grp in g.partition.groups]
     out = Gdc(Code(n, code.composition, code.distance, words), GroupPartition.of(groups))
     # When m = p^e: v -> v + p^k moves digit k of v up by one, mod p.

@@ -1,9 +1,11 @@
 """Core data model for ternary constant-composition codes and group divisible codes.
 
-Points are dense integers in [0, n).  A codeword is its length and its
-supports, one sorted set per nonzero symbol (symbol j+1 on ``supports[j]``, 0
-elsewhere); two words differ at w_u + w_v - overlap - agreements points.  All
-types are immutable after construction and safe to share.
+Points are dense integers in [0, n).  A codeword is its supports, one sorted
+set per nonzero symbol (symbol j+1 on ``supports[j]``, 0 elsewhere); the
+length n belongs to the code that holds it, so a word of length n is also a
+word of every longer length, zero-extended.  Two words differ at w_u + w_v -
+overlap - agreements points.  All types are immutable after construction and
+safe to share.
 
 Conflicting words (equal, or closer than the declared distance) come from one
 bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
@@ -25,7 +27,6 @@ from functools import reduce
 from operator import or_
 
 __all__ = [
-    "AmbientLengthError",
     "Code",
     "CodeTextError",
     "Codeword",
@@ -47,10 +48,6 @@ __all__ = [
     "violations",
     "write_code_text",
 ]
-
-
-class AmbientLengthError(ValueError):
-    """Raised when two codewords with different ambient lengths are compared."""
 
 
 class CodeTextError(ValueError):
@@ -137,13 +134,15 @@ class Composition(_Record):
 
 
 class Codeword:
-    """A sparse q-ary word, nothing but its length ``n`` and one sorted support per symbol.
+    """A sparse q-ary word, nothing but one sorted support per symbol.
 
     Construction canonicalizes (sorts each class) and validates disjointness
-    and index range, so two equal words always compare and hash equal.
+    and that every point lies in [0, n), so two equal words always compare
+    and hash equal.  The word does not keep n: a word of length n is also a
+    word of every longer length, and its length is that of its code.
     """
 
-    __slots__ = ("n", "supports")
+    __slots__ = ("supports",)
 
     def __init__(self, supports: Sequence[Iterable[int]], n: int):
         sup = tuple([tuple(sorted(cls)) for cls in supports])
@@ -164,37 +163,24 @@ class Codeword:
                 raise ValueError(f"repeated point within a symbol class: {cls}")
         if len(union) != size:
             raise ValueError(f"symbol classes overlap: {sup}")
-        self.n = n
         self.supports = sup
 
     @classmethod
-    def _valid(cls, sup: tuple[tuple[int, ...], ...], n: int) -> "Codeword":
+    def _valid(cls, sup: tuple[tuple[int, ...], ...]) -> "Codeword":
         # For classes already sorted and known to pass every check of
         # __init__, such as a valid word's image under a bijection of [0, n).
         w = cls.__new__(cls)
-        w.n = n
         w.supports = sup
         return w
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(x for cls in self.supports for x in cls))
 
-    def relabel(self, mapping: Sequence[int], n: int | None = None) -> "Codeword":
-        """Map every point through ``mapping`` (old index -> new index)."""
-        return Codeword(
-            tuple(tuple(mapping[x] for x in cls) for cls in self.supports),
-            self.n if n is None else n,
-        )
-
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Codeword)
-            and self.n == other.n
-            and self.supports == other.supports
-        )
+        return isinstance(other, Codeword) and self.supports == other.supports
 
     def __hash__(self) -> int:
-        return hash((self.n, self.supports))
+        return hash(self.supports)
 
     def __repr__(self) -> str:
         inner = " ; ".join(",".join(str(x) for x in cls) for cls in self.supports)
@@ -203,8 +189,6 @@ class Codeword:
 
 def hamming_distance(u: Codeword, v: Codeword) -> int:
     """Hamming distance of the implied full vectors: w_u + w_v - overlap - agreements."""
-    if u.n != v.n:
-        raise AmbientLengthError(f"ambient lengths differ: {u.n} != {v.n}")
     symbol = {x: s for s, cls in enumerate(u.supports) for x in cls}
     # For each point that both words carry, whether their symbols agree there.
     shared = [symbol[x] == s for s, cls in enumerate(v.supports) for x in cls if x in symbol]
@@ -351,7 +335,7 @@ class GdcType(_Record):
     @staticmethod
     def parse(text: str) -> "GdcType":
         """Read ``g^u`` factors and bare sizes ``g`` (one group each); a
-        size or count below 1 is a ValueError."""
+        size or count below 1, or text with no factor, is a ValueError."""
         counts: dict[int, int] = {}
         for part in text.split():
             base, caret, exp = part.partition("^")
@@ -359,6 +343,8 @@ class GdcType(_Record):
             if size < 1 or count < 1:
                 raise ValueError(f"want group sizes and counts of at least 1: {part!r}")
             counts[size] = counts.get(size, 0) + count
+        if not counts:
+            raise ValueError(f"want at least one group size: {text!r}")
         return GdcType(tuple(sorted(counts.items())))
 
     def total_points(self) -> int:
@@ -384,12 +370,8 @@ def _bitset(indices: Iterable[int], size: int) -> int:
 def _cells(words: Sequence[Codeword]) -> tuple:
     """The kernel's masks over all words, built once per scan: per symbol s,
     A(x, s) for each point x that carries s; P(x), the union of the A(x, s);
-    each word's weight; and (weight, mask) for each weight class.  Raises
-    AmbientLengthError for the first word whose length differs from word 0's.
+    each word's weight; and (weight, mask) for each weight class.
     """
-    for w in words:
-        if w.n != words[0].n:
-            raise AmbientLengthError(f"ambient lengths differ: {words[0].n} != {w.n}")
     nw = len(words)
     size = (nw + 7) // 8
     # One pass: per symbol, the bytes of the words with that symbol at each
@@ -497,8 +479,7 @@ def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[in
     cells (x, s), C[k] |= C[k-1] & P(x) keeps in C[k] the words sharing at
     least k of u's points, and D[j] |= D[j-1] & A(x, s) in D[j] those
     agreeing with u at at least j points, so no pair is measured.  Only the
-    masks are held, never all rows.  Raises AmbientLengthError for the
-    first word whose length differs from word 0's.
+    masks are held, never all rows.
     """
     yield from _rows(words, distance, _cells(words))
 
@@ -526,7 +507,7 @@ def conflict_pairs(words: Sequence[Codeword],
     """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
     at Hamming distance d < distance: the pairs of :func:`conflict_rows`, in
     (i, j) order.  Only these pairs are measured, so a valid code costs no
-    distance at all.  Raises AmbientLengthError as :func:`conflict_rows`.
+    distance at all.
     """
     return _pairs(words, conflict_rows(words, distance))
 
@@ -558,14 +539,13 @@ def _cycle_starts(g: Code | Gdc, cells: tuple) -> list[int] | None:
     hold N words, and pi maps A(x, s) onto A(image[x], s) for every point x
     and symbol s: then word pi(i) carries s at image[x] just when word i
     carries s at x.  A word starts a cycle when it lies in the cycle's
-    first run.
+    first run.  Masks are compared only at points in [0, n), so the caller
+    relies on the claims only when no word has a point outside it.
     """
     if not getattr(g, "symmetry", None):
         return None
     words, n = g.code.words, g.n
     nw = len(words)
-    if nw and words[0].n != n:
-        return None
     starts = None
     for image, lengths, run in g.symmetry:
         if (sorted(image) != list(range(n)) or run < 1 or min(lengths, default=1) < 1
@@ -601,10 +581,10 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
     """Yield every violation of a code or a GDC, as found, on one build of
     the kernel's masks, ordered by witness length, then witness, then kind:
     an invalid partition and :func:`verify_expectations` (witness ``()``);
-    each word's length and class sizes, in word order; then, a row at a
-    time, the conflicting pairs (i, j > i), measured, and the group hits
-    (i, k) of word i.  Only one row's entries are held; the first ``next``
-    raises AmbientLengthError for words of different ambient lengths.
+    each word's first point outside [0, n) and its class sizes, in word
+    order; then, a row at a time, the conflicting pairs (i, j > i),
+    measured, and the group hits (i, k) of word i.  Only one row's entries
+    are held.
 
     When every claim of a GDC's ``symmetry`` holds (see
     :func:`_cycle_starts`), the claimed maps generate a group of
@@ -612,24 +592,28 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
     of that group starts a cycle under every claim, since each claim's
     inverse would otherwise give a lower word of the orbit.  So every pair
     of words is the image of a pair that holds such a start, and the scan
-    reads only the starts' rows.  A claim that fails, or any such row that
-    is set, scans every row, as a plain code always does.
+    reads only the starts' rows.  A claim that fails, any such row that is
+    set, or a word with a point outside [0, n), which no claim sees, scans
+    every row, as a plain code always does.
     """
     code = obj.as_code()
-    words = code.words
+    words, n = code.words, code.n
     cells = _cells(words)
     part = obj.partition if isinstance(obj, Gdc) else None
     if part is not None:
         try:
-            part.validate(code.n)
+            part.validate(n)
         except ValueError as e:
             part = None
             yield Violation("group-hit", (), str(e))
     yield from verify_expectations(obj, expected_type, expected_size).violations
+    # The words with a point outside [0, n), read off the point masks.
+    outside = reduce(or_, (m for x, m in cells[1].items() if not 0 <= x < n), 0)
+    far = {i: next(x for x in words[i].support() if not 0 <= x < n) for i in _ones(outside)}
     comp = code.composition.weights
     for i, w in enumerate(words):
-        if w.n != code.n:
-            yield Violation("composition", (i,), f"ambient length {w.n} != {code.n}")
+        if i in far:
+            yield Violation("composition", (i,), f"point {far[i]} outside [0, {n})")
         sizes = tuple(map(len, w.supports))
         if sizes != comp:
             yield Violation("composition", (i,), str(sizes))
@@ -644,7 +628,7 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
             one |= p
     hits = set(_ones(two))
     gid = part.group_of() if hits else {}
-    starts = _cycle_starts(obj, cells)
+    starts = None if far else _cycle_starts(obj, cells)
     if starts is None or any(row for _, row in _rows(words, code.distance, cells, starts)):
         rows = _rows(words, code.distance, cells)
     else:
@@ -657,7 +641,7 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
                  for _, j, d in _pairs(words, ((i, row),))]
         if i in hits:
             # Name each repeat of a group in point order.  A point outside
-            # [0, n) is in no group; its word's length is reported apart.
+            # [0, n) is in no group; it is reported apart.
             seen: dict[int, int] = {}
             for x in words[i].support():
                 k = gid.get(x)

@@ -368,29 +368,38 @@ class RoomFrame:
 
 
 def verify_skew_room_frame(f: RoomFrame) -> VerificationReport:
-    violations: list[Violation] = []
+    """The frame conditions, once the holes partition the side set [0, n);
+    a cell whose row or column lies outside it is reported and then left
+    out."""
     n = f.side
+    try:
+        GroupPartition.of(f.holes).validate(n)
+    except ValueError as e:
+        return VerificationReport((Violation("type-mismatch", (), str(e)),))
     hole = {x: i for i, h in enumerate(f.holes) for x in h}
+    cells = {rc: pair for rc, pair in f.cells.items() if rc[0] in hole and rc[1] in hole}
+    violations = [Violation("type-mismatch", rc, f"cell outside [0, {n})")
+                  for rc in f.cells if rc not in cells]
     # condition 1: unordered pairs of distinct symbols
-    for (r, c), pair in f.cells.items():
+    for (r, c), pair in cells.items():
         if len(pair) != 2 or any(not 0 <= x < n for x in pair):
             violations.append(Violation("type-mismatch", (r, c), "cell is not a pair"))
     # condition 2: hole subarrays empty
-    for (r, c) in f.cells:
+    for (r, c) in cells:
         if hole[r] == hole[c]:
             violations.append(Violation("group-hit", (r, c), "filled cell inside a hole"))
     # condition 3: row/column coverage
     for r in range(n):
         want = [x for x in range(n) if hole[x] != hole[r]]
-        row_syms = sorted(x for (rr, c), pair in f.cells.items() if rr == r for x in pair)
+        row_syms = sorted(x for (rr, c), pair in cells.items() if rr == r for x in pair)
         if row_syms != want:
             violations.append(Violation("distance", ("row", r), "row coverage defect"))
-        col_syms = sorted(x for (rr, c), pair in f.cells.items() if c == r for x in pair)
+        col_syms = sorted(x for (rr, c), pair in cells.items() if c == r for x in pair)
         if col_syms != want:
             violations.append(Violation("distance", ("col", r), "column coverage defect"))
     # condition 4: pairs are exactly the cross-hole pairs
     seen: dict[frozenset[int], int] = {}
-    for pair in f.cells.values():
+    for pair in cells.values():
         seen[pair] = seen.get(pair, 0) + 1
     for a in range(n):
         for b in range(a + 1, n):
@@ -399,8 +408,8 @@ def verify_skew_room_frame(f: RoomFrame) -> VerificationReport:
             if have != want_ct:
                 violations.append(Violation("distance", (a, b), f"pair occurs {have}x"))
     # skewness
-    for (r, c) in f.cells:
-        if r != c and (c, r) in f.cells:
+    for (r, c) in cells:
+        if r != c and (c, r) in cells:
             if (r, c) < (c, r):
                 violations.append(Violation("duplicate", (r, c), "both (i,j) and (j,i) filled"))
     violations.sort(key=lambda v: (str(v.witness), v.kind))
@@ -505,8 +514,8 @@ def write_design_text(obj: Gdd | DifferenceMatrix | RoomFrame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(sep))
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _count(text: str, least: int = 0) -> int:
@@ -601,7 +610,8 @@ def read_design_text(text: str) -> Gdd | DifferenceMatrix | RoomFrame:
         return Gdd(v, GroupPartition.singletons(v), blocks, k)
     if kind == "dm":
         g, k = head("g", lambda v: _count(v, 1)), head("k", lambda v: _count(v, 2))
-        moduli = head("moduli", lambda v: _ints(v, "x")) if "moduli" in header else (g,)
+        moduli = (head("moduli", lambda v: tuple(_count(m, 1) for m in v.split("x")))
+                  if "moduli" in header else (g,))
         return DifferenceMatrix(g, k, lines("rows"), moduli)
     for name in ("holes", "cells"):
         if not body.get(name):

@@ -66,7 +66,7 @@ class DevelopmentError(ValueError):
 
 class Permutation:
     """A bijection on [0, n), stored as its image tuple: point x goes to
-    ``image[x]``; it acts on a codeword through ``Codeword.relabel(image)``."""
+    ``image[x]``; :func:`orbit` applies it to a codeword's points."""
 
     __slots__ = ("image",)
 
@@ -245,16 +245,17 @@ def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
 
     A valid word's image under a bijection of [0, n) is a valid word, so each
     image is only sorted, not validated again."""
-    image, n = g.image, base.n
-    if len(image) != n:
-        raise ValueError(f"generator on {len(image)} points, word of length {n}")
+    image = g.image
+    top = max((cls[-1] for cls in base.supports if cls), default=-1)
+    if top >= len(image):
+        raise ValueError(f"generator on {len(image)} points, word with point {top}")
     out = [base]
     sup = base.supports
     while True:
         sup = tuple([tuple(sorted([image[x] for x in cls])) for cls in sup])
         if sup == base.supports:
             return out
-        out.append(Codeword._valid(sup, n))
+        out.append(Codeword._valid(sup))
 
 
 def develop(m: Manifest) -> Gdc:

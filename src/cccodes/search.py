@@ -84,7 +84,7 @@ def _codewords(n: int, comp: Composition) -> Iterator[Codeword]:
             if more:
                 yield from extend(prefix + (cls,), [x for x in free if x not in cls], more)
             else:
-                yield Codeword._valid(prefix + (cls,), n)
+                yield Codeword._valid(prefix + (cls,))
 
     return extend((), list(range(n)), comp.weights)
 

@@ -237,10 +237,9 @@ def test_criterion_7_catalog_consistency():
           "exception sets for all 4 <= n <= 2000")
 
 
-def _brute_min_cross_distance(words, idx):
+def _brute_min_cross_distance(words, idx, n):
     """Distances of words[idx] against the rest, by direct full-vector
     recomputation (independent of the bitset kernel)."""
-    n = words[0].n
 
     def vec(w):
         out = [0] * n
@@ -286,7 +285,7 @@ def test_criterion_8_mutation_robustness():
         new_supports[cls_idx][pos_idx] = new_point
         words[i] = Codeword(tuple(tuple(c) for c in new_supports), code.n)
         mutated = Code(code.n, code.composition, code.distance, words)
-        brute = _brute_min_cross_distance(words, i)
+        brute = _brute_min_cross_distance(words, i, code.n)
         report = verify_code(mutated)
         if brute < 6:
             mutations_that_lowered += 1

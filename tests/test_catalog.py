@@ -8,7 +8,7 @@ from cccodes import catalog, core
 from cccodes.bounds import upper_22, upper_31
 from cccodes.catalog import (RecipeError, build_optimal, list_recipes,
                              spectrum)
-from cccodes.core import Codeword, Composition, verify_code
+from cccodes.core import Code, Codeword, Composition, verify_code, verify_gdc
 from cccodes.dataio import data_root
 
 C22 = Composition((2, 2))
@@ -100,11 +100,22 @@ def test_every_recipe_builds_and_verifies():
             assert e.lo <= len(code) < e.hi, (r.n, r.composition)
 
 
+def test_a_recipe_code_zero_extends_to_the_next_length():
+    # The monotonicity behind the open lengths' lower bounds: the words of a
+    # code of length n, unchanged, form a code of length n + 1.
+    recipes = [r for r in list_recipes() if r.n <= 40]
+    for r in recipes:
+        comp = Composition.parse(r.composition)
+        code = build_optimal(r.n, comp)
+        assert verify_gdc(Code(r.n + 1, comp, 6, code.words)).ok, r
+    assert len(recipes) == 64
+
+
 def test_every_recipe_word_is_a_valid_word():
     # Relabelled words are built unchecked: each must equal its validated copy.
     for r in list_recipes():
         code = build_optimal(r.n, Composition.parse(r.composition))
-        assert all(w == Codeword(w.supports, w.n) and w.n == code.n for w in code.words), r
+        assert all(w == Codeword(w.supports, code.n) for w in code.words), r
 
 
 # SHA-256 over the emitted text of every recipe, in list_recipes() order.

@@ -442,3 +442,31 @@ def test_design_verify_of_a_negative_point_count_is_a_data_error(capsys, tmp_pat
     path.write_text("kind=gdd\nn=-6\nk=-2\ngroups=\nblocks=\n\n\n")
     assert run(["design", "verify", str(path)]) == (2, "")
     assert capsys.readouterr().err == "error: line 2: want a count of at least 0: -6\n"
+
+
+@pytest.mark.parametrize("holes, cell, want", [
+    ("0\n1\n2", "5,7:0,1", "type-mismatch at (5, 7): cell outside [0, 3)"),
+    ("0\n1\n2", "0,-1:0,1", "type-mismatch at (0, -1): cell outside [0, 3)"),
+    ("0\n0", "0,1:0,1", "type-mismatch at (): groups do not partition [0, n)"),
+    ("0\n5", "0,1:0,1", "type-mismatch at (): groups do not partition [0, n)"),
+])
+def test_room_frame_off_its_side_set_fails_verification(tmp_path, capsys, holes, cell, want):
+    # Holes that do not partition [0, side), or a cell off it, are violations.
+    from cccodes.constructions import ConstructionError, srf_to_gdc
+    from cccodes.designs import read_design_text, verify_skew_room_frame
+
+    text = f"kind=roomframe\nholes=\n{holes}\ncells=\n{cell}\n"
+    path = tmp_path / "frame.design"
+    path.write_text(text)
+    status, out = run(["design", "verify", str(path)])
+    assert status == 1 and out.startswith("FAIL ") and capsys.readouterr().err == ""
+    frame = read_design_text(text)
+    assert want in map(str, verify_skew_room_frame(frame).violations)
+    with pytest.raises(ConstructionError, match="^invalid skew Room frame: "):
+        srf_to_gdc(frame)
+
+
+@pytest.mark.parametrize("span", ["10..4", "4-10", "4..x", "5..4"])
+def test_table_of_a_bad_range_is_a_usage_error(capsys, span):
+    assert run(["table", span]) == (2, "")
+    assert capsys.readouterr().err == f"error: bad range {span!r}; want e.g. 4..10\n"

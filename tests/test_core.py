@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccodes.core import (
-    AmbientLengthError,
     Code,
     CodeTextError,
     Codeword,
@@ -65,13 +64,8 @@ def test_hamming_symbol_swap():
     assert hamming_distance(u, v) == 4
 
 
-def test_hamming_length_mismatch():
-    with pytest.raises(AmbientLengthError):
-        hamming_distance(w22(0, 5, 3, 7, n=20), w22(0, 5, 3, 7, n=21))
-
-
-def _full_vector(w: Codeword) -> list[int]:
-    vec = [0] * w.n
+def _full_vector(w: Codeword, n: int) -> list[int]:
+    vec = [0] * n
     for s, cls in enumerate(w.supports):
         for x in cls:
             vec[x] = s + 1
@@ -89,28 +83,28 @@ def _word_pairs(draw):
         ends = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
         return Codeword([points[a:b] for a, b in zip([0] + ends, ends)], n)
 
-    return word(), word()
+    return n, word(), word()
 
 
 @settings(max_examples=400, deadline=None)
 @given(_word_pairs())
 def test_hamming_distance_matches_the_full_vectors(pair):
-    u, v = pair
-    want = sum(a != b for a, b in zip(_full_vector(u), _full_vector(v)))
+    n, u, v = pair
+    want = sum(a != b for a, b in zip(_full_vector(u, n), _full_vector(v, n)))
     assert hamming_distance(u, v) == hamming_distance(v, u) == want
 
 
-def test_a_word_hashes_as_its_length_and_supports():
+def test_a_word_hashes_as_its_supports():
     from cccodes.group_action import Permutation, orbit
 
     shift = Permutation([(x + 1) % 20 for x in range(20)])
     images = orbit(w22(0, 5, 3, 7), shift)
     assert len(images) == 20
     for k, w in enumerate(images):
-        built = Codeword([reversed(cls) for cls in w.supports], w.n)
-        relabeled = w22(0, 5, 3, 7).relabel([(x + k) % 20 for x in range(20)])
-        assert w == built == relabeled
-        assert hash(w) == hash(built) == hash(relabeled) == hash((w.n, w.supports))
+        built = Codeword([reversed(cls) for cls in w.supports], 20)
+        shifted = Codeword([[(x + k) % 20 for x in cls] for cls in w22(0, 5, 3, 7).supports], 20)
+        assert w == built == shifted
+        assert hash(w) == hash(built) == hash(shifted) == hash(w.supports)
 
 
 def test_composition_of():
@@ -264,12 +258,12 @@ def test_verify_gdc_size_and_type_mismatch():
 
 
 def test_verify_gdc_names_group_hits_of_a_word_with_a_point_outside_the_groups():
-    # Point 9 lies in no group: the word's length is reported, its repeat
-    # in group 0 is named, and point 9 is passed over.
+    # Point 9 lies in no group: it is reported, the word's repeat in group
+    # 0 is named, and point 9 is passed over.
     word = Codeword(((0, 1), (2, 9)), 10)
     g = Gdc(Code(4, Composition((2, 2)), 6, [word]), GroupPartition.of([[0, 1], [2, 3]]))
     assert triples(verify_gdc(g).violations) == [
-        ("composition", (0,), "ambient length 10 != 4"),
+        ("composition", (0,), "point 9 outside [0, 4)"),
         ("group-hit", (0, 0), "points 0 and 1"),
     ]
 
@@ -379,17 +373,19 @@ def test_duplicates_reported_at_nonpositive_distance(distance):
     assert triples(rep.violations) == [("duplicate", (17, len(words) - 1), 0)]
 
 
-def test_mixed_ambient_lengths_raise_for_first_pair():
-    far = [w22(0, 1, 2, 3, n=10), w22(4, 5, 6, 7, n=11)]  # no shared point
-    with pytest.raises(AmbientLengthError, match="^ambient lengths differ: 10 != 11$"):
-        verify_code(Code(10, Composition((2, 2)), 6, far))
-    for lengths, message in [((10, 10, 11, 12), "10 != 11"), ((11, 10, 10), "11 != 10")]:
-        words = [w22(0, 1, 2, 3, n=m) for m in lengths] * 100
-        c = Code(10, Composition((2, 2)), 6, words)
-        with pytest.raises(AmbientLengthError, match=f"^ambient lengths differ: {message}$"):
-            verify_code(c)
-        with pytest.raises(AmbientLengthError, match=f"^ambient lengths differ: {message}$"):
-            _pair_scan_python(words, 6)
+def test_words_of_other_lengths_verify_at_the_code_s_length():
+    # A word is its supports: words built for lengths 8 to 12 are words of
+    # the code's length when their points fit it, and a point >= n is
+    # reported per word, in word order; nothing raises.
+    fits = [w22(0, 1, 2, 3, n=8), w22(4, 5, 6, 7, n=12), w22(0, 4, 8, 9, n=10)]
+    assert verify_code(Code(10, Composition((2, 2)), 6, fits)).ok
+    assert verify_code(Code(11, Composition((2, 2)), 6, fits)).ok
+    assert hamming_distance(fits[0], fits[1]) == 8
+    wide = [*fits, w22(1, 10, 5, 11, n=12), w22(3, 2, 7, 1, n=8)]
+    assert triples(verify_code(Code(10, Composition((2, 2)), 6, wide)).violations) == [
+        ("composition", (3,), "point 10 outside [0, 10)"),
+        ("distance", (0, 4), 5),
+    ]
 
 
 def test_words_off_the_composition_are_still_scanned():
@@ -534,7 +530,7 @@ def test_relabeling_one_word_breaks_the_21_word_code():
     a, b = w.support()[0], next(x for x in range(13) if x not in w.support())
     swap = list(range(13))
     swap[a], swap[b] = b, a
-    words[0] = w.relabel(swap)
+    words[0] = Codeword([[swap[x] for x in cls] for cls in w.supports], 13)
     mutated = Code(13, code.composition, 6, words)
     rep = verify_code(mutated)
     assert not rep.ok

@@ -274,6 +274,12 @@ def test_missing_header_key_is_a_design_error(text, key):
     ("kind=dm\ng=-3\nk=0\nrows=\n", "line 2: want a count of at least 1: -3"),
     ("kind=dm\ng=0\nk=2\nrows=\n", "line 2: want a count of at least 1: 0"),
     ("kind=dm\ng=2\nk=1\nmoduli=2\nrows=\n0,1\n", "line 3: want a count of at least 2: 1"),
+    ("kind=dm\ng=4\nk=2\nmoduli=-2x-2\nrows=\n0,0,0,0\n0,1,2,3\n",
+     "line 4: want a count of at least 1: -2"),
+    ("kind=dm\ng=4\nk=2\nmoduli=0x4\nrows=\n0,0,0,0\n0,1,2,3\n",
+     "line 4: want a count of at least 1: 0"),
+    ("kind=dm\ng=4\nk=2\nmoduli=4x\nrows=\n0,0,0,0\n0,1,2,3\n",
+     "line 4: invalid literal for int() with base 10: ''"),
     ("kind=roomframe\nholes=\ncells=\n", "line 2: want at least one line in section holes="),
     ("kind=roomframe\nholes=\n0,1\ncells=\n",
      "line 4: want at least one line in section cells="),

@@ -42,8 +42,8 @@ def test_orbit_full_cycle():
 def test_orbit_needs_a_generator_on_the_word_s_points():
     # Images are only sorted, so a generator on other points is refused.
     m = parse_manifest(MINIMAL)
-    with pytest.raises(ValueError, match="^generator on 20 points, word of length 21$"):
-        orbit(Codeword(((0, 5), (3, 7)), 21), m.generator)
+    with pytest.raises(ValueError, match="^generator on 20 points, word with point 20$"):
+        orbit(Codeword(((0, 5), (3, 20)), 21), m.generator)
 
 
 def test_orbit_with_fixed_point():
@@ -157,7 +157,8 @@ def test_closure_under_generator():
         assert all(o.kind == "full" for o in m.orbits)
         g = develop(m)
         words = set(g.code.words)
-        image = {w.relabel(m.generator.image) for w in words}
+        image = {Codeword([[m.generator.image[x] for x in cls] for cls in w.supports], m.n)
+                 for w in words}
         assert image == words
 
 
@@ -284,6 +285,8 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
      "line 5: want group sizes and counts of at least 1: '-2^3'"),
     (edit(("distance = 6", "distance = 6\nexpected_type = 2 0")),
      "line 5: want group sizes and counts of at least 1: '0'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type =")),
+     "line 5: want at least one group size: ''"),
     (edit(("2,2", "2,0")), "line 3: composition entries must be positive: (2, 0)"),
     # [classes]
     (edit(("plain 20", "plain")), f"line 6: want {CLASSES}: 'plain'"),

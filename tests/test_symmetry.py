@@ -148,7 +148,16 @@ def test_words_swapped_across_cycles_fail_the_claim(scans):
 SMALL = ["c22/type-2^10.man", "c31/type-3^7.man", "c22/code-n17.man",
          "c22/type-2^12+5^1.man", "c31/code-n23.man", "c31/code-n25.man",
          "c22/code-n13.man"]
-FAULTS = ["move", "duplicate", "drop", "swap", "image", "lengths"]
+FAULTS = ["move", "outside", "duplicate", "drop", "swap", "image", "lengths"]
+
+
+def _moved(w, n, fault, rng):
+    # One point of w moved to a free point of [0, n), or outside it.
+    x = rng.choice(w.support())
+    free = (range(n, n + 3) if fault == "outside"
+            else [p for p in range(n) if p not in w.support()])
+    y = rng.choice(free)
+    return Codeword([[y if p == x else p for p in cls] for cls in w.supports], n + 3)
 
 
 @functools.cache
@@ -161,17 +170,15 @@ def _developed(rel):
 def test_claim_gives_the_report_of_the_full_scan(rel, fault, rng):
     # Each seeded fault, with the development's claim and without it.  A
     # duplicated or dropped word keeps the claim's lengths, or changes its
-    # cycle's length to match.
+    # cycle's length to match.  An outside move sends a point to n, n+1 or n+2.
     g = _developed(rel)
     words = list(g.code.words)
     image, lengths = list(g.symmetry[0][0]), list(g.symmetry[0][1])
     starts = _starts(lengths)
     i = rng.randrange(len(words))
     cycle = max(c for c, s in enumerate(starts) if s <= i)
-    if fault == "move":
-        x = rng.choice(words[i].support())
-        y = rng.choice([p for p in range(g.n) if p not in words[i].support()])
-        words[i] = Codeword([[y if p == x else p for p in cls] for cls in words[i].supports], g.n)
+    if fault in ("move", "outside"):
+        words[i] = _moved(words[i], g.n, fault, rng)
     elif fault in ("duplicate", "drop"):
         if fault == "duplicate":
             words.insert(i + 1, words[i])
@@ -198,7 +205,7 @@ def test_claim_gives_the_report_of_the_full_scan(rel, fault, rng):
 # whose TD has a slope group.
 INFLATIONS = [(rel, m) for rel in ("c22/type-2^10.man", "c31/type-3^7.man")
               for m in (3, 4, 5, 7, 8, 9)]
-INFLATE_FAULTS = ["move", "swap", "duplicate", "cycle", "image", "run", "lengths"]
+INFLATE_FAULTS = ["move", "outside", "swap", "duplicate", "cycle", "image", "run", "lengths"]
 
 
 @functools.cache
@@ -218,10 +225,8 @@ def test_inflate_claims_give_the_report_of_the_full_scan(inflation, fault, rng):
     claims = [list(claim) for claim in g.symmetry]
     claim = rng.choice(claims)
     i, j = rng.randrange(len(words)), rng.randrange(len(words))
-    if fault == "move":
-        x = rng.choice(words[i].support())
-        y = rng.choice([p for p in range(g.n) if p not in words[i].support()])
-        words[i] = Codeword([[y if p == x else p for p in cls] for cls in words[i].supports], g.n)
+    if fault in ("move", "outside"):
+        words[i] = _moved(words[i], g.n, fault, rng)
     elif fault == "swap":
         words[i], words[j] = words[j], words[i]
     elif fault == "duplicate":
@@ -301,3 +306,21 @@ def test_a_td_in_another_block_order_scans_every_row(scans):
     assert g.symmetry is not None
     assert verify_gdc(g).ok
     assert scans == [[True, len(g)]]
+
+
+def test_a_word_outside_the_points_scans_every_row(scans):
+    # A second cycle whose words lie wholly beyond n: every mask in [0, n)
+    # keeps the claim exact, but words 5 and 6 conflict off the points the
+    # claim sees, and neither starts a cycle.
+    g = develop(parse_manifest(FIXED_POINTS))
+    far = [Codeword(sup, 40) for sup in (((30, 31, 32), (33,)), ((15, 16, 17), (18,)),
+                                         ((15, 16, 17), (19,)), ((20, 21, 22), (23,)))]
+    image, lengths, run = g.symmetry[0]
+    claimed = _with(g, [*g.code.words, *far], ((image, lengths + (4,), run),))
+    report = verify_gdc(claimed)
+    assert report == verify_gdc(_with(g, claimed.code.words, None))
+    assert [(v.witness, v.measured) for v in report.violations] == [
+        ((4,), "point 30 outside [0, 15)"), ((5,), "point 15 outside [0, 15)"),
+        ((6,), "point 15 outside [0, 15)"), ((7,), "point 20 outside [0, 15)"),
+        ((5, 6), 2)]
+    assert scans[0] == [True, 8]
