@@ -7,8 +7,7 @@ branch-and-bound search oracle, and a catalog of maximum sizes.
 """
 
 from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition,
-                   composition_of, gdc_type, hamming_distance, verify_code,
-                   verify_gdc)
+                   gdc_type, hamming_distance, verify_gdc)
 
 __version__ = "0.1.0"
 
@@ -19,10 +18,8 @@ __all__ = [
     "Gdc",
     "GdcType",
     "GroupPartition",
-    "composition_of",
     "gdc_type",
     "hamming_distance",
-    "verify_code",
     "verify_gdc",
     "__version__",
 ]

@@ -2,6 +2,8 @@
 table, and design subcommands.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or data error.
+A reader that closes standard output early ends the command quietly, with the
+verdict found so far: 1 once a violation was found, else 0.
 Output is deterministic for fixed inputs.  Each subcommand imports the modules
 it runs when it starts, so a cold ``ccc verify FILE.code`` loads only ``core``.
 """
@@ -9,6 +11,7 @@ it runs when it starts, so a cold ``ccc verify FILE.code`` loads only ``core``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -54,15 +57,19 @@ def _head(obj) -> str:
     return f"n {obj.n} size {len(obj)}"
 
 
-def _listed(obj, *expect) -> int:
-    # Each violation is printed as it is found, under one FAIL header: 1 if
-    # there is any, else 0.
+def _listed(header: str, found) -> int:
+    # Each violation is printed as it is found, under one header line: 1 if
+    # there is any, else 0.  Once the reader has closed standard output the
+    # verdict stands, and the listing stops.
     status = 0
-    for v in violations(obj, *expect):
-        if not status:
-            print(f"{_head(obj)} FAIL")
-            status = 1
-        print(f"  {v}")
+    try:
+        for v in found:
+            if not status:
+                status = 1
+                print(header)
+            print(f"  {v}")
+    except BrokenPipeError:
+        pass
     return status
 
 
@@ -77,7 +84,7 @@ def cmd_verify(args) -> int:
         obj, expect = develop(m), (m.expected_type, m.expected_size)
     else:
         obj = read_code_text(text)
-    if _listed(obj, *expect):
+    if _listed(f"{_head(obj)} FAIL", violations(obj, *expect)):
         return 1
     print(f"{_head(obj)} OK")
     return 0
@@ -87,7 +94,7 @@ def cmd_develop(args) -> int:
     from .group_action import develop, parse_manifest
     m = parse_manifest(_read_text(args.manifest), name=args.manifest)
     g = develop(m)
-    if _listed(g, m.expected_type, m.expected_size):
+    if _listed(f"{_head(g)} FAIL", violations(g, m.expected_type, m.expected_size)):
         return 1
     _emit(write_code_text(g), args.emit)
     if args.emit:
@@ -196,8 +203,10 @@ def cmd_design(args) -> int:
         obj = read_design_text(_read_text(a[0]))
         rep = {Gdd: verify_gdd, DifferenceMatrix: verify_dm,
                RoomFrame: verify_skew_room_frame}[type(obj)](obj)
-        print("OK" if rep.ok else f"FAIL {rep.summary()}")
-        return 0 if rep.ok else 1
+        if _listed("FAIL", rep.violations):
+            return 1
+        print("OK")
+        return 0
     # Word count of each build form, the kind included.
     if not a or len(a) != {"td": 3, "dm": 2, "srf": 3}.get(a[0]):
         raise CliError("design build wants: td <k> <m> | dm <g> | srf <t> <u>")
@@ -280,11 +289,20 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output.  What is still buffered goes to
+        # the null device, so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

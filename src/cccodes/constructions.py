@@ -182,7 +182,7 @@ def adjoin_points(g: Gdc, y: int, first_code: Code | Gdc,
         raise ConstructionError("adjoining requires d <= 2(w-1)")
     n_new = code.n + y
     ideal = list(range(code.n, n_new))
-    words = _relabel(code.words, range(code.n), n_new)
+    words = list(code.words)
     for gi, grp in enumerate(g.partition.groups):
         size = len(grp)
         filler = _filler(fillers.get(size) if gi else first_code,

@@ -11,13 +11,12 @@ Conflicting words (equal, or closer than the declared distance) come from one
 bit-parallel kernel, :func:`conflict_rows`, which the verifier and the search
 share.  Walking a word's points, it keeps two counters as masks over all
 words: how many of its points each word shares, and at how many it agrees.
-It measures no pair distance, and :func:`conflict_pairs` measures only the
-pairs that conflict.  The verifier is one generator, :func:`violations`,
-which yields each violation of a code or a GDC as it finds it, by witness
-length, witness and kind; :func:`verify_code` and :func:`verify_gdc` collect
-it into a report.  The value records (:class:`Composition`,
-:class:`Violation`, ...) are plain slotted classes, so importing this module
-loads neither ``dataclasses`` nor ``typing``.
+It measures no pair distance; the verifier measures only the pairs that
+conflict.  The verifier is one generator, :func:`violations`, which yields
+each violation of a code or a GDC as it finds it, by witness length, witness
+and kind; :func:`verify_gdc` collects it into a report.  The value records
+(:class:`Composition`, :class:`Violation`, ...) are plain slotted classes, so
+importing this module loads neither ``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
@@ -36,13 +35,10 @@ __all__ = [
     "GroupPartition",
     "VerificationReport",
     "Violation",
-    "composition_of",
-    "conflict_pairs",
     "conflict_rows",
     "gdc_type",
     "hamming_distance",
     "read_code_text",
-    "verify_code",
     "verify_expectations",
     "verify_gdc",
     "violations",
@@ -195,11 +191,6 @@ def hamming_distance(u: Codeword, v: Codeword) -> int:
     return len(symbol) + sum(map(len, v.supports)) - len(shared) - sum(shared)
 
 
-def composition_of(u: Codeword) -> Composition:
-    """Class sizes as stored (no re-sorting)."""
-    return Composition(tuple(len(cls) for cls in u.supports))
-
-
 class Violation(_Record):
     __slots__ = ("kind", "witness", "measured")
     kind: str  # distance | composition | group-hit | duplicate | size-mismatch | type-mismatch
@@ -346,9 +337,6 @@ class GdcType(_Record):
         if not counts:
             raise ValueError(f"want at least one group size: {text!r}")
         return GdcType(tuple(sorted(counts.items())))
-
-    def total_points(self) -> int:
-        return sum(s * m for s, m in self.factors)
 
     def __str__(self) -> str:
         return " ".join(f"{s}^{m}" for s, m in self.factors)
@@ -502,16 +490,6 @@ def _pairs(words: Sequence[Codeword],
             yield i, i + 1 + j, hamming_distance(words[i], words[i + 1 + j])
 
 
-def conflict_pairs(words: Sequence[Codeword],
-                   distance: int) -> Iterator[tuple[int, int, int]]:
-    """Yield every (i, j, d) with i < j whose words are equal (d = 0) or lie
-    at Hamming distance d < distance: the pairs of :func:`conflict_rows`, in
-    (i, j) order.  Only these pairs are measured, so a valid code costs no
-    distance at all.
-    """
-    return _pairs(words, conflict_rows(words, distance))
-
-
 def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
                         expected_size: int | None = None) -> VerificationReport:
     """Size and type of ``obj`` against those that a manifest or a pipeline
@@ -651,11 +629,6 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
                     seen[k] = x
             found.sort(key=lambda v: (v.witness, v.kind))
         yield from found
-
-
-def verify_code(c: Code) -> VerificationReport:
-    """Every violation of a code: composition, length and pair distances."""
-    return VerificationReport(tuple(violations(c)))
 
 
 def verify_gdc(g: Code | Gdc, expected_type: GdcType | None = None,

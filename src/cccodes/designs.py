@@ -431,6 +431,9 @@ def search_skew_room_frame(hole_sizes: list[int]) -> RoomFrame | None:
     """
     if not hole_sizes or min(hole_sizes) < 1:
         raise DesignError(f"want at least one hole, each of size >= 1: {hole_sizes}")
+    if len(hole_sizes) < 2:
+        # A frame's cells are its cross-hole pairs; one hole has none.
+        raise DesignError(f"want at least two holes: {hole_sizes}")
     holes: list[tuple[int, ...]] = []
     start = 0
     for s in hole_sizes:

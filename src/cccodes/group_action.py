@@ -79,8 +79,7 @@ class Permutation:
 @dataclass(frozen=True)
 class OrbitDecl:
     base: Codeword
-    kind: str  # "full" | "short"
-    length: int | None = None  # declared length of a short (truncated) orbit
+    length: int | None = None  # declared length of a short orbit; None for a full one
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                              for part in body.split(";")], n)
             if tuple(map(len, word.supports)) != meta["composition"].weights:
                 raise ValueError(f"codeword arity does not match composition: {line!r}")
-            orbits.append(OrbitDecl(word, kind, int(length) if length else None))
+            orbits.append(OrbitDecl(word, int(length) if length else None))
     except ValueError as e:
         raise ManifestError(str(e) if lineno is None else f"line {lineno}: {e}") from None
     return Manifest(n=n, composition=meta["composition"], distance=meta["distance"],

@@ -33,7 +33,7 @@ from .designs import DifferenceMatrix, Gdd, build_dm, build_td
 from .group_action import develop
 from . import dataio
 
-__all__ = ["PipelineError", "run_pipeline", "run_pipeline_text"]
+__all__ = ["PipelineError", "run_pipeline_text"]
 
 
 class PipelineError(ValueError):
@@ -190,7 +190,3 @@ def run_pipeline_text(text: str) -> Code | Gdc:
         raise PipelineError(f"pipeline result fails verification: {rep.summary()}")
     return result
 
-
-def run_pipeline(rel: str) -> Code | Gdc:
-    path = dataio.data_root() / "recipes" / rel
-    return run_pipeline_text(path.read_text())

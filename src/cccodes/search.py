@@ -38,12 +38,11 @@ from collections.abc import Iterator
 from itertools import combinations, islice
 
 from . import core
-from .core import Code, Codeword, Composition, conflict_rows
+from .core import Code, Codeword, Composition
 
 __all__ = [
     "SearchBudget",
     "SearchOutcome",
-    "compatible",
     "enumerate_codewords",
     "max_code",
 ]
@@ -51,8 +50,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits on one search: None is no limit, 0 stops at once and
+    ``inf`` seconds never stops it."""
+
     seconds: float | None = None
     nodes: int | None = None
+
+    def __post_init__(self) -> None:
+        # A NaN deadline would never pass, so it is refused with the negatives.
+        if self.seconds is not None and not self.seconds >= 0:
+            raise ValueError(f"want a search budget of at least 0 seconds: {self.seconds}")
+        if self.nodes is not None and self.nodes < 0:
+            raise ValueError(f"want a search budget of at least 0 nodes: {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,6 @@ def _codewords(n: int, comp: Composition) -> Iterator[Codeword]:
                 yield Codeword._valid(prefix + (cls,))
 
     return extend((), list(range(n)), comp.weights)
-
-
-def compatible(u: Codeword, v: Codeword, d: int) -> bool:
-    """True unless the two words conflict in the sense of :func:`conflict_rows`."""
-    return next(conflict_rows((u, v), d))[1] == 0
 
 
 class _BudgetExceeded(Exception):

@@ -13,13 +13,13 @@ from cccodes.bounds import (johnson_bound, per_position_bound_31, upper_22,
 from cccodes.catalog import spectrum
 from cccodes.constructions import dm_to_gdc, srf_to_gdc
 from cccodes.core import (Code, Codeword, Composition, GdcType, gdc_type,
-                          verify_code, verify_gdc)
+                          verify_gdc)
 from cccodes.dataio import data_root, iter_manifest_paths, load_manifest
 from cccodes.designs import (build_dm, read_design_text,
                              search_skew_room_frame, verify_dm,
                              verify_skew_room_frame)
 from cccodes.group_action import develop
-from cccodes.pipelines import run_pipeline
+from cccodes.pipelines import run_pipeline_text
 from cccodes.search import max_code
 
 C22 = Composition((2, 2))
@@ -39,7 +39,7 @@ def test_criterion_1_table_reproduction_by_search():
             out = max_code(n, 6, comp)
             assert out.status == "exact", (n, comp_key)
             assert out.size == expected, (n, comp_key, out.size)
-            assert verify_code(out.witness).ok
+            assert verify_gdc(out.witness).ok
             assert len(out.witness) == expected
     elapsed = time.monotonic() - t0
     assert elapsed < 900, f"search took {elapsed:.0f}s, budget is 900s"
@@ -153,7 +153,7 @@ def test_criterion_5_end_to_end_pipelines():
     from cccodes.catalog import build_optimal
 
     # (a) TD(4,5) + weighting by 4 + filling with 2^10
-    g = run_pipeline("c22/n80.pipe")
+    g = run_pipeline_text((data_root() / "recipes" / "c22" / "n80.pipe").read_text())
     rep = verify_gdc(g, GdcType.parse("2^40"), 1040)
     assert rep.ok and len(g) == 2 * 13 * 40  # 2t(3t+1) at t=13
 
@@ -161,12 +161,12 @@ def test_criterion_5_end_to_end_pipelines():
     c77 = build_optimal(77, C22)
     assert len(c77) == 722 + 4 * 60
     assert len(c77) == upper_22(77).value == (77 * 25) // 2  # checked, not assumed
-    assert verify_code(c77).ok
+    assert verify_gdc(c77).ok
 
     # (c) type 6^7 filled with optimal length-6 codes
     c42 = build_optimal(42, C31)
     assert len(c42) == upper_31(42).value == (42 * (41 // 3)) // 3 == 182
-    assert verify_code(c42).ok
+    assert verify_gdc(c42).ok
     print("\nACCEPTANCE 5: PASS - pipelines 2^40(1040), n=77(962=U), "
           "n=42(182=U) all verify")
 
@@ -267,7 +267,7 @@ def test_criterion_8_mutation_robustness():
     codes = []
     for rel in sources:
         g = develop(load_manifest(data_root() / "manifests" / rel))
-        assert verify_code(g.code).ok, rel  # never flag the unmutated code
+        assert verify_gdc(g.code).ok, rel  # never flag the unmutated code
         codes.append(g.code)
     flagged_when_needed = 0
     mutations_that_lowered = 0
@@ -286,7 +286,7 @@ def test_criterion_8_mutation_robustness():
         words[i] = Codeword(tuple(tuple(c) for c in new_supports), code.n)
         mutated = Code(code.n, code.composition, code.distance, words)
         brute = _brute_min_cross_distance(words, i, code.n)
-        report = verify_code(mutated)
+        report = verify_gdc(mutated)
         if brute < 6:
             mutations_that_lowered += 1
             assert not report.ok, (trial, brute)

@@ -193,6 +193,15 @@ def test_every_exported_name_resolves():
     for mod in modules:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+    # README's library table names only exported names.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library entry points", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `(cccodes\.\w+)` \| (.*) \|$", table, re.M)
+    assert len(rows) == 7
+    for name, highlights in rows:
+        exported = importlib.import_module(name).__all__
+        stray = [h for h in re.findall(r"`(\w+)`", highlights) if h not in exported]
+        assert not stray, (name, stray)
 
 
 def test_search_emit_roundtrip(tmp_path):
@@ -459,11 +468,83 @@ def test_room_frame_off_its_side_set_fails_verification(tmp_path, capsys, holes,
     path = tmp_path / "frame.design"
     path.write_text(text)
     status, out = run(["design", "verify", str(path)])
-    assert status == 1 and out.startswith("FAIL ") and capsys.readouterr().err == ""
+    assert status == 1 and out.startswith("FAIL\n  ") and capsys.readouterr().err == ""
     frame = read_design_text(text)
     assert want in map(str, verify_skew_room_frame(frame).violations)
     with pytest.raises(ConstructionError, match="^invalid skew Room frame: "):
         srf_to_gdc(frame)
+
+
+@pytest.mark.parametrize("flag, value, what", [
+    ("--budget-seconds", "nan", "seconds: nan"),
+    ("--budget-seconds", "-1", "seconds: -1.0"),
+    ("--budget-nodes", "-1", "nodes: -1"),
+])
+def test_malformed_search_budget_is_a_usage_error(capsys, flag, value, what):
+    assert run(["search", "12", "--comp", "2,2", flag, value]) == (2, "")
+    assert capsys.readouterr().err == f"error: want a search budget of at least 0 {what}\n"
+
+
+@pytest.mark.parametrize("args", [["td", "4", "3"], ["td", "4", "5"], ["dm", "4"], ["dm", "12"],
+                                  ["srf", "2", "5"]])
+def test_every_built_design_reads_back_and_verifies(tmp_path, args):
+    path = tmp_path / "built.design"
+    assert run(["design", "build", *args, "--emit", str(path)]) == (0, f"OK -> {path}\n")
+    assert run(["design", "verify", str(path)]) == (0, "OK\n")
+
+
+@pytest.mark.parametrize("t", ["1", "2"])
+def test_design_build_srf_with_one_hole_is_a_data_error(capsys, t):
+    # One hole has no cross-hole pair, so no frame has cells to write.
+    assert run(["design", "build", "srf", t, "1"]) == (2, "")
+    assert capsys.readouterr().err == f"error: want at least two holes: [{t}]\n"
+
+
+def test_design_verify_lists_every_violation(tmp_path, capsys):
+    # The 4-GDD of type 2^7 cut to its first two blocks leaves 72 pairs of
+    # points uncovered, each listed on its own line.
+    text = (data_root() / "designs" / "gdd-4-2^7.design").read_text()
+    head, blocks = text.split("blocks=\n")
+    path = tmp_path / "two-blocks.design"
+    path.write_text(head + "blocks=\n" + "".join(blocks.splitlines(True)[:2]))
+    status, out = run(["design", "verify", str(path)])
+    lines = out.splitlines()
+    assert (status, lines[0], len(lines)) == (1, "FAIL", 73)
+    assert all(line.startswith("  distance at (") for line in lines[1:])
+    assert capsys.readouterr().err == ""
+
+
+def _ccc(*argv, **kw):
+    src = str(Path(cccodes.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "cccodes.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src), **kw)
+
+
+def test_verify_into_a_reader_that_stops_after_one_line_exits_1_quietly(tmp_path):
+    # As `ccc verify FILE | head -1`: the reader takes the FAIL line of
+    # 45,751 and closes the pipe, which the verdict outlives.
+    text = (data_root() / "manifests" / "c22" / "code-n61.man").read_text()
+    man = tmp_path / "n61-d8.man"
+    man.write_text(text.replace("distance = 6", "distance = 8"))
+    with open(tmp_path / "err", "wb") as err:
+        proc = _ccc("verify", str(man), stdout=subprocess.PIPE, stderr=err)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        status = proc.wait()
+    assert (first, status) == (b"type 1^61 size 610 FAIL\n", 1)
+    assert (tmp_path / "err").read_bytes() == b""
+
+
+def test_table_into_a_closed_pipe_exits_0_quietly():
+    # The reader is gone before the first byte, so every write fails.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _ccc("table", "4..2000", "--format", "csv", stdout=w, stderr=subprocess.PIPE)
+        _, err = proc.communicate()
+    finally:
+        os.close(w)
+    assert (proc.returncode, err) == (0, b"")
 
 
 @pytest.mark.parametrize("span", ["10..4", "4-10", "4..x", "5..4"])

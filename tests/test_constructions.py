@@ -17,7 +17,7 @@ from cccodes.constructions import (
     srf_to_gdc,
 )
 from cccodes.core import (Code, Codeword, Composition, Gdc, GdcType,
-                          GroupPartition, gdc_type, verify_code, verify_gdc,
+                          GroupPartition, gdc_type, verify_gdc,
                           write_code_text)
 from cccodes.dataio import data_root, develop_manifest, load_code
 from cccodes.designs import Gdd, RoomFrame, build_dm, build_td, read_design_text
@@ -68,7 +68,7 @@ def test_fill_empty_fillers_gives_plain_code():
     g = develop_manifest("c22/type-2^10.man")
     code = fill_groups(g, {2: empty_code(2, C22)})
     assert len(code) == 60 and code.n == 20
-    assert verify_code(code).ok
+    assert verify_gdc(code).ok
 
 
 def test_fill_10x7_with_optimal_tens():
@@ -76,7 +76,7 @@ def test_fill_10x7_with_optimal_tens():
     c10 = load_code("n10-22.code")
     code = fill_groups(g, {10: c10})
     assert len(code) == 700 + 7 * 15 == 805 == upper_22(70).value
-    assert verify_code(code).ok
+    assert verify_gdc(code).ok
 
 
 def test_fill_6x7_with_optimal_sixes():
@@ -84,7 +84,7 @@ def test_fill_6x7_with_optimal_sixes():
     c6 = load_code("n6-31.code")
     code = fill_groups(g, {6: c6})
     assert len(code) == 182 == upper_31(42).value
-    assert verify_code(code).ok
+    assert verify_gdc(code).ok
 
 
 def test_fill_missing_size_is_error():
@@ -100,7 +100,7 @@ def test_adjoin_one_point_chain_77():
                       {2: empty_code(2, C22)})
     code = adjoin_points(g, 1, c20, {19: c20})
     assert len(code) == 722 + 4 * 60 == 962 == upper_22(77).value
-    assert verify_code(code).ok
+    assert verify_gdc(code).ok
 
 
 def test_adjoin_zero_points_equals_fill():
@@ -153,10 +153,10 @@ def test_shorten_last_point_keeps_labels():
 @pytest.mark.parametrize("point", [0, 9, 18])
 def test_shorten_verified_code_verifies(point):
     code = develop_manifest("c22/code-n19.man").as_code()
-    assert verify_code(code).ok
+    assert verify_gdc(code).ok
     short = shorten(code, point)
     assert short.n == 18 and 0 < len(short) < len(code)
-    assert verify_code(short).ok
+    assert verify_gdc(short).ok
 
 
 def test_shorten_rejects_point_outside_code():

@@ -19,13 +19,10 @@ from cccodes.core import (
     GroupPartition,
     VerificationReport,
     Violation,
-    composition_of,
-    conflict_pairs,
     conflict_rows,
     gdc_type,
     hamming_distance,
     read_code_text,
-    verify_code,
     verify_expectations,
     verify_gdc,
     violations,
@@ -34,7 +31,7 @@ from cccodes.core import (
 
 
 def _pair_scan_python(words: Sequence[Codeword], distance: int) -> list[Violation]:
-    # Brute-force reference for conflict_pairs; tests compare the two.
+    # Brute-force reference for the verifier's pair scan; tests compare the two.
     out = []
     for i in range(len(words)):
         wi = words[i]
@@ -105,15 +102,6 @@ def test_a_word_hashes_as_its_supports():
         shifted = Codeword([[(x + k) % 20 for x in cls] for cls in w22(0, 5, 3, 7).supports], 20)
         assert w == built == shifted
         assert hash(w) == hash(built) == hash(shifted) == hash(w.supports)
-
-
-def test_composition_of():
-    assert composition_of(w22(0, 5, 3, 7)).weights == (2, 2)
-    assert composition_of(Codeword(((2, 5, 0), (7,)), 10)).weights == (3, 1)
-    assert composition_of(Codeword(((0, 1, 2), (3,)), 10)).weights == (3, 1)
-    # class sizes come back as stored, never re-sorted
-    odd = composition_of(Codeword(((0,), (1, 2, 3)), 5))
-    assert odd.weights == (1, 3) and not odd.is_normalized
 
 
 def test_codeword_canonical_and_validation():
@@ -211,17 +199,17 @@ def test_metric_properties_random_triples():
 
 def test_verify_code_single_word_and_duplicates():
     c = Code(10, Composition((2, 2)), 6, [w22(0, 1, 2, 3, n=10)])
-    assert verify_code(c).ok
+    assert verify_gdc(c).ok
     dup = Code(10, Composition((2, 2)), 6,
                [w22(0, 1, 2, 3, n=10), w22(1, 0, 3, 2, n=10)])
-    rep = verify_code(dup)
+    rep = verify_gdc(dup)
     assert not rep.ok
     assert any(v.kind == "duplicate" for v in rep.violations)
 
 
 def test_verify_code_flags_wrong_composition():
     c = Code(10, Composition((2, 2)), 6, [Codeword(((0, 1, 2), (3,)), 10)])
-    rep = verify_code(c)
+    rep = verify_gdc(c)
     assert any(v.kind == "composition" for v in rep.violations)
 
 
@@ -245,7 +233,6 @@ def test_gdc_type():
 
     sizes = GdcType.of_sizes([24, 24, 24, 24, 36])
     assert sizes == GdcType.parse("24^4 36^1")
-    assert sizes.total_points() == 132
 
 
 def test_verify_gdc_size_and_type_mismatch():
@@ -286,7 +273,7 @@ def triples(violations):
 
 
 def pair_violations(code):
-    return triples(v for v in verify_code(code).violations if v.kind != "composition")
+    return triples(v for v in verify_gdc(code).violations if v.kind != "composition")
 
 
 def test_conflict_pairs_agree_with_python():
@@ -303,7 +290,6 @@ def test_conflict_pairs_agree_with_python():
     c = Code(40, Composition((2, 2)), 6, words)
     a = triples(_pair_scan_python(words, 6))
     assert pair_violations(c) == a
-    assert [(i, j, d) for _, (i, j), d in a] == list(conflict_pairs(words, 6))
     assert len(a) > 0
 
 
@@ -369,7 +355,7 @@ def test_duplicates_reported_at_nonpositive_distance(distance):
     rng = random.Random(5)
     words = list(dict.fromkeys(_random_word(rng, 40, (2, 2)) for _ in range(320)))
     words.append(words[17])
-    rep = verify_code(Code(40, Composition((2, 2)), distance, words))
+    rep = verify_gdc(Code(40, Composition((2, 2)), distance, words))
     assert triples(rep.violations) == [("duplicate", (17, len(words) - 1), 0)]
 
 
@@ -378,11 +364,11 @@ def test_words_of_other_lengths_verify_at_the_code_s_length():
     # the code's length when their points fit it, and a point >= n is
     # reported per word, in word order; nothing raises.
     fits = [w22(0, 1, 2, 3, n=8), w22(4, 5, 6, 7, n=12), w22(0, 4, 8, 9, n=10)]
-    assert verify_code(Code(10, Composition((2, 2)), 6, fits)).ok
-    assert verify_code(Code(11, Composition((2, 2)), 6, fits)).ok
+    assert verify_gdc(Code(10, Composition((2, 2)), 6, fits)).ok
+    assert verify_gdc(Code(11, Composition((2, 2)), 6, fits)).ok
     assert hamming_distance(fits[0], fits[1]) == 8
     wide = [*fits, w22(1, 10, 5, 11, n=12), w22(3, 2, 7, 1, n=8)]
-    assert triples(verify_code(Code(10, Composition((2, 2)), 6, wide)).violations) == [
+    assert triples(verify_gdc(Code(10, Composition((2, 2)), 6, wide)).violations) == [
         ("composition", (3,), "point 10 outside [0, 10)"),
         ("distance", (0, 4), 5),
     ]
@@ -391,7 +377,7 @@ def test_words_of_other_lengths_verify_at_the_code_s_length():
 def test_words_off_the_composition_are_still_scanned():
     words = [w22(0, 1, 2, 3, n=10), Codeword(((0, 1), (2,)), 10),
              Codeword(((), ()), 10), w22(4, 5, 6, 7, n=10)]
-    rep = verify_code(Code(10, Composition((2, 2)), 6, words))
+    rep = verify_gdc(Code(10, Composition((2, 2)), 6, words))
     assert triples(rep.violations) == [
         ("composition", (1,), "(2, 1)"),
         ("composition", (2,), "(0, 0)"),
@@ -524,7 +510,7 @@ def test_relabeling_one_word_breaks_the_21_word_code():
     # must surface as a distance violation
     from cccodes.dataio import develop_manifest
     code = develop_manifest("c22/code-n13.man").as_code()
-    assert verify_code(code).ok and len(code) == 21
+    assert verify_gdc(code).ok and len(code) == 21
     words = list(code.words)
     w = words[0]
     a, b = w.support()[0], next(x for x in range(13) if x not in w.support())
@@ -532,7 +518,7 @@ def test_relabeling_one_word_breaks_the_21_word_code():
     swap[a], swap[b] = b, a
     words[0] = Codeword([[swap[x] for x in cls] for cls in w.supports], 13)
     mutated = Code(13, code.composition, 6, words)
-    rep = verify_code(mutated)
+    rep = verify_gdc(mutated)
     assert not rep.ok
     assert all(0 in v.witness for v in rep.violations)
 
@@ -601,7 +587,7 @@ def test_code_text_class_of_blank_text_is_empty():
 
 def test_code_text_accepts_n_up_to_the_bound():
     c = read_code_text("n=10000\ncomposition=2,2\ndistance=6\n0,1 ; 2,9999\n")
-    assert c.n == 10000 and verify_code(c).ok
+    assert c.n == 10000 and verify_gdc(c).ok
 
 
 @settings(max_examples=300, deadline=None)

@@ -154,7 +154,7 @@ def test_closure_under_generator():
     # develop(m) is closed under the generator for manifests of full orbits
     for rel in ["c22/type-2^10.man", "c31/type-9^4.man", "c22/code-n25.man"]:
         m = load_manifest(rel)
-        assert all(o.kind == "full" for o in m.orbits)
+        assert all(o.length is None for o in m.orbits)
         g = develop(m)
         words = set(g.code.words)
         image = {Codeword([[m.generator.image[x] for x in cls] for cls in w.supports], m.n)
@@ -167,7 +167,7 @@ def test_size_is_sum_of_orbit_lengths():
     g = develop(m)
     total = 0
     for decl in m.orbits:
-        assert decl.kind == "full"
+        assert decl.length is None
         total += len(orbit(decl.base, m.generator))
     assert total == len(g) == 648
 

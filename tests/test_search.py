@@ -10,12 +10,11 @@ import pytest
 
 from cccodes import core, search
 from cccodes.bounds import upper_bound
-from cccodes.core import Composition, hamming_distance, verify_code
+from cccodes.core import Composition, hamming_distance, verify_gdc
 from cccodes.search import (
     SearchBudget,
     _adjacency,
     _BudgetExceeded,
-    compatible,
     enumerate_codewords,
     max_code,
 )
@@ -44,7 +43,7 @@ def test_exact_small_values():
             out = max_code(n, 6, comp)
             assert out.status == "exact" and out.size == expect, (comp, n)
             assert out.size <= upper_bound(n, comp).value
-            assert verify_code(out.witness).ok and len(out.witness) == out.size
+            assert verify_gdc(out.witness).ok and len(out.witness) == out.size
             words = list(out.witness.words)
             assert words == sorted(words, key=lambda w: w.supports)
 
@@ -55,12 +54,23 @@ def test_greedy_seed_is_the_lexicographic_greedy_code():
     words = enumerate_codewords(10, C22)
     greedy = []
     for u in words:
-        if all(compatible(u, v, 6) for v in greedy):
+        if all(hamming_distance(u, v) >= 6 for v in greedy):
             greedy.append(u)
     out = max_code(10, 6, C22, SearchBudget(nodes=0))
     assert out.status == "lower-bound-only" and out.size == 9
-    assert verify_code(out.witness).ok
+    assert verify_gdc(out.witness).ok
     assert out.witness.words == tuple(greedy)
+
+
+@pytest.mark.parametrize("seconds, nodes", [(math.nan, None), (-1.0, None), (None, -1)])
+def test_malformed_budgets_are_refused(seconds, nodes):
+    with pytest.raises(ValueError, match="^want a search budget of at least 0 "):
+        SearchBudget(seconds=seconds, nodes=nodes)
+
+
+def test_an_infinite_budget_never_stops_the_search():
+    out = max_code(8, 6, C22, SearchBudget(seconds=math.inf))
+    assert (out.status, out.size, out.nodes) == ("exact", 5, 432)
 
 
 def test_exact_n11_31():
@@ -68,14 +78,14 @@ def test_exact_n11_31():
     # agrees with the closed form 9t^2+2t at t=1
     out = max_code(11, 6, C31)
     assert out.status == "exact" and out.size == 11
-    assert verify_code(out.witness).ok
+    assert verify_gdc(out.witness).ok
 
 
 def test_budget_exhaustion_returns_lower_bound():
     # n = 8 [2,2] needs 432 nodes (n = 9 [2,2] ends at the root).
     out = max_code(8, 6, C22, budget=SearchBudget(nodes=10))
     assert out.status == "lower-bound-only"
-    assert verify_code(out.witness).ok
+    assert verify_gdc(out.witness).ok
     assert 1 <= out.size <= SMALL_22[8]
 
 
@@ -84,7 +94,7 @@ def test_seconds_budget_is_honoured_during_set_up():
     out = max_code(13, 6, C22, SearchBudget(seconds=0))
     assert (out.status, out.size, out.nodes) == ("lower-bound-only", 1, 0)
     assert out.witness.words == (enumerate_codewords(13, C22)[0],)
-    assert verify_code(out.witness).ok
+    assert verify_gdc(out.witness).ok
     # The graph checks its deadline per row and is unchanged by one it meets.
     words = enumerate_codewords(7, C22)
     cells = core._cells(words)
@@ -103,7 +113,7 @@ def test_seconds_budget_is_honoured_during_branch_and_bound(monkeypatch):
     out = max_code(8, 6, C22, SearchBudget(seconds=10))
     assert out.status == "lower-bound-only"
     assert out.nodes > 0 and out.nodes % 256 == 0
-    assert verify_code(out.witness).ok and len(out.witness) == out.size
+    assert verify_gdc(out.witness).ok and len(out.witness) == out.size
     assert 1 <= out.size <= SMALL_22[8]
 
 
@@ -125,7 +135,6 @@ def test_compatibility_graph_is_complement_of_conflicts():
                     if hamming_distance(u, v) >= max(d, 1):
                         want |= 1 << j
                 assert adj[i] == want, (n, comp, d, i)
-                assert compatible(u, words[-1], d) == bool((want >> (len(words) - 1)) & 1)
 
 
 def test_node_counts_fixed():
@@ -153,7 +162,7 @@ def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
     # Once over all words, for word 0's conflict row, and once over its
     # candidates, for the graph's rows and the incidence-capacity cells.
     words = enumerate_codewords(10, C22)
-    n_cand = sum(compatible(words[0], u, 6) for u in words[1:])
+    n_cand = sum(hamming_distance(words[0], u) >= 6 for u in words[1:])
     built = []
     real = core._cells
 
@@ -230,7 +239,7 @@ def test_max_code_matches_networkx_clique_number():
                 _, want = nx.max_weight_clique(_graph(words, d), weight=None)
                 out = max_code(n, d, comp)
                 assert out.status == "exact" and out.size == want, (comp, n, d)
-                assert verify_code(out.witness).ok
+                assert verify_gdc(out.witness).ok
 
 
 def test_incidence_capacity_premise():
