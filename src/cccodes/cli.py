@@ -136,7 +136,10 @@ def cmd_search(args) -> int:
 def cmd_build(args) -> int:
     from . import catalog, pipelines
     if args.pipeline:
-        obj = pipelines.run_pipeline_text(_read_text(args.pipeline))
+        try:
+            obj = pipelines.run_pipeline_text(_read_text(args.pipeline))
+        except pipelines.PipelineVerificationError as e:
+            return _listed(f"{_head(e.result)} FAIL", e.report.violations)
     elif args.n is None:
         raise CliError("build needs <n> or --pipeline")
     else:

@@ -21,8 +21,10 @@ importing this module loads neither ``dataclasses`` nor ``typing``.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
+from itertools import chain, combinations, groupby
 from operator import or_
 
 __all__ = [
@@ -490,6 +492,14 @@ def _pairs(words: Sequence[Codeword],
             yield i, i + 1 + j, hamming_distance(words[i], words[i + 1 + j])
 
 
+def _composed(words: Sequence[Codeword], comp: tuple[int, ...]) -> bool:
+    # Whether every word has the class sizes ``comp``: the class counts, then
+    # the sizes of all classes in a row, each read in one pass.
+    sups = [w.supports for w in words]
+    return (list(map(len, sups)) == [len(comp)] * len(sups)
+            and list(map(len, chain.from_iterable(sups))) == list(comp) * len(sups))
+
+
 def verify_expectations(obj: Code | Gdc, expected_type: GdcType | None = None,
                         expected_size: int | None = None) -> VerificationReport:
     """Size and type of ``obj`` against those that a manifest or a pipeline
@@ -524,20 +534,29 @@ def _cycle_starts(g: Code | Gdc, cells: tuple) -> list[int] | None:
         return None
     words, n = g.code.words, g.n
     nw = len(words)
-    starts = None
+    starts = -1  # every word, until a claim's first runs cut it down
     for image, lengths, run in g.symmetry:
         if (sorted(image) != list(range(n)) or run < 1 or min(lengths, default=1) < 1
                 or sum(lengths) * run != nw):
             return None
         # pi moves each bit up by run, except those of a cycle's last run,
         # which move down to its first: one shift per distinct cycle length.
-        firsts, ends, i = [], {}, 0
-        for length in lengths:
-            firsts.extend(range(i, i + run))
-            i += length * run
-            ends.setdefault(length, []).extend(range(i - run, i))
-        down = [((length - 1) * run, _bitset(ix, nw)) for length, ix in ends.items()]
-        up = ((1 << nw) - 1) ^ reduce(or_, (m for _, m in down), 0)
+        # Over k consecutive cycles of one length, the first runs are one
+        # cycle's first run repeated by doubling shifts, then cut to k, and
+        # the last runs are those shifted.
+        firsts, ends, i = 0, {}, 0
+        for length, same in groupby(lengths):
+            k, period = len(list(same)), length * run
+            first, copies = (1 << run) - 1, 1
+            while copies < k:
+                first |= first << copies * period
+                copies *= 2
+            first = (first & (1 << k * period) - 1) << i
+            firsts |= first
+            ends[length] = ends.get(length, 0) | first << (length - 1) * run
+            i += k * period
+        down = [((length - 1) * run, m) for length, m in ends.items()]
+        up = ((1 << nw) - 1) ^ reduce(or_, ends.values(), 0)
         for at in cells[0]:
             for x in range(n):
                 a = at.get(x, 0)
@@ -546,12 +565,8 @@ def _cycle_starts(g: Code | Gdc, cells: tuple) -> list[int] | None:
                     moved |= (a & m) >> k
                 if moved != at.get(image[x], 0):
                     return None
-        if starts is None:
-            starts = firsts
-        else:
-            keep = set(firsts)
-            starts = [j for j in starts if j in keep]
-    return starts
+        starts &= firsts
+    return list(_ones(starts))
 
 
 def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
@@ -589,7 +604,7 @@ def violations(obj: Code | Gdc, expected_type: GdcType | None = None,
     outside = reduce(or_, (m for x, m in cells[1].items() if not 0 <= x < n), 0)
     far = {i: next(x for x in words[i].support() if not 0 <= x < n) for i in _ones(outside)}
     comp = code.composition.weights
-    for i, w in enumerate(words):
+    for i, w in enumerate(() if not far and _composed(words, comp) else words):
         if i in far:
             yield Violation("composition", (i,), f"point {far[i]} outside [0, {n})")
         sizes = tuple(map(len, w.supports))
@@ -645,7 +660,19 @@ def verify_gdc(g: Code | Gdc, expected_type: GdcType | None = None,
 # comma-separated group per line; ends at the first codeword line), then one
 # codeword per line: symbol-1 points, `;`, symbol-2 points.  Each header line
 # appears at most once, before the first codeword line.  `#` starts a comment.
+#
+# The writer puts each class's points in ascending order, joined by `,`, and
+# the classes by ` ; `.  The reader takes the text from the first codeword
+# line on in one bulk pass when it is nothing but words in that form, each of
+# the composition's class sizes and passing the checks of Codeword, one per
+# line with no comment, blank line or other spacing.  Any other text, valid
+# or not, is read line by line, which names each fault.
 # ---------------------------------------------------------------------------
+
+def _format(sizes: Iterable[int], point: str = "%s") -> str:
+    # A written word with classes of the given sizes, each point as ``point``.
+    return " ; ".join([",".join([point] * s) for s in sizes])
+
 
 def write_code_text(obj: Code | Gdc) -> str:
     code = obj.as_code()
@@ -653,8 +680,40 @@ def write_code_text(obj: Code | Gdc) -> str:
     if isinstance(obj, Gdc):
         lines.append("groups=")
         lines += [",".join(map(str, grp)) for grp in obj.partition.groups]
-    lines += [" ; ".join([",".join(map(str, cls)) for cls in w.supports]) for w in code.words]
+    # The word block is one format over every point of every word in turn.
+    words, comp = code.words, code.composition.weights
+    if words:
+        sups = [w.supports for w in words]
+        fmts = ([_format(comp)] * len(words) if _composed(words, comp)
+                else [_format(map(len, sup)) for sup in sups])
+        lines.append("\n".join(fmts) % tuple(chain.from_iterable(chain.from_iterable(sups))))
     return "\n".join(lines) + "\n"
+
+
+def _read_block(block: str, n: int, comp: tuple[int, ...]) -> list[Codeword] | None:
+    """The words of ``block`` when it is a word block in the writer's form
+    whose every word passes the checks of :class:`Codeword`, else None."""
+    word = _format(comp, "[0-9]+")
+    if not re.fullmatch(f"{word}(?:\n{word})*", block):
+        return None
+    try:
+        ints = list(map(int, block.replace(" ; ", ",").replace("\n", ",").split(",")))
+    except ValueError:  # a number too long for int()
+        return None
+    # The form has no sign, so no point is below 0.
+    if max(ints) >= n:
+        return None
+    # Column p holds the points at position p of every word, and cls[p] the
+    # class of that position.  Each point must lie below the next of its
+    # class and differ from every point of a later class.
+    cls = [c for c, s in enumerate(comp) for _ in range(s)]
+    cols = [ints[p::len(cls)] for p in range(len(cls))]
+    if not all(all(map(int.__lt__ if cls[p] == cls[q] else int.__ne__, cols[p], cols[q]))
+               for p, q in combinations(range(len(cls)), 2)
+               if cls[p] != cls[q] or q == p + 1):
+        return None
+    points = iter(ints)
+    return list(map(Codeword._valid, zip(*[zip(*[points] * s) for s in comp])))
 
 
 def read_code_text(text: str) -> Code | Gdc:
@@ -665,7 +724,8 @@ def read_code_text(text: str) -> Code | Gdc:
     block: list[tuple[int, ...]] | None = None  # groups, until a codeword line
     words: list[Codeword] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -700,6 +760,12 @@ def read_code_text(text: str) -> Code | Gdc:
                 raise ValueError(f"codeword line before complete header: {line!r}")
             if ";" in line:
                 block = None
+                if not words:
+                    # The first codeword line: the rest in one pass, if it can.
+                    bulk = _read_block("\n".join(lines[lineno - 1:]), n, comp.weights)
+                    if bulk is not None:
+                        words = bulk
+                        break
                 # A class of blank text is empty; an empty item is a fault.
                 words.append(Codeword([[int(x) for x in part.split(",")] if part.strip() else []
                                        for part in line.split(";")], n))

@@ -19,13 +19,14 @@ error of the step's construction) raises PipelineError with a message that
 starts ``line N: ``.  A ``manifest`` step checks the manifest's declared size
 and type, and ``expect size=N type=T`` lines check the result's, both with
 :func:`cccodes.core.verify_expectations` (no pair scan).  The result itself
-is verified exhaustively, once, before it is returned.  The catalog builds
-every recipe through this runner, so its codes are certified here too.
+is verified exhaustively, once, before it is returned; a result that fails
+raises PipelineVerificationError, which holds the full report.  The catalog
+builds every recipe through this runner, so its codes are certified here too.
 """
 
 from __future__ import annotations
 
-from .core import (Code, Composition, Gdc, GdcType, GroupPartition,
+from .core import (Code, Composition, Gdc, GdcType, GroupPartition, VerificationReport,
                    verify_expectations, verify_gdc)
 from .constructions import (adjoin_points, dm_to_gdc, empty_code, fill_groups,
                             fundamental, inflate, shorten)
@@ -33,11 +34,20 @@ from .designs import DifferenceMatrix, Gdd, build_dm, build_td
 from .group_action import develop
 from . import dataio
 
-__all__ = ["PipelineError", "run_pipeline_text"]
+__all__ = ["PipelineError", "PipelineVerificationError", "run_pipeline_text"]
 
 
 class PipelineError(ValueError):
     pass
+
+
+class PipelineVerificationError(PipelineError):
+    """A pipeline's result fails verification: ``result`` is the result and
+    ``report`` its full :class:`~cccodes.core.VerificationReport`."""
+
+    def __init__(self, result: Code | Gdc, report: VerificationReport):
+        super().__init__(f"pipeline result fails verification: {report.summary()}")
+        self.result, self.report = result, report
 
 
 class _Env(dict):
@@ -187,6 +197,6 @@ def run_pipeline_text(text: str) -> Code | Gdc:
         raise PipelineError("pipeline has no result step")
     rep = verify_gdc(result)
     if not rep.ok:
-        raise PipelineError(f"pipeline result fails verification: {rep.summary()}")
+        raise PipelineVerificationError(result, rep)
     return result
 

@@ -551,3 +551,18 @@ def test_table_into_a_closed_pipe_exits_0_quietly():
 def test_table_of_a_bad_range_is_a_usage_error(capsys, span):
     assert run(["table", span]) == (2, "")
     assert capsys.readouterr().err == f"error: bad range {span!r}; want e.g. 4..10\n"
+
+
+def test_pipeline_result_that_fails_verification_lists_every_violation(tmp_path, capsys):
+    # A corrupted 7-word code as a pipeline's result: `ccc build --pipeline`
+    # exits 1 and lists what `ccc verify` of the code lists, all 22 of them.
+    bad = tmp_path / "BAD.code"
+    bad.write_text("n=9\ncomposition=2,2\ndistance=6\n" + "0,1 ; 2,3\n" * 5
+                   + "0,1,4 ; 2\n0,5 ; 2,3\n")
+    pipe = tmp_path / "bad.pipe"
+    pipe.write_text(f"result codefile {bad}\n")
+    verified = run(["verify", str(bad)])
+    assert run(["build", "--pipeline", str(pipe)]) == verified
+    status, out = verified
+    assert (status, out.splitlines()[0], len(out.splitlines())) == (1, "n 9 size 7 FAIL", 23)
+    assert capsys.readouterr().err == ""

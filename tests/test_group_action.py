@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cccodes.core import Codeword, GdcType, Violation, gdc_type, verify_gdc, write_code_text
+from cccodes.core import (Codeword, GdcType, Violation, gdc_type, read_code_text, verify_gdc,
+                          write_code_text)
 from cccodes.dataio import develop_manifest, iter_manifest_paths, load_manifest
 from cccodes.group_action import (
     DevelopmentError,
@@ -224,7 +225,11 @@ def test_shipped_developments_are_byte_identical():
     digest = hashlib.sha256()
     paths = iter_manifest_paths()
     for path in paths:
-        digest.update(write_code_text(develop(load_manifest(path))).encode())
+        g = develop(load_manifest(path))
+        text = write_code_text(g)
+        digest.update(text.encode())
+        back = read_code_text(text)
+        assert (back.code.words, back.partition) == (g.code.words, g.partition), path
     assert (len(paths), digest.hexdigest()) == (126, DEVELOPMENTS_SHA256)
 
 
