@@ -6,10 +6,9 @@ integer floor, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
-from .core import Composition
+from .core import Composition, _Record
 
 __all__ = [
     "BoundValue",
@@ -22,20 +21,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(_Record):
+    __slots__ = ("value", "provenance", "caveat")
     value: int
     provenance: str  # general | johnson | closed-form-U | per-position
-    caveat: str | None = None  # set when the formula carries an asymptotic proviso
+    caveat: str | None  # set when the formula carries an asymptotic proviso
+
+    def __init__(self, value: int, provenance: str, caveat: str | None = None) -> None:
+        super().__init__(value, provenance, caveat)
 
 
 def _norm_tuple(weights: tuple[int, ...]) -> tuple[int, ...]:
     """Drop zero entries and sort non-increasing (neither affects the maximum size)."""
     return tuple(sorted((x for x in weights if x > 0), reverse=True))
-
-
-def _normalize(comp: Composition) -> Composition:
-    return Composition(_norm_tuple(comp.weights))
 
 
 def size_bound_general(n: int, d: int, comp: Composition) -> BoundValue | None:
@@ -67,7 +65,6 @@ def size_bound_general(n: int, d: int, comp: Composition) -> BoundValue | None:
 def johnson_bound(n: int, d: int, comp: Composition) -> BoundValue:
     """Recursive bound floor((n/w1) * A(n-1, d, [w1-1, ...])), closed by the
     boundary cases of :func:`size_bound_general`."""
-    comp = _normalize(comp)
     caveat = None
 
     def rec(n: int, weights: tuple[int, ...]) -> int:
@@ -82,7 +79,7 @@ def johnson_bound(n: int, d: int, comp: Composition) -> BoundValue:
         sub = rec(n - 1, _norm_tuple((weights[0] - 1, *weights[1:])))
         return n * sub // weights[0]
 
-    return BoundValue(rec(n, comp.weights), "johnson", caveat=caveat)
+    return BoundValue(rec(n, _norm_tuple(comp.weights)), "johnson", caveat)
 
 
 def upper_22(n: int) -> BoundValue:

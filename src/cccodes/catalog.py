@@ -11,11 +11,10 @@ independently, in the acceptance suite (double-entry bookkeeping).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import upper_bound
-from .core import Code, Composition
+from .core import Code, Composition, _Record
 from . import dataio, pipelines
 
 __all__ = [
@@ -65,8 +64,8 @@ OPEN_T_31 = {
 KNOWN_LOWER = {(13, (2, 2)): 21}
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(_Record):
+    __slots__ = ("n", "composition", "kind", "lo", "hi", "source")
     n: int
     composition: Composition
     kind: str  # "exact" | "range" | "open"
@@ -134,8 +133,8 @@ def _open_lower(n: int, comp_key: tuple[int, ...]) -> int:
 # Recipes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecipeInfo:
+class RecipeInfo(_Record):
+    __slots__ = ("n", "composition", "recipe_id")
     n: int
     composition: str
     recipe_id: str

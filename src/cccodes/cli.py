@@ -22,6 +22,12 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is reported as any other error, then the usage line.
+    def error(self, message: str):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _comp(text: str) -> Composition:
     try:
         return Composition.parse(text)
@@ -183,7 +189,8 @@ def cmd_table(args) -> int:
     rows = [(comp, [cell(catalog.spectrum(n, comp)) for n in ns]) for comp in comps]
     if args.format == "csv":
         lines = ["composition," + ",".join(map(str, ns))]
-        lines += [f"[{comp}]," + ",".join(row) for comp, row in rows]
+        # The label holds a comma, so it is quoted.
+        lines += [f'"[{comp}]",' + ",".join(row) for comp, row in rows]
     elif args.format == "md":
         lines = ["| n | " + " | ".join(map(str, ns)) + " |", "|---" * (len(ns) + 1) + "|"]
         lines += [f"| A(n,[{comp}]) | " + " | ".join(row) + " |" for comp, row in rows]
@@ -233,7 +240,7 @@ def cmd_design(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ccc",
         description="Ternary constant-composition codes of weight 4, distance 6")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -290,10 +297,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     status = 0
     try:
+        args = make_parser().parse_args(argv)
         status = args.fn(args)
         sys.stdout.flush()
     except BrokenPipeError:

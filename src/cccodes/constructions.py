@@ -293,16 +293,15 @@ def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
             pts = [x + v for x, v in zip(flat, lv)]
             words.append(Codeword._valid((tuple(pts[:k]), tuple(pts[k:]))))
     groups = [tuple(x * m + v for x in grp for v in range(m)) for grp in g.partition.groups]
-    out = Gdc(Code(n, code.composition, code.distance, words), GroupPartition.of(groups))
     # When m = p^e: v -> v + p^k moves digit k of v up by one, mod p.
     p = next((q for q in range(2, m + 1) if m % q == 0), 1)
     steps = [p ** k for k in range(m.bit_length()) if p ** (k + 1) <= m]
+    claims = []
     if p ** len(steps) == m > 1:
-        claims = []
         for step in steps:
             shift = [v - (p - 1) * step if v // step % p == p - 1 else v + step
                      for v in range(m)]
             image = tuple(x * m + s for x in range(code.n) for s in shift)
             claims.append((image, (p,) * (len(words) // (p * step)), step))
-        out.symmetry = tuple(claims)
-    return out
+    return Gdc(Code(n, code.composition, code.distance, words), GroupPartition.of(groups),
+               tuple(claims) or None)

@@ -14,9 +14,15 @@ words: how many of its points each word shares, and at how many it agrees.
 It measures no pair distance; the verifier measures only the pairs that
 conflict.  The verifier is one generator, :func:`violations`, which yields
 each violation of a code or a GDC as it finds it, by witness length, witness
-and kind; :func:`verify_gdc` collects it into a report.  The value records
-(:class:`Composition`, :class:`Violation`, ...) are plain slotted classes, so
-importing this module loads neither ``dataclasses`` nor ``typing``.
+and kind; :func:`verify_gdc` collects it into a report.
+
+Every value type is a :class:`_Record`: here Composition, Violation,
+VerificationReport, Code, GroupPartition, Gdc and GdcType; elsewhere
+BoundValue, SpectrumEntry, RecipeInfo, Gdd, DifferenceMatrix, RoomFrame,
+Permutation, OrbitDecl, Manifest, SearchBudget and SearchOutcome.  So no
+module loads ``dataclasses``, ``inspect`` or ``typing``.  Only Codeword, built
+by the hundred thousand with its one field set unguarded, and
+``designs.GfTable``, tables that no field list rebuilds, are plain classes.
 """
 
 from __future__ import annotations
@@ -219,7 +225,7 @@ class VerificationReport(_Record):
         return f"{len(self.violations)} violation(s): {head}{more}"
 
 
-class Code:
+class Code(_Record):
     """A set of codewords with a declared length, composition and distance.
 
     Words are kept in construction order and may contain duplicates; the
@@ -230,10 +236,7 @@ class Code:
 
     def __init__(self, n: int, composition: Composition, distance: int,
                  words: Iterable[Codeword]):
-        self.n = n
-        self.composition = composition
-        self.distance = distance
-        self.words = tuple(words)
+        super().__init__(n, composition, distance, tuple(words))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -279,7 +282,7 @@ class GroupPartition(_Record):
         return GdcType.of_sizes(map(len, self.groups))
 
 
-class Gdc:
+class Gdc(_Record):
     """A code plus a coordinate partition; every word meets each group at most once.
 
     ``symmetry`` is None or a tuple of generator claims (image, lengths,
@@ -292,10 +295,9 @@ class Gdc:
 
     __slots__ = ("code", "partition", "symmetry")
 
-    def __init__(self, code: Code, partition: GroupPartition):
-        self.code = code
-        self.partition = partition
-        self.symmetry: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None = None
+    def __init__(self, code: Code, partition: GroupPartition,
+                 symmetry: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None = None):
+        super().__init__(code, partition, symmetry)
 
     @property
     def n(self) -> int:
@@ -658,8 +660,10 @@ def verify_gdc(g: Code | Gdc, expected_type: GdcType | None = None,
 # Header lines `n=` (1 to 10,000), `composition=`, `distance=` (at most
 # twice the composition's weight), then an optional `groups=` block (one
 # comma-separated group per line; ends at the first codeword line), then one
-# codeword per line: symbol-1 points, `;`, symbol-2 points.  Each header line
-# appears at most once, before the first codeword line.  `#` starts a comment.
+# codeword per line: symbol-1 points, `;`, symbol-2 points.  A word of a
+# one-class composition has no `;`; outside a `groups=` block, such a line is
+# a codeword.  Each header line appears at most once, before the first
+# codeword line.  `#` starts a comment.
 #
 # The writer puts each class's points in ascending order, joined by `,`, and
 # the classes by ` ; `.  The reader takes the text from the first codeword
@@ -758,7 +762,7 @@ def read_code_text(text: str) -> Code | Gdc:
                     continue
             if n is None or comp is None or dist is None:
                 raise ValueError(f"codeword line before complete header: {line!r}")
-            if ";" in line:
+            if ";" in line or (block is None and len(comp.weights) == 1):
                 block = None
                 if not words:
                     # The first codeword line: the rest in one pass, if it can.

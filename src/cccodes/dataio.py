@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .core import Code, Gdc, read_code_text
 
+TYPE_CHECKING = False  # so that importing this module does not load typing
 if TYPE_CHECKING:
     from .group_action import Manifest
 

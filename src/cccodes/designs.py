@@ -9,10 +9,9 @@ groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
-from .core import GroupPartition, VerificationReport, Violation
+from .core import GroupPartition, VerificationReport, Violation, _Record
 
 __all__ = [
     "DesignError",
@@ -130,29 +129,13 @@ class GfTable:
             for a in range(q))
         self.mul = tuple(tuple(polymul(a, b) for b in range(q)) for a in range(q))
 
-    def check_field_axioms(self) -> None:
-        """Inverses exhaustively; associativity/distributivity on a sample grid."""
-        q = self.q
-        for a in range(1, q):
-            if 1 not in self.mul[a]:
-                raise DesignError(f"element {a} has no multiplicative inverse in GF({q})")
-        step = max(1, q // 7)
-        sample = list(range(0, q, step))
-        for a in sample:
-            for b in sample:
-                for c in sample:
-                    if self.mul[a][self.mul[b][c]] != self.mul[self.mul[a][b]][c]:
-                        raise DesignError("multiplication not associative")
-                    if self.mul[a][self.add[b][c]] != self.add[self.mul[a][b]][self.mul[a][c]]:
-                        raise DesignError("distributivity fails")
-
 
 # ---------------------------------------------------------------------------
 # Group divisible designs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gdd:
+class Gdd(_Record):
+    __slots__ = ("n", "partition", "blocks", "block_sizes")
     n: int
     partition: GroupPartition
     blocks: tuple[tuple[int, ...], ...]
@@ -223,8 +206,7 @@ def build_td(k: int, m: int) -> Gdd:
 # Difference matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
+class DifferenceMatrix(_Record):
     """A (g,k;1) difference matrix: k rows of g group elements in which, for
     any two rows, the g column-wise differences are every element once.
 
@@ -235,6 +217,7 @@ class DifferenceMatrix:
     this encoding.
     """
 
+    __slots__ = ("g", "k", "rows", "moduli")
     g: int
     k: int
     rows: tuple[tuple[int, ...], ...]
@@ -357,8 +340,8 @@ def build_dm(g: int) -> DifferenceMatrix:
 # Room frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoomFrame:
+class RoomFrame(_Record):
+    __slots__ = ("holes", "cells")
     holes: tuple[tuple[int, ...], ...]               # partition of the side set
     cells: dict[tuple[int, int], frozenset[int]]     # (row, col) -> {a, b}
 
@@ -426,14 +409,18 @@ def search_skew_room_frame(hole_sizes: list[int]) -> RoomFrame | None:
     on the remaining pair with the fewest candidates (ties: pair order) and
     tries its cells lowest bit, that is (r, c) order, first.
 
-    Returns None when the search space is exhausted (nonexistence at this
-    order); raises SearchExhausted when the node budget runs out first.
+    Returns None when no such frame exists: at once when n - |H| is odd for
+    some hole H, else once the search space is exhausted; raises
+    SearchExhausted when the node budget runs out first.
     """
     if not hole_sizes or min(hole_sizes) < 1:
         raise DesignError(f"want at least one hole, each of size >= 1: {hole_sizes}")
     if len(hole_sizes) < 2:
         # A frame's cells are its cross-hole pairs; one hole has none.
         raise DesignError(f"want at least two holes: {hole_sizes}")
+    # A row in hole H holds each symbol outside H once, two to a cell.
+    if any((sum(hole_sizes) - s) % 2 for s in hole_sizes):
+        return None
     holes: list[tuple[int, ...]] = []
     start = 0
     for s in hole_sizes:

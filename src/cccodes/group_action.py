@@ -38,10 +38,8 @@ a message that starts ``line N: ``::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (_MAX_POINTS, Code, Codeword, Composition, Gdc, GdcType,
-                   GroupPartition)
+                   GroupPartition, _Record)
 
 __all__ = [
     "DevelopmentError",
@@ -64,26 +62,28 @@ class DevelopmentError(ValueError):
     full orbit's length."""
 
 
-class Permutation:
+class Permutation(_Record):
     """A bijection on [0, n), stored as its image tuple: point x goes to
     ``image[x]``; :func:`orbit` applies it to a codeword's points."""
 
     __slots__ = ("image",)
+    image: tuple[int, ...]
 
     def __init__(self, image: list[int] | tuple[int, ...] | range):
         if sorted(image) != list(range(len(image))):
             raise ManifestError("generator is not a bijection")
-        self.image = tuple(image)
+        super().__init__(tuple(image))
 
 
-@dataclass(frozen=True)
-class OrbitDecl:
+class OrbitDecl(_Record):
+    __slots__ = ("base", "length")
     base: Codeword
-    length: int | None = None  # declared length of a short orbit; None for a full one
+    length: int | None  # declared length of a short orbit; None for a full one
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(_Record):
+    __slots__ = ("n", "composition", "distance", "generator", "partition", "orbits",
+                 "expected_size", "expected_type", "name")
     n: int
     composition: Composition
     distance: int
@@ -92,7 +92,7 @@ class Manifest:
     orbits: tuple[OrbitDecl, ...]
     expected_size: int | None
     expected_type: GdcType | None
-    name: str = ""
+    name: str
 
 
 _SECTIONS = ("meta", "classes", "generator", "groups", "orbits")
@@ -145,6 +145,10 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
         lineno = heads["meta"]
         if "composition" not in meta or "distance" not in meta:
             raise ValueError("meta must declare composition and distance")
+        # As in a code file: no two words lie further apart than twice the weight.
+        if meta["distance"] > 2 * meta["composition"].weight:
+            raise ValueError(f"want a distance of at most twice the weight "
+                             f"({2 * meta['composition'].weight}): {meta['distance']}")
 
         # Each class is the range of its points; c0, c1, ... in declaration order.
         classes, labels, fixed = _Names("class"), _Names("label"), set()
@@ -232,10 +236,8 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             orbits.append(OrbitDecl(word, int(length) if length else None))
     except ValueError as e:
         raise ManifestError(str(e) if lineno is None else f"line {lineno}: {e}") from None
-    return Manifest(n=n, composition=meta["composition"], distance=meta["distance"],
-                    generator=Permutation(image), partition=partition,
-                    orbits=tuple(orbits), expected_size=meta["expected_size"],
-                    expected_type=meta["expected_type"], name=name)
+    return Manifest(n, meta["composition"], meta["distance"], Permutation(image), partition,
+                    tuple(orbits), meta["expected_size"], meta["expected_type"], name)
 
 
 def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
@@ -283,7 +285,6 @@ def develop(m: Manifest) -> Gdc:
         words += cycle[:length]
         lengths.append(length)
     partition = m.partition if m.partition is not None else GroupPartition.singletons(m.n)
-    g = Gdc(Code(m.n, m.composition, m.distance, words), partition)
-    if all(decl.length is None for decl in m.orbits):
-        g.symmetry = ((m.generator.image, tuple(lengths), 1),)
-    return g
+    full = all(decl.length is None for decl in m.orbits)
+    return Gdc(Code(m.n, m.composition, m.distance, words), partition,
+               ((m.generator.image, tuple(lengths), 1),) if full else None)

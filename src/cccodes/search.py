@@ -33,12 +33,11 @@ not used.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from collections.abc import Iterator
 from itertools import combinations, islice
 
 from . import core
-from .core import Code, Codeword, Composition
+from .core import Code, Codeword, Composition, _Record
 
 __all__ = [
     "SearchBudget",
@@ -48,24 +47,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Limits on one search: None is no limit, 0 stops at once and
     ``inf`` seconds never stops it."""
 
-    seconds: float | None = None
-    nodes: int | None = None
+    __slots__ = ("seconds", "nodes")
+    seconds: float | None
+    nodes: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, seconds: float | None = None, nodes: int | None = None) -> None:
         # A NaN deadline would never pass, so it is refused with the negatives.
-        if self.seconds is not None and not self.seconds >= 0:
-            raise ValueError(f"want a search budget of at least 0 seconds: {self.seconds}")
-        if self.nodes is not None and self.nodes < 0:
-            raise ValueError(f"want a search budget of at least 0 nodes: {self.nodes}")
+        if seconds is not None and not seconds >= 0:
+            raise ValueError(f"want a search budget of at least 0 seconds: {seconds}")
+        if nodes is not None and nodes < 0:
+            raise ValueError(f"want a search budget of at least 0 nodes: {nodes}")
+        super().__init__(seconds, nodes)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
+    __slots__ = ("status", "size", "witness", "nodes", "elapsed")
     status: str          # "exact" | "lower-bound-only"
     size: int
     witness: Code
@@ -205,7 +205,10 @@ class _CliqueSearch:
 def max_code(n: int, d: int, comp: Composition,
              budget: SearchBudget | None = None) -> SearchOutcome:
     """Exact maximum code size (status "exact") unless the budget runs out,
-    in which case the best witness found so far is returned."""
+    in which case the best witness found so far is returned.  A distance
+    that no two words reach (above twice the weight) is refused."""
+    if d > 2 * comp.weight:
+        raise ValueError(f"want a distance of at most twice the weight ({2 * comp.weight}): {d}")
     t0 = time.monotonic()
     budget = budget or SearchBudget()
     # Symmetry reduction: search only codes through word 0, over its

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, deterministic output, round-trips."""
 
+import csv
 import importlib
 import io
 import os
@@ -97,7 +98,7 @@ def test_table_matches_small_values():
 def test_table_csv():
     status, out = run(["table", "4..6", "--comp", "2,2", "--format", "csv"])
     assert status == 0
-    assert out.splitlines()[1] == "[2,2],1,1,3"
+    assert out.splitlines()[1] == '"[2,2]",1,1,3'
 
 
 def test_build_and_verify_roundtrip(tmp_path):
@@ -132,6 +133,12 @@ def test_design_build_srf_nonexistence_exit_code():
     status, out = run(["design", "build", "srf", "2", "4"])
     assert status == 1
     assert "none" in out
+
+
+def test_design_build_srf_of_an_odd_row_is_refused_at_once(monkeypatch):
+    from cccodes import designs
+    monkeypatch.setattr(designs, "_NODE_BUDGET", 0)
+    assert run(["design", "build", "srf", "1", "8"]) == (1, "none (search space exhausted)\n")
 
 
 @pytest.mark.parametrize("t, u, sizes", [("0", "3", "[0, 0, 0]"), ("-1", "3", "[-1, -1, -1]"),
@@ -246,20 +253,22 @@ def test_cli_start_up_does_not_import_numpy(tmp_path):
 
 
 # Run without the site module, which may itself import typing, so that only
-# what cccodes.cli imports is seen.
+# what the module imports is seen.
 LEAN_START_UP = """
 import sys
 before = set(sys.modules)
-import cccodes.cli
-heavy = {"dataclasses", "inspect", "typing"} & (set(sys.modules) - before)
+import {}
+heavy = {{"dataclasses", "inspect", "typing"}} & (set(sys.modules) - before)
 assert not heavy, heavy
 """
 
 
 def test_cli_start_up_imports_no_dataclasses_inspect_or_typing(tmp_path):
+    # The CLI and each module that a subcommand loads, in a fresh interpreter.
     src = str(Path(cccodes.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-S", "-c", LEAN_START_UP],
-                   env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, check=True)
+    for module in ("cli", "group_action", "search", "bounds", "designs", "catalog"):
+        subprocess.run([sys.executable, "-S", "-c", LEAN_START_UP.format(f"cccodes.{module}")],
+                       env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, check=True)
 
 
 def test_manifest_shift_without_arguments_is_a_data_error(tmp_path, capsys):
@@ -566,3 +575,142 @@ def test_pipeline_result_that_fails_verification_lists_every_violation(tmp_path,
     status, out = verified
     assert (status, out.splitlines()[0], len(out.splitlines())) == (1, "n 9 size 7 FAIL", 23)
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# One property over the whole command line: argv drawn over every subcommand,
+# with small arguments, shipped files and files the test itself wrote.
+
+DATA = data_root()
+SHIPPED = sorted(str(p.relative_to(DATA / p.relative_to(DATA).parts[0]))
+                 for p in DATA.rglob("*") if p.is_file())
+COMPS = st.sampled_from(["2,2", "3,1", "1,3", "2,1,1", "2,1", "4", "1",
+                         "0,2", "2,-1", "", "x", "9,9"])
+EDITS = st.sampled_from(["", "0", "-1", "99", "x", ",", ";", ":", "=", "\n", "#",
+                         " ", "1,2", "kind", "dm"])
+
+
+def _file(draw, where):
+    # A shipped file by the name the CLI resolves, or one with a token edited.
+    name = draw(st.sampled_from(SHIPPED))
+    if draw(st.booleans()):
+        return name
+    text = next(DATA.glob(f"*/{name}")).read_text()
+    tokens = re.findall(r"\w+|\W", text)
+    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(EDITS)
+    path = where / f"edited{Path(name).suffix}"
+    path.write_text("".join(tokens))
+    return str(path)
+
+
+def _argv(draw, where):
+    """An argv over one subcommand, and the file its --emit names, if any."""
+    n = str(draw(st.integers(-1, 12)))
+    emit = draw(st.sampled_from([None, "out.code"]))
+    cmd = draw(st.sampled_from(["verify", "develop", "bound", "search", "build",
+                                "spectrum", "table", "design"]))
+    if cmd == "verify":
+        argv = [cmd, _file(draw, where)]
+        emit = None
+    elif cmd == "develop":
+        argv = [cmd, _file(draw, where)]
+    elif cmd == "bound":
+        argv = [cmd, n, "--comp", draw(COMPS)]
+        argv += draw(st.sampled_from([[], ["--method", "u"], ["--method", "johnson"],
+                                      ["--method", "per-position"], ["--method", "all"]]))
+        emit = None
+    elif cmd == "search":
+        argv = [cmd, n, "--comp", draw(COMPS), "--budget-nodes",
+                str(draw(st.integers(0, 1_000)))]
+        argv += draw(st.sampled_from([[], ["--d", "6"], ["--d", "4"], ["--d", "8"],
+                                      ["--d", "9"], ["--d", "1"], ["--d", "0"]]))
+        argv += draw(st.sampled_from([[], ["--budget-seconds", "0"],
+                                      ["--budget-seconds", "inf"]]))
+    elif cmd == "build":
+        argv = [cmd] + draw(st.sampled_from([[n], [n, "--comp", draw(COMPS)], [],
+                                             ["--pipeline", _file(draw, where)]]))
+    elif cmd in ("spectrum", "table"):
+        span = f"{draw(st.integers(-1, 12))}..{draw(st.integers(-1, 12))}"
+        argv = [cmd, n if cmd == "spectrum" else span]
+        argv += draw(st.sampled_from([[], ["--comp", draw(COMPS)]]))
+        if cmd == "table":
+            argv += draw(st.sampled_from([[], ["--format", "text"], ["--format", "csv"],
+                                          ["--format", "md"]]))
+        emit = None
+    else:
+        emit = draw(st.sampled_from([None, "out.design"]))
+        what = draw(st.sampled_from(["verify", "td", "dm", "srf"]))
+        if what == "verify":
+            argv = [cmd, what, _file(draw, where)]
+            emit = None
+        elif what == "td":
+            argv = [cmd, "build", what, str(draw(st.integers(-1, 8))),
+                    str(draw(st.integers(-1, 8)))]
+        elif what == "dm":
+            argv = [cmd, "build", what, str(draw(st.integers(-1, 20)))]
+        else:
+            t = draw(st.integers(1, 8))
+            argv = [cmd, "build", what, str(t), str(draw(st.integers(1, 8 // t)))]
+    if emit:
+        emit = str(where / emit)
+        argv += ["--emit", emit]
+    return argv, emit
+
+
+def _columns(line: str, fmt: str) -> int:
+    if fmt == "csv":
+        return len(next(csv.reader([line])))
+    if fmt == "md":
+        return len(line.strip("|").split("|"))
+    return len(line.split())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_command_exits_0_1_or_2_and_emits_what_verifies(tmp_path_factory, data):
+    where = tmp_path_factory.mktemp("cli")
+    argv, emit = _argv(data.draw, where)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, out = run(argv)
+    assert status in (0, 1, 2)
+    assert (status == 2) == err.getvalue().startswith("error: ")
+    if status == 0 and emit:
+        check = ["design", "verify", emit] if argv[0] == "design" else ["verify", emit]
+        with redirect_stderr(io.StringIO()):
+            assert run(check)[0] == 0
+    if status == 0 and argv[0] == "table":
+        lo, hi = map(int, argv[1].split(".."))
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        lines = [line for line in out.splitlines() if not set(line) <= set("|-")]
+        assert {_columns(line, fmt) for line in lines} == {1 + hi - lo + 1}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["spectrum", "12"], "error: the following arguments are required: --comp\n"
+                         "usage: ccc spectrum [-h] --comp COMP n\n"),
+    (["table", "-1..4"], "error: the following arguments are required: range\n"
+                         "usage: ccc table [-h] [--comp COMP] [--format {text,csv,md}] range\n"),
+    (["search", "8", "--comp", "2,2", "--d", "9"],
+     "error: want a distance of at most twice the weight (8): 9\n"),
+    (["search", "5", "--comp", "1"], "error: want a distance of at most twice the weight (2): 6\n"),
+])
+def test_usage_errors_and_distances_no_word_reaches_exit_2_from_main(capsys, argv, err):
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == err
+
+
+def test_manifest_distance_no_word_reaches_is_a_data_error(tmp_path, capsys):
+    man = tmp_path / "far.man"
+    man.write_text(MANIFEST_G10.replace("distance = 6", "distance = 9"))
+    assert run(["verify", str(man)]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: line 2: want a distance of at most twice the weight (8): 9\n")
+
+
+def test_one_class_search_witness_reads_back(tmp_path):
+    # A one-class word is written with no `;` and read back as a word.
+    path = tmp_path / "w.code"
+    assert run(["search", "6", "--comp", "4", "--d", "4", "--emit", str(path)])[0] == 0
+    assert path.read_text().splitlines()[3] == "0,1,2,3"
+    assert run(["verify", str(path)]) == (0, "n 6 size 3 OK\n")

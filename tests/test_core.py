@@ -181,6 +181,34 @@ def test_value_records_compare_hash_and_print_by_value_and_stay_frozen():
         assert hash(copy.copy(r)) == hash(r)
 
 
+def _records():
+    # One value of each record type of the package.
+    from cccodes import bounds, catalog, dataio, designs, search
+    from cccodes.group_action import Permutation
+    code = read_code_text("n=4\ncomposition=2,2\ndistance=6\n0,1 ; 2,3\n")
+    m = dataio.load_manifest("c22/type-2^10.man")
+    return [code, Gdc(code, GroupPartition.singletons(4), ((tuple(range(4)), (1,), 1),)),
+            Permutation([1, 0]), m, m.orbits[0], bounds.BoundValue(1, "general"),
+            catalog.spectrum(20, (2, 2)), catalog.list_recipes()[0], designs.build_td(4, 3),
+            designs.build_dm(5), designs.RoomFrame(((0,), (1,)), {}), search.SearchBudget(),
+            search.max_code(4, 6, Composition((2, 2)))]
+
+
+def test_every_record_is_frozen_and_compares_by_value():
+    from cccodes.core import _Record
+    for r in _records():
+        assert isinstance(r, _Record)
+        for name in type(r).__slots__:
+            value = getattr(r, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(r, name, value)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(r, name)
+            assert getattr(r, name) is value
+        twin = copy.deepcopy(r)
+        assert twin == r and twin is not r and pickle.loads(pickle.dumps(r)) == r
+
+
 def test_metric_properties_random_triples():
     rng = random.Random(7)
     words = []

@@ -57,9 +57,7 @@ def _starts(lengths):
 
 
 def _with(g, words, symmetry):
-    out = Gdc(Code(g.n, g.code.composition, g.code.distance, words), g.partition)
-    out.symmetry = symmetry
-    return out
+    return Gdc(Code(g.n, g.code.composition, g.code.distance, words), g.partition, symmetry)
 
 
 def test_shipped_developments_certify_on_their_cycle_starts(scans):
