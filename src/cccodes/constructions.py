@@ -11,6 +11,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain, islice
 
 from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition,
                    gdc_type)
@@ -206,10 +207,13 @@ def shorten(code: Code, point: int) -> Code:
     if not 0 <= point < code.n:
         raise ConstructionError(f"point {point} outside [0, {code.n})")
     # x -> x - (x > point) keeps each class sorted and sends the points
-    # other than ``point`` one to one onto [0, n-1).
+    # other than ``point`` one to one onto [0, n-1).  It is the identity
+    # below ``point``, so a word lying there is kept as it is.
     words = []
     for w in code.words:
-        if not any(point in cls for cls in w.supports):
+        if max(chain.from_iterable(w.supports), default=-1) < point:
+            words.append(w)
+        elif not any(point in cls for cls in w.supports):
             words.append(Codeword._valid(
                 tuple([tuple([x - (x > point) for x in cls]) for cls in w.supports])))
     return Code(code.n - 1, code.composition, code.distance, words)
@@ -282,16 +286,15 @@ def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
     if not rep.ok:
         raise ConstructionError(f"invalid transversal design: {rep.summary()}")
     n = code.n * m
-    # Each block's levels in group order (td points are i*m + v).  x*m + v
-    # keeps every class sorted, distinct and inside [0, n).
-    levels = [[x % m for x in sorted(b)] for b in td.blocks]
-    words = []
+    # Column i holds each block's level in TD group i (td points are
+    # i*m + v).  x*m + v keeps every class sorted, distinct and inside
+    # [0, n), so a word's images are its points' columns, cut into classes.
+    columns = list(zip(*[[x % m for x in sorted(b)] for b in td.blocks]))
+    words: list[Codeword] = []
     for u in code.words:
-        k = len(u.supports[0])
-        flat = [x * m for cls in u.supports for x in cls]
-        for lv in levels:
-            pts = [x + v for x, v in zip(flat, lv)]
-            words.append(Codeword._valid((tuple(pts[:k]), tuple(pts[k:]))))
+        cols = iter([map((x * m).__add__, col)
+                     for x, col in zip(chain.from_iterable(u.supports), columns)])
+        words += map(Codeword._valid, zip(*[zip(*islice(cols, len(cls))) for cls in u.supports]))
     groups = [tuple(x * m + v for x in grp for v in range(m)) for grp in g.partition.groups]
     # When m = p^e: v -> v + p^k moves digit k of v up by one, mod p.
     p = next((q for q in range(2, m + 1) if m % q == 0), 1)

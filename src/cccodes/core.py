@@ -28,10 +28,10 @@ by the hundred thousand with its one field set unguarded, and
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
-from functools import reduce
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache, reduce
 from itertools import chain, combinations, groupby
-from operator import or_
+from operator import lt, ne, or_
 
 __all__ = [
     "Code",
@@ -398,59 +398,65 @@ def _cells(words: Sequence[Codeword]) -> tuple:
     return a_mask, p_mask, weight, w_mask
 
 
+@lru_cache(maxsize=32)
+def _compiled(top_c: int, top_d: int, pairs: tuple) -> Callable:
+    """The row function of one plan structure, compiled from its source:
+    ``bind(whole, m0, m1, ..., at)`` returns ``row(supports)``, which walks
+    u's (class, point) pairs once with C[1..top_c] and D[1..top_d] as locals,
+    each updated highest level first; a level not reached yet ORs in 0.
+    Term t of ``pairs`` holds the (k, j) pairs of weight class mask m_t."""
+    ms = [f"m{t}" for t in range(len(pairs))]
+    body = "return whole"
+    if pairs:
+        levels = [f"c{k}" for k in range(1, top_c + 1)] + [f"d{j}" for j in range(1, top_d + 1)]
+        steps = ([f"c{k} |= c{k - 1} & p" for k in range(top_c, 1, -1)] + ["c1 |= p"]
+                 + [f"d{j} |= d{j - 1} & a" for j in range(top_d, 1, -1)]
+                 + ["d1 |= a"] * (top_d > 0))
+        hits = [f"{m} & ({' | '.join(f'c{k} & d{j}' if j else f'c{k}' for k, j in term)})"
+                for m, term in zip(ms, pairs)]
+        body = (f"{' = '.join(levels)} = 0\n"
+                "        for cell, cls in zip(at, sup):\n"
+                "            for x in cls:\n"
+                "                p, a = cell[x]\n"
+                + "".join(f"                {s}\n" for s in steps)
+                + f"        return whole | {' | '.join(hits)}")
+    namespace: dict = {}
+    exec(compile(f"def bind(whole, {''.join(m + ', ' for m in ms)}at):\n"
+                 f"    def row(sup):\n"
+                 f"        {body}\n"
+                 f"    return row\n", "<conflict row>", "exec"), namespace)
+    return namespace["bind"]
+
+
 def _rows(words: Sequence[Codeword], distance: int, cells: tuple,
           rows: Iterable[int] | None = None) -> Iterator[tuple[int, int]]:
     # conflict_rows on masks that _cells built from the same words, for the
     # words of ``rows`` in turn (by default every word, in order).
     a_mask, p_mask, weight, w_mask = cells
     distance = max(distance, 1)
-    plans: dict[int, tuple] = {}
+    # Per symbol s, each point x's (P(x), A(x, s)), the pair a row reads.
+    at = [{x: (p_mask[x], a) for x, a in am.items()} for am in a_mask]
+    kernels: dict[int, Callable] = {}
     for i in range(len(words)) if rows is None else rows:
         wu = weight[i]
-        plan = plans.get(wu)
-        if plan is None:
-            # Per weight class of v: its mask and its (k, th - k) terms.  A
-            # class with th > 2 * w_u has no term and never conflicts.
-            whole, terms, top_c, top_d = 0, [], 0, 0
+        row = kernels.get(wu)
+        if row is None:
+            # Per weight class of v: its mask and its (k, th - k) pairs.  A
+            # class with th <= 0 is whole, and one with th > 2 * w_u never
+            # conflicts.
+            whole, masks, pairs, top_c, top_d = 0, [], [], 0, 0
             for wv, m in w_mask:
                 th = wu + wv - distance + 1
                 if th <= 0:
                     whole |= m
                 elif th <= 2 * wu:
                     ks = range((th + 1) // 2, min(th, wu) + 1)
-                    terms.append((m, [(k, th - k) for k in ks]))
+                    masks.append(m)
+                    pairs.append(tuple((k, th - k) for k in ks))
                     top_c, top_d = max(top_c, ks[-1]), max(top_d, th // 2)
-            # The levels above 1 to update at u's m-th point: none above m is
-            # reached yet.  Level 1 is a plain union.
-            up_c = [range(min(m, top_c), 1, -1) for m in range(1, wu + 1)]
-            up_d = [range(min(m, top_d), 1, -1) for m in range(1, wu + 1)]
-            plan = plans[wu] = whole, terms, top_c, top_d, up_c, up_d
-        whole, terms, top_c, top_d, up_c, up_d = plan
-        row = whole
-        if terms:
-            sup = words[i].supports
-            c = [0] * (top_c + 1)
-            for p, levels in zip([p_mask[x] for cls in sup for x in cls], up_c):
-                for k in levels:
-                    c[k] |= c[k - 1] & p
-                c[1] |= p
-            agreeing = [am[x] for am, cls in zip(a_mask, sup) for x in cls]
-            if top_d < 2:
-                # No level above 1 is read: D[1] is the union of the A(x, s).
-                d = [0, reduce(or_, agreeing)]
-            else:
-                d = [0] * (top_d + 1)
-                for a, levels in zip(agreeing, up_d):
-                    for j in levels:
-                        d[j] |= d[j - 1] & a
-                    d[1] |= a
-            for m, pairs in terms:
-                hit = 0
-                for k, j in pairs:
-                    hit |= c[k] & d[j] if j else c[k]
-                row |= m & hit
+            row = kernels[wu] = _compiled(top_c, top_d, tuple(pairs))(whole, *masks, at)
         # A word always conflicts with itself; that bit is cleared.
-        yield i, row ^ (1 << i)
+        yield i, row(words[i].supports) ^ (1 << i)
 
 
 def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[int, int]]:
@@ -471,7 +477,9 @@ def conflict_rows(words: Sequence[Codeword], distance: int) -> Iterator[tuple[in
     cells (x, s), C[k] |= C[k-1] & P(x) keeps in C[k] the words sharing at
     least k of u's points, and D[j] |= D[j-1] & A(x, s) in D[j] those
     agreeing with u at at least j points, so no pair is measured.  Only the
-    masks are held, never all rows.
+    masks are held, never all rows.  Per weight of u, the whole classes, the
+    terms and the top levels form a plan; a row function compiled once per
+    plan structure (see :func:`_compiled`) runs it with C and D as locals.
     """
     yield from _rows(words, distance, _cells(words))
 
@@ -662,8 +670,9 @@ def verify_gdc(g: Code | Gdc, expected_type: GdcType | None = None,
 # comma-separated group per line; ends at the first codeword line), then one
 # codeword per line: symbol-1 points, `;`, symbol-2 points.  A word of a
 # one-class composition has no `;`; outside a `groups=` block, such a line is
-# a codeword.  Each header line appears at most once, before the first
-# codeword line.  `#` starts a comment.
+# a codeword, and that block ends once its groups hold n points.  Each header
+# line appears at most once, before the first codeword line.  `#` starts a
+# comment.
 #
 # The writer puts each class's points in ascending order, joined by `,`, and
 # the classes by ` ; `.  The reader takes the text from the first codeword
@@ -712,7 +721,7 @@ def _read_block(block: str, n: int, comp: tuple[int, ...]) -> list[Codeword] | N
     # class and differ from every point of a later class.
     cls = [c for c, s in enumerate(comp) for _ in range(s)]
     cols = [ints[p::len(cls)] for p in range(len(cls))]
-    if not all(all(map(int.__lt__ if cls[p] == cls[q] else int.__ne__, cols[p], cols[q]))
+    if not all(all(map(lt if cls[p] == cls[q] else ne, cols[p], cols[q]))
                for p, q in combinations(range(len(cls)), 2)
                if cls[p] != cls[q] or q == p + 1):
         return None
@@ -726,6 +735,7 @@ def read_code_text(text: str) -> Code | Gdc:
     n = comp = dist = None
     groups: list[tuple[int, ...]] | None = None
     block: list[tuple[int, ...]] | None = None  # groups, until a codeword line
+    held = 0  # the points of the groups so far
     words: list[Codeword] = []
     seen: set[str] = set()
     lines = text.splitlines()
@@ -775,6 +785,11 @@ def read_code_text(text: str) -> Code | Gdc:
                                        for part in line.split(";")], n))
             elif block is not None:
                 block.append(tuple(int(x) for x in line.split(",")))
+                held += len(block[-1])
+                # A one-class word looks like a group, so a one-class
+                # composition's block ends once its groups hold n points.
+                if held >= n and len(comp.weights) == 1:
+                    block = None
             else:
                 raise ValueError(f"unparseable line: {line!r}")
         except ValueError as e:

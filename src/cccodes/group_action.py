@@ -38,6 +38,9 @@ a message that starts ``line N: ``::
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+from math import gcd, lcm
+
 from .core import (_MAX_POINTS, Code, Codeword, Composition, Gdc, GdcType,
                    GroupPartition, _Record)
 
@@ -240,23 +243,69 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
                     tuple(orbits), meta["expected_size"], meta["expected_type"], name)
 
 
+def _cycles(image: tuple[int, ...]) -> list[tuple[list[int], int]]:
+    # Each point's cycle under x -> image[x], in the map's order, and the
+    # point's place in it.
+    table: list = [None] * len(image)
+    for x in range(len(image)):
+        if table[x] is None:
+            cycle, y = [x], image[x]
+            while y != x:
+                cycle.append(y)
+                y = image[y]
+            for at, y in enumerate(cycle):
+                table[y] = cycle, at
+    return table
+
+
+def _orbit(base: Codeword, cycles: list[tuple[list[int], int]]) -> list[Codeword]:
+    # orbit() on the generator's cycle table.  g^t fixes the word just when,
+    # for each class and each cycle it meets, turning the cycle by t fixes
+    # the class's places in it, so the orbit's length is the lcm of the
+    # least such turns: the first recurrence, found before any image.
+    # Column t of a point is its t-th image; each class is cut from its
+    # points' columns and sorted word by word.
+    top = max((cls[-1] for cls in base.supports if cls), default=-1)
+    if top >= len(cycles):
+        raise ValueError(f"generator on {len(cycles)} points, word with point {top}")
+    length = 1
+    for cls in base.supports:
+        places: dict[int, list[int]] = {}  # per cycle met: its length, then places
+        for x in cls:
+            cycle, at = cycles[x]
+            places.setdefault(cycle[0], [len(cycle)]).append(at)
+        for size, *ats in places.values():
+            turn = size
+            if len(ats) > 1:
+                # A turn r fixing the places makes them size/r whole cosets,
+                # so r is a multiple of size / gcd(size, places).
+                step, ats = size // gcd(size, len(ats)), set(ats)
+                turn = next(r for r in range(step, size + 1, step)
+                            if not size % r and {(a + r) % size for a in ats} == ats)
+            length = lcm(length, turn)
+    classes = []
+    for cls in base.supports:
+        cols = []
+        for x in cls:
+            cycle, at = cycles[x]
+            turned = cycle[at:] + cycle[:at]
+            cols.append(turned * (length // len(cycle)) + turned[:length % len(cycle)])
+        if len(cols) == 2:
+            classes.append([(a, b) if a < b else (b, a) for a, b in zip(*cols)])
+        elif len(cols) > 2:
+            classes.append(map(tuple, map(sorted, zip(*cols))))
+        else:
+            classes.append(zip(*cols) if cols else repeat((), length))
+    return [base, *map(Codeword._valid, islice(zip(*classes), 1, None))]
+
+
 def orbit(base: Codeword, g: Permutation) -> list[Codeword]:
     """Distinct images of ``base`` under repeated application of ``g``, in
     generation order, stopping when the base recurs.
 
     A valid word's image under a bijection of [0, n) is a valid word, so each
     image is only sorted, not validated again."""
-    image = g.image
-    top = max((cls[-1] for cls in base.supports if cls), default=-1)
-    if top >= len(image):
-        raise ValueError(f"generator on {len(image)} points, word with point {top}")
-    out = [base]
-    sup = base.supports
-    while True:
-        sup = tuple([tuple(sorted([image[x] for x in cls])) for cls in sup])
-        if sup == base.supports:
-            return out
-        out.append(Codeword._valid(sup))
+    return _orbit(base, _cycles(g.image))
 
 
 def develop(m: Manifest) -> Gdc:
@@ -274,8 +323,9 @@ def develop(m: Manifest) -> Gdc:
     """
     words: list[Codeword] = []
     lengths = []
+    cycles = _cycles(m.generator.image)
     for k, decl in enumerate(m.orbits):
-        cycle = orbit(decl.base, m.generator)
+        cycle = _orbit(decl.base, cycles)
         length = len(cycle) if decl.length is None else decl.length
         # Truncations of one length can tile the orbit, never repeat it.
         if len(cycle) % length or decl.length == len(cycle):

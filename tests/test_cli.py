@@ -237,7 +237,14 @@ import sys
 import cccodes.cli
 loaded = sorted(m for m in sys.modules if m.startswith("cccodes"))
 assert loaded == ["cccodes", "cccodes.cli", "cccodes.core"], loaded
+# Row functions are compiled when a scan first needs them, never on import or
+# on reading a code: this code's one plan, on its one scan.
+from cccodes import core, dataio
+assert core._compiled.cache_info().misses == 0
+core.read_code_text((dataio.data_root() / "codes" / "n10-22.code").read_text())
+assert core._compiled.cache_info().misses == 0
 assert cccodes.cli.main(["verify", "n10-22.code"]) == 0
+assert core._compiled.cache_info().misses == 1
 heavy = {"cccodes." + m for m in ("catalog", "search", "designs", "pipelines",
                                    "constructions", "group_action", "bounds")}
 assert not heavy & set(sys.modules), heavy & set(sys.modules)
@@ -714,3 +721,26 @@ def test_one_class_search_witness_reads_back(tmp_path):
     assert run(["search", "6", "--comp", "4", "--d", "4", "--emit", str(path)])[0] == 0
     assert path.read_text().splitlines()[3] == "0,1,2,3"
     assert run(["verify", str(path)]) == (0, "n 6 size 3 OK\n")
+
+
+ONE_CLASS_MANIFEST = """[meta]
+composition = 4
+distance = 6
+[classes]
+plain 13
+[generator]
+shift 1 on c0
+[groups]
+singletons c0
+[orbits]
+full: 0,1,3,9
+"""
+
+
+def test_one_class_development_verifies_from_its_emitted_text(tmp_path):
+    # A one-class word line looks like a group line; the groups= block ends
+    # once its groups hold all 13 points.
+    man, out = tmp_path / "planar.man", tmp_path / "planar.code"
+    man.write_text(ONE_CLASS_MANIFEST)
+    assert run(["develop", str(man), "--emit", str(out)])[0] == 0
+    assert run(["verify", str(out)]) == (0, "type 1^13 size 13 OK\n")

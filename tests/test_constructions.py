@@ -147,7 +147,10 @@ def test_shorten_last_point_keeps_labels():
     last = code.n - 1
     kept = [Codeword(w.supports, last) for w in code.words
             if last not in w.support()]
-    assert shorten(code, last).words == tuple(kept)
+    short = shorten(code, last).words
+    assert short == tuple(kept)
+    # Relabelling is the identity below the point: the words are shared.
+    assert all(a is b for a, b in zip(short, [w for w in code.words if last not in w.support()]))
 
 
 @pytest.mark.parametrize("point", [0, 9, 18])
@@ -220,6 +223,16 @@ def test_inflate_by_3():
     g31 = inflate(develop_manifest("c31/type-3^7.man"), 3)
     assert verify_gdc(g31, GdcType.parse("9^7"), 378).ok
     assert g31.code.composition == C31
+
+
+def test_inflate_keeps_the_class_count():
+    # Images are cut into the base word's classes, one or two or more.
+    planar = [Codeword([[(x + k) % 13 for x in (0, 1, 3, 9)]], 13) for k in range(13)]
+    g = Gdc(Code(13, Composition((4,)), 6, planar), GroupPartition.singletons(13))
+    assert verify_gdc(inflate(g, 3), GdcType.parse("3^13"), 13 * 9).ok
+    three = Gdc(Code(4, Composition((2, 1, 1)), 6, [Codeword(((0, 1), (2,), (3,)), 4)]),
+                GroupPartition.singletons(4))
+    assert verify_gdc(inflate(three, 3), GdcType.parse("3^4"), 9).ok
 
 
 # SHA-256 of the emitted text of the three benchmark inflations, each

@@ -331,27 +331,30 @@ def _random_word(rng, n, classes):
     return Codeword(out, n)
 
 
-SHAPES = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,), (2, 1, 1), (1, 1, 1)]
+SHAPES = [(2, 2), (3, 1), (1, 3), (2, 1), (4,), (3, 2), (), (1,), (2, 1, 1), (1, 1, 1),
+          (4, 4), (5, 2), (6,)]
 
 
 def _random_words(rng, size, n):
-    # Mixed compositions (weights 0 to 5 over 0 to 3 symbol classes, so the
-    # rows take a threshold per weight), with about one word in five a
-    # duplicate of an earlier one.
+    # Mixed compositions (weights 0 to 8 over 0 to 3 symbol classes, each no
+    # heavier than n, so the rows take a threshold per weight and reach C and
+    # D levels of 3 and more), with about one word in five a duplicate of an
+    # earlier one.
+    shapes = [shape for shape in SHAPES if sum(shape) <= n]
     words = []
     for _ in range(size):
         if words and rng.random() < 0.2:
             words.append(rng.choice(words))
         else:
-            words.append(_random_word(rng, n, rng.choice(SHAPES)))
+            words.append(_random_word(rng, n, rng.choice(shapes)))
     return words
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 40),
-       st.integers(0, 9), st.integers(5, 12))
+       st.integers(0, 17), st.integers(5, 12))
 def test_conflict_pairs_match_brute_force(rng, size, distance, n):
-    # Codes of 0 and 1 words, d from 0 to 9.
+    # Codes of 0 and 1 words, d from 0 to 17.
     words = _random_words(rng, size, n)
     c = Code(n, Composition((2, 2)), distance, words)
     assert pair_violations(c) == triples(_pair_scan_python(words, distance))
@@ -359,11 +362,11 @@ def test_conflict_pairs_match_brute_force(rng, size, distance, n):
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 30),
-       st.integers(-1, 12), st.integers(5, 12))
+       st.integers(-1, 17), st.integers(5, 12))
 def test_conflict_rows_match_brute_force(rng, size, distance, n):
     # One row per word in order, no self bit, symmetric, and bit j set exactly
-    # when the two words lie closer than max(d, 1).  With weights up to 5,
-    # d from -1 to 12 gives thresholds w_u + w_v - d + 1 at most 0 (a whole
+    # when the two words lie closer than max(d, 1).  With weights up to 8,
+    # d from -1 to 17 gives thresholds w_u + w_v - d + 1 at most 0 (a whole
     # weight class), above 2 * w_u (none), and in between.
     words = _random_words(rng, size, n)
     rows = list(conflict_rows(words, distance))
@@ -376,6 +379,19 @@ def test_conflict_rows_match_brute_force(rng, size, distance, n):
                 near = hamming_distance(words[i], words[j]) < max(distance, 1)
                 assert (row >> j & 1) == near, (i, j)
         assert row >> size == 0
+
+
+@pytest.mark.parametrize("distance", [1, 20, 21, 40, 41, 120])
+def test_heavy_words_match_brute_force(distance):
+    # Three 60-point one-class words, 20, 40 and 20 apart: a row walks 60
+    # points through up to 60 C levels and 60 D levels.
+    n = 80
+    words = [Codeword([range(s, s + 60)], n) for s in (0, 10, 20)]
+    for i, row in conflict_rows(words, distance):
+        assert row == sum(1 << j for j in range(3)
+                          if j != i and hamming_distance(words[i], words[j]) < distance)
+    c = Code(n, Composition((60,)), distance, words)
+    assert pair_violations(c) == triples(_pair_scan_python(words, distance))
 
 
 @pytest.mark.parametrize("distance", [0, -1])
@@ -565,6 +581,16 @@ def test_code_text_roundtrip():
     plain = read_code_text(write_code_text(g.code))
     assert isinstance(plain, Code)
     assert plain.words == g.code.words
+
+
+def test_one_class_gdc_text_roundtrip():
+    # A one-class word line looks like a group line: the groups= block ends
+    # once its groups hold n points, so the words read back as words.
+    words = [Codeword([[(x + k) % 13 for x in (0, 1, 3, 9)]], 13) for k in range(13)]
+    g = Gdc(Code(13, Composition((4,)), 6, words), GroupPartition.singletons(13))
+    assert read_code_text(write_code_text(g)) == g
+    halves = Gdc(g.code, GroupPartition.of([range(6), range(6, 13)]))
+    assert read_code_text(write_code_text(halves)) == halves
 
 
 HEAD = "n=5\ncomposition=2,2\ndistance=6\n"

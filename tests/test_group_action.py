@@ -47,6 +47,59 @@ def test_orbit_needs_a_generator_on_the_word_s_points():
         orbit(Codeword(((0, 5), (3, 20)), 21), m.generator)
 
 
+def _orbit_brute(base, g):
+    # Apply the map, sort each class, and stop when the base recurs.
+    out, w = [base], base
+    while True:
+        w = Codeword([[g.image[x] for x in cls] for cls in w.supports], len(g.image))
+        if w == base:
+            return out
+        out.append(w)
+
+
+@st.composite
+def _generator_and_word(draw):
+    # Shifts on 1 to 4 classes of 1 to 12 points, with 0 to 3 fixed points.
+    # The word is either random, its classes cut from a shuffle of [0, n)
+    # (any of them empty), or a union of orbits of g^e, which g^e fixes
+    # while its points' cycles may be longer than e.
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    image, start = list(range(n)), 0
+    for size in sizes:
+        k = draw(st.integers(0, size - 1))
+        image[start:start + size] = [start + (x + k) % size for x in range(size)]
+        start += size
+    if draw(st.booleans()):
+        points = draw(st.permutations(range(n)))
+        ends = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        return Permutation(image), Codeword([points[a:b] for a, b in zip([0] + ends, ends)], n)
+    e = draw(st.integers(1, 12))
+    orbits, seen = [], set()
+    for x in range(n):
+        if x not in seen:
+            cyc, y = [x], x
+            for _ in range(n):
+                for _ in range(e):
+                    y = image[y]
+                if y == x:
+                    break
+                cyc.append(y)
+            seen.update(cyc)
+            orbits.append(cyc)
+    chosen = draw(st.lists(st.sampled_from(orbits), unique_by=tuple, min_size=1))
+    ends = sorted(draw(st.lists(st.integers(0, len(chosen)), max_size=2)))
+    word = [[x for cyc in chosen[a:b] for x in cyc] for a, b in zip([0] + ends, ends + [len(chosen)])]
+    return Permutation(image), Codeword(word, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_and_word())
+def test_orbit_matches_repeated_images(case):
+    g, base = case
+    assert orbit(base, g) == _orbit_brute(base, g)
+
+
 def test_orbit_with_fixed_point():
     text = """
 [meta]
