@@ -5,7 +5,10 @@ and shortening by one point.
 
 Point naming under combination is deterministic: outputs are relabeled onto
 dense indices via sorted group order and sorted points, so repeated runs are
-bit-for-bit reproducible.
+bit-for-bit reproducible.  Words are made unchecked by
+:func:`cccodes.core._words`: the direct constructions verify their design
+first, and the others send valid words through injective point maps, so
+every word is valid as built and each class is only sorted.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain, islice
 
 from .core import (Code, Codeword, Composition, Gdc, GdcType, GroupPartition,
-                   gdc_type)
+                   _words, gdc_type)
 from .designs import (DifferenceMatrix, Gdd, RoomFrame, build_td, verify_dm,
                       verify_gdd, verify_skew_room_frame)
 
@@ -42,38 +45,33 @@ def empty_code(n: int, comp: Composition) -> Code:
 def srf_to_gdc(f: RoomFrame) -> Gdc:
     """[2,2]-GDC(6) of type (6t)^u from a skew Room frame of type t^u.
 
-    Points are (side symbol, level) pairs on S x Z6; each filled cell (r, c)
-    holding {a, b} yields, for every level j, the two words
-    <(a,j),(b,j);(c,1+j),(r,4+j)> and <(c,4+j),(r,1+j);(a,j),(b,j)>.
+    Points are (side symbol, level) pairs on S x Z6, point 6x + level; each
+    filled cell (r, c) holding {a, b} yields, for every level j, the two words
+    <(a,j),(b,j);(c,1+j),(r,4+j)> and <(c,4+j),(r,1+j);(a,j),(b,j)>.  They
+    are valid in a verified frame: a != b, and each class has its own levels.
     """
     rep = verify_skew_room_frame(f)
     if not rep.ok:
         raise ConstructionError(f"invalid skew Room frame: {rep.summary()}")
-    s = f.side
-    n = 6 * s
-
-    def pt(x: int, j: int) -> int:
-        return 6 * x + j % 6
-
-    words = []
+    sups = []
     for (r, c) in sorted(f.cells):
         a, b = sorted(f.cells[(r, c)])
         for j in range(6):
-            words.append(Codeword(((pt(a, j), pt(b, j)),
-                                   (pt(c, 1 + j), pt(r, 4 + j))), n))
-            words.append(Codeword(((pt(c, 4 + j), pt(r, 1 + j)),
-                                   (pt(a, j), pt(b, j))), n))
-    groups = [tuple(sorted(pt(x, j) for x in hole for j in range(6)))
-              for hole in f.holes]
-    return Gdc(Code(n, Composition((2, 2)), 6, words),
+            ab = (6 * a + j, 6 * b + j)
+            sups.append((ab, tuple(sorted((6 * c + (1 + j) % 6, 6 * r + (4 + j) % 6)))))
+            sups.append((tuple(sorted((6 * c + (4 + j) % 6, 6 * r + (1 + j) % 6))), ab))
+    groups = [[6 * x + j for x in hole for j in range(6)] for hole in f.holes]
+    return Gdc(Code(6 * f.side, Composition((2, 2)), 6, _words(sups)),
                GroupPartition.of(groups))
 
 
 def dm_to_gdc(d: DifferenceMatrix) -> Gdc:
     """[2,2]-GDC(6) of type g^4 with size 2g^2 from a (g,4;1) difference matrix.
 
-    Points are (row index, group element) on 4 groups of size g.  The second
-    word family shifts the first two rows by a fixed nonzero element.
+    Points are (row index, group element) on 4 groups of size g, point
+    i*g + v.  The second word family shifts the first two rows by the
+    nonzero element 1.  Words are valid as built: one point per group, each
+    class in row order.
     """
     if d.k != 4:
         raise ConstructionError(f"need a (g,4;1)-DM, got k={d.k}")
@@ -81,25 +79,15 @@ def dm_to_gdc(d: DifferenceMatrix) -> Gdc:
     if not rep.ok:
         raise ConstructionError(f"invalid difference matrix: {rep.summary()}")
     g = d.g
-    n = 4 * g
-    delta = 1  # any nonzero group element works; 1 is (1,0,...) in mixed radix
-
-    def pt(i: int, v: int) -> int:
-        return i * g + v
-
-    words = []
-    for j in range(g):
-        col = [d.rows[i][j] for i in range(4)]
+    sups = []
+    for c0, c1, c2, c3 in zip(*d.rows):
         for k in range(g):
-            words.append(Codeword(
-                ((pt(0, d.add(col[0], k)), pt(1, d.add(col[1], k))),
-                 (pt(2, d.add(col[2], k)), pt(3, d.add(col[3], k)))), n))
-            words.append(Codeword(
-                ((pt(2, d.add(col[2], k)), pt(3, d.add(col[3], k))),
-                 (pt(0, d.add(col[0], d.add(delta, k))),
-                  pt(1, d.add(col[1], d.add(delta, k))))), n))
+            shifted = d.add(1, k)
+            high = (2 * g + d.add(c2, k), 3 * g + d.add(c3, k))
+            sups.append(((d.add(c0, k), g + d.add(c1, k)), high))
+            sups.append((high, (d.add(c0, shifted), g + d.add(c1, shifted))))
     groups = [tuple(range(i * g, (i + 1) * g)) for i in range(4)]
-    return Gdc(Code(n, Composition((2, 2)), 6, words),
+    return Gdc(Code(4 * g, Composition((2, 2)), 6, _words(sups)),
                GroupPartition.of(groups))
 
 
@@ -110,36 +98,45 @@ def _relabel(words: Iterable[Codeword], mapping: Sequence[int], n: int) -> list[
     class is only sorted."""
     if len(set(mapping)) != len(mapping) or not all(0 <= t < n for t in mapping):
         raise ConstructionError(f"relabelling map is not injective into [0, {n})")
-    return [Codeword._valid(tuple([tuple(sorted([mapping[x] for x in cls]))
-                                   for cls in w.supports]))
-            for w in words]
+    return _words([tuple([tuple(sorted([mapping[x] for x in cls])) for cls in w.supports])
+                   for w in words])
 
 
-def _relabel_onto(obj: Code | Gdc, targets: list[int], n: int) -> tuple[list[Codeword], list[tuple[int, ...]]]:
-    """Map a filler's points [0, len(targets)) onto ``targets`` (in order);
-    returns relabeled words and relabeled groups (singletons for a Code)."""
-    code = obj.as_code()
-    if code.n != len(targets):
-        raise ConstructionError(
-            f"filler length {code.n} does not match slot of size {len(targets)}")
-    words = _relabel(code.words, targets, n)
-    if isinstance(obj, Gdc):
-        groups = [tuple(sorted(targets[x] for x in grp))
-                  for grp in obj.partition.groups]
-    else:
-        groups = [(t,) for t in targets]
+def _filled(g: Gdc, y: int, fillers: Iterable[Code | Gdc | None],
+            job: str) -> tuple[list[Codeword], list[tuple[int, ...]]]:
+    """The words of ``g`` and of its fillers, one per group in order, with
+    each filler's points [0, s) on its group's s points and [s, s + y) on
+    the ideal points [n, n + y), and the fillers' groups (singletons for a
+    Code).  Faults are named group by group in the order checked."""
+    code = g.code
+    if code.distance > 2 * (code.composition.weight - 1):
+        raise ConstructionError(f"{job} requires d <= 2(w-1)")
+    n = code.n + y
+    ideal = list(range(code.n, n))
+    words = list(code.words)
+    groups: list[tuple[int, ...]] = []
+    for gi, (grp, filler) in enumerate(zip(g.partition.groups, fillers)):
+        size = len(grp)
+        if filler is None:
+            raise ConstructionError(f"no filler for group size {size}")
+        fcode = filler.as_code()
+        if fcode.composition != code.composition and fcode.words:
+            raise ConstructionError("filler composition mismatch")
+        if gi and y > 1:
+            if not isinstance(filler, Gdc):
+                raise ConstructionError(
+                    f"filler for size {size} must be a GDC of type 1^{size} {y}^1")
+            if tuple(range(size, size + y)) not in filler.partition.groups:
+                raise ConstructionError("filler must be a GDC of type 1^s y^1 with "
+                                        "the y-group on its final points")
+        if fcode.n != size + y:
+            raise ConstructionError(
+                f"filler length {fcode.n} does not match slot of size {size + y}")
+        targets = list(grp) + ideal
+        words += _relabel(fcode.words, targets, n)
+        groups += ([tuple(sorted(targets[x] for x in fg)) for fg in filler.partition.groups]
+                   if isinstance(filler, Gdc) else [(t,) for t in targets])
     return words, groups
-
-
-def _filler(filler: Code | Gdc | None, size: int, comp: Composition) -> Code | Gdc:
-    """The filler for a group of ``size`` points, which must exist and (unless
-    it is empty) have the host's composition."""
-    if filler is None:
-        raise ConstructionError(f"no filler for group size {size}")
-    fcode = filler.as_code()
-    if fcode.composition != comp and len(fcode.words) > 0:
-        raise ConstructionError("filler composition mismatch")
-    return filler
 
 
 def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
@@ -149,21 +146,11 @@ def fill_groups(g: Gdc, fillers: dict[int, Code | Gdc]) -> Code | Gdc:
     fills); the result is a plain code when every remaining group is a
     singleton, else a GDC with the union of the filler partitions.
     """
-    code = g.code
-    if code.distance > 2 * (code.composition.weight - 1):
-        raise ConstructionError("filling requires d <= 2(w-1)")
-    words = list(code.words)
-    out_groups: list[tuple[int, ...]] = []
-    for grp in g.partition.groups:
-        filler = _filler(fillers.get(len(grp)), len(grp), code.composition)
-        w, grps = _relabel_onto(filler, list(grp), code.n)
-        words.extend(w)
-        out_groups.extend(grps)
-    result = Gdc(Code(code.n, code.composition, code.distance, words),
-                 GroupPartition.of(out_groups))
-    if all(len(x) == 1 for x in result.partition.groups):
-        return result.as_code()
-    return result
+    words, groups = _filled(g, 0, map(fillers.get, map(len, g.partition.groups)), "filling")
+    code = Code(g.n, g.code.composition, g.code.distance, words)
+    if all(len(x) == 1 for x in groups):
+        return code
+    return Gdc(code, GroupPartition.of(groups))
 
 
 def adjoin_points(g: Gdc, y: int, first_code: Code | Gdc,
@@ -178,27 +165,11 @@ def adjoin_points(g: Gdc, y: int, first_code: Code | Gdc,
     1^s y^1 GDC whose final group is the ideal set.  Every filler, the first
     code included, must have the host's composition unless it is empty.
     """
-    code = g.code
-    if code.distance > 2 * (code.composition.weight - 1):
-        raise ConstructionError("adjoining requires d <= 2(w-1)")
-    n_new = code.n + y
-    ideal = list(range(code.n, n_new))
-    words = list(code.words)
-    for gi, grp in enumerate(g.partition.groups):
-        size = len(grp)
-        filler = _filler(fillers.get(size) if gi else first_code,
-                         size, code.composition)
-        if gi and y > 1:
-            if not isinstance(filler, Gdc):
-                raise ConstructionError(
-                    f"filler for size {size} must be a GDC of type 1^{size} {y}^1")
-            if tuple(range(size, size + y)) not in filler.partition.groups:
-                raise ConstructionError(
-                    "filler must be a GDC of type 1^s y^1 with the "
-                    "y-group on its final points")
-        w, _ = _relabel_onto(filler, list(grp) + ideal, n_new)
-        words.extend(w)
-    return Code(n_new, code.composition, code.distance, words)
+    if y < 0:
+        raise ConstructionError(f"want y >= 0 ideal points: {y}")
+    rest = map(fillers.get, map(len, g.partition.groups[1:]))
+    words, _ = _filled(g, y, [first_code, *rest], "adjoining")
+    return Code(g.n + y, g.code.composition, g.code.distance, words)
 
 
 def shorten(code: Code, point: int) -> Code:
@@ -209,13 +180,13 @@ def shorten(code: Code, point: int) -> Code:
     # x -> x - (x > point) keeps each class sorted and sends the points
     # other than ``point`` one to one onto [0, n-1).  It is the identity
     # below ``point``, so a word lying there is kept as it is.
-    words = []
-    for w in code.words:
-        if max(chain.from_iterable(w.supports), default=-1) < point:
-            words.append(w)
-        elif not any(point in cls for cls in w.supports):
-            words.append(Codeword._valid(
-                tuple([tuple([x - (x > point) for x in cls]) for cls in w.supports])))
+    words = [w for w in code.words if not any(point in cls for cls in w.supports)]
+    moved = [i for i, w in enumerate(words)
+             if max(chain.from_iterable(w.supports), default=-1) > point]
+    sups = [tuple([tuple([x - (x > point) for x in cls]) for cls in words[i].supports])
+            for i in moved]
+    for i, w in zip(moved, _words(sups)):
+        words[i] = w
     return Code(code.n - 1, code.composition, code.distance, words)
 
 
@@ -290,11 +261,12 @@ def inflate(g: Gdc, m: int, td: Gdd | None = None) -> Gdc:
     # i*m + v).  x*m + v keeps every class sorted, distinct and inside
     # [0, n), so a word's images are its points' columns, cut into classes.
     columns = list(zip(*[[x % m for x in sorted(b)] for b in td.blocks]))
-    words: list[Codeword] = []
+    sups: list[tuple[tuple[int, ...], ...]] = []
     for u in code.words:
         cols = iter([map((x * m).__add__, col)
                      for x, col in zip(chain.from_iterable(u.supports), columns)])
-        words += map(Codeword._valid, zip(*[zip(*islice(cols, len(cls))) for cls in u.supports]))
+        sups += zip(*[zip(*islice(cols, len(cls))) for cls in u.supports])
+    words = _words(sups)
     groups = [tuple(x * m + v for x in grp for v in range(m)) for grp in g.partition.groups]
     # When m = p^e: v -> v + p^k moves digit k of v up by one, mod p.
     p = next((q for q in range(2, m + 1) if m % q == 0), 1)

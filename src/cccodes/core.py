@@ -21,16 +21,17 @@ VerificationReport, Code, GroupPartition, Gdc and GdcType; elsewhere
 BoundValue, SpectrumEntry, RecipeInfo, Gdd, DifferenceMatrix, RoomFrame,
 Permutation, OrbitDecl, Manifest, SearchBudget and SearchOutcome.  So no
 module loads ``dataclasses``, ``inspect`` or ``typing``.  Only Codeword, built
-by the hundred thousand with its one field set unguarded, and
-``designs.GfTable``, tables that no field list rebuilds, are plain classes.
+by the hundred thousand by :func:`_words` with its one field set unguarded,
+and ``designs.GfTable``, tables that no field list rebuilds, are plain classes.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from operator import lt, ne, or_
 
 __all__ = [
@@ -169,14 +170,6 @@ class Codeword:
             raise ValueError(f"symbol classes overlap: {sup}")
         self.supports = sup
 
-    @classmethod
-    def _valid(cls, sup: tuple[tuple[int, ...], ...]) -> "Codeword":
-        # For classes already sorted and known to pass every check of
-        # __init__, such as a valid word's image under a bijection of [0, n).
-        w = cls.__new__(cls)
-        w.supports = sup
-        return w
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(x for cls in self.supports for x in cls))
 
@@ -189,6 +182,16 @@ class Codeword:
     def __repr__(self) -> str:
         inner = " ; ".join(",".join(str(x) for x in cls) for cls in self.supports)
         return f"<{inner}>"
+
+
+def _words(sups: Iterable[tuple[tuple[int, ...], ...]]) -> list[Codeword]:
+    """Words on supports that already pass every check of :class:`Codeword`,
+    such as a valid word's images under an injective point map, made by
+    C-level maps with no Python-level call per word."""
+    sups = list(sups)
+    words = list(map(object.__new__, repeat(Codeword, len(sups))))
+    deque(map(setattr, words, repeat("supports"), sups), maxlen=0)
+    return words
 
 
 def hamming_distance(u: Codeword, v: Codeword) -> int:
@@ -726,7 +729,7 @@ def _read_block(block: str, n: int, comp: tuple[int, ...]) -> list[Codeword] | N
                if cls[p] != cls[q] or q == p + 1):
         return None
     points = iter(ints)
-    return list(map(Codeword._valid, zip(*[zip(*[points] * s) for s in comp])))
+    return _words(zip(*[zip(*[points] * s) for s in comp]))
 
 
 def read_code_text(text: str) -> Code | Gdc:

@@ -39,10 +39,10 @@ a message that starts ``line N: ``::
 from __future__ import annotations
 
 from itertools import islice, repeat
-from math import gcd, lcm
+from math import lcm
 
 from .core import (_MAX_POINTS, Code, Codeword, Composition, Gdc, GdcType,
-                   GroupPartition, _Record)
+                   GroupPartition, _Record, _words)
 
 __all__ = [
     "DevelopmentError",
@@ -262,27 +262,20 @@ def _orbit(base: Codeword, cycles: list[tuple[list[int], int]]) -> list[Codeword
     # orbit() on the generator's cycle table.  g^t fixes the word just when,
     # for each class and each cycle it meets, turning the cycle by t fixes
     # the class's places in it, so the orbit's length is the lcm of the
-    # least such turns: the first recurrence, found before any image.
-    # Column t of a point is its t-th image; each class is cut from its
-    # points' columns and sorted word by word.
+    # least such turns: the least periods of the places' patterns, found
+    # before any image.  Column t of a point is its t-th image; each class
+    # is cut from its points' columns and sorted word by word.
     top = max((cls[-1] for cls in base.supports if cls), default=-1)
     if top >= len(cycles):
         raise ValueError(f"generator on {len(cycles)} points, word with point {top}")
     length = 1
     for cls in base.supports:
-        places: dict[int, list[int]] = {}  # per cycle met: its length, then places
+        patterns: dict[int, bytearray] = {}  # per cycle met: its places marked 1
         for x in cls:
             cycle, at = cycles[x]
-            places.setdefault(cycle[0], [len(cycle)]).append(at)
-        for size, *ats in places.values():
-            turn = size
-            if len(ats) > 1:
-                # A turn r fixing the places makes them size/r whole cosets,
-                # so r is a multiple of size / gcd(size, places).
-                step, ats = size // gcd(size, len(ats)), set(ats)
-                turn = next(r for r in range(step, size + 1, step)
-                            if not size % r and {(a + r) % size for a in ats} == ats)
-            length = lcm(length, turn)
+            patterns.setdefault(cycle[0], bytearray(len(cycle)))[at] = 1
+        for pattern in patterns.values():
+            length = lcm(length, (pattern * 2).find(pattern, 1))
     classes = []
     for cls in base.supports:
         cols = []
@@ -296,7 +289,7 @@ def _orbit(base: Codeword, cycles: list[tuple[list[int], int]]) -> list[Codeword
             classes.append(map(tuple, map(sorted, zip(*cols))))
         else:
             classes.append(zip(*cols) if cols else repeat((), length))
-    return [base, *map(Codeword._valid, islice(zip(*classes), 1, None))]
+    return [base, *_words(islice(zip(*classes), 1, None))]
 
 
 def orbit(base: Codeword, g: Permutation) -> list[Codeword]:

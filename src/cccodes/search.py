@@ -76,24 +76,24 @@ class SearchOutcome(_Record):
 def enumerate_codewords(n: int, comp: Composition) -> list[Codeword]:
     """All canonical codewords of the given composition, lexicographic by
     (symbol-1 support, symbol-2 support, ...)."""
-    return list(_codewords(n, comp))
+    return core._words(_supports(n, comp))
 
 
-def _codewords(n: int, comp: Composition) -> Iterator[Codeword]:
-    # The words of enumerate_codewords, one at a time.  Each class in turn
-    # takes every choice of points that the classes before it left free, so
-    # the words come out in lexicographic order, and as each class is sorted
-    # and disjoint from the others, each word is valid as built.
+def _supports(n: int, comp: Composition) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # The supports of enumerate_codewords' words, one at a time.  Each class
+    # in turn takes every choice of points that the classes before it left
+    # free, so the words come out in lexicographic order, and as each class
+    # is sorted and disjoint from the others, each word is valid as built.
     if n < comp.weight:
         raise ValueError(f"n={n} smaller than weight {comp.weight}")
 
-    def extend(prefix: tuple, free: list[int], ks: tuple[int, ...]) -> Iterator[Codeword]:
+    def extend(prefix: tuple, free: list[int], ks: tuple[int, ...]) -> Iterator[tuple]:
         more = ks[1:]
         for cls in combinations(free, ks[0]):
             if more:
                 yield from extend(prefix + (cls,), [x for x in free if x not in cls], more)
             else:
-                yield Codeword._valid(prefix + (cls,))
+                yield prefix + (cls,)
 
     return extend((), list(range(n)), comp.weights)
 
@@ -220,8 +220,8 @@ def max_code(n: int, d: int, comp: Composition,
     deadline = None if budget.seconds is None else t0 + budget.seconds
     words: list[Codeword] = []
     try:
-        gen = _codewords(n, comp)
-        while chunk := list(islice(gen, 4096)):
+        gen = _supports(n, comp)
+        while chunk := core._words(islice(gen, 4096)):
             words += chunk
             _check_deadline(deadline)
         cells = core._cells(words)

@@ -118,6 +118,37 @@ def test_every_recipe_word_is_a_valid_word():
         assert all(w == Codeword(w.supports, code.n) for w in code.words), r
 
 
+def _built_unchecked():
+    # Every other builder of unchecked words, each with the length of its words.
+    from cccodes.constructions import dm_to_gdc, inflate, srf_to_gdc
+    from cccodes.dataio import develop_manifest, iter_manifest_paths
+    from cccodes.designs import build_dm, read_design_text, search_skew_room_frame
+    from cccodes.search import enumerate_codewords
+
+    for path in iter_manifest_paths():
+        yield path, develop_manifest(path)
+    for rel, m in (("c22/type-2^10.man", 9), ("c22/type-2^10.man", 16),
+                   ("c31/type-3^7.man", 16)):
+        yield f"{rel}*{m}", inflate(develop_manifest(rel), m)
+    for comp, table in ((C22, TABLE_I_22), (C31, {**TABLE_I_31, 11: 11})):
+        for n in table:
+            yield (n, comp), Code(n, comp, 6, enumerate_codewords(n, comp))
+    for g in (4, 5, 7, 8, 9, 12, 19):
+        yield f"dm {g}", dm_to_gdc(build_dm(g))
+    frame = read_design_text((data_root() / "designs" / "srf-2^5.design").read_text())
+    for f in (frame, search_skew_room_frame([1] * 7)):
+        yield f"srf {f.side}", srf_to_gdc(f)
+
+
+def test_every_unchecked_word_is_a_valid_word():
+    # Developments, inflations, the search's enumeration and the direct
+    # constructions build their words unchecked too.
+    built = list(_built_unchecked())
+    assert len(built) == 126 + 3 + 15 + 7 + 2
+    for what, obj in built:
+        assert all(w == Codeword(w.supports, obj.n) for w in obj.as_code().words), what
+
+
 # SHA-256 over the emitted text of every recipe, in list_recipes() order.
 RECIPE_BYTES = "859cb2ca0ecbc6865cd28417a681b60de7eabf63471b77817e03eb6f683d25cd"
 

@@ -295,6 +295,16 @@ def test_pipeline_unbound_name_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: unbound name 'nosuch'\n"
 
 
+@pytest.mark.parametrize("y", [-1, -4])
+def test_pipeline_adjoin_of_fewer_than_zero_points_is_a_data_error(tmp_path, capsys, y):
+    pipe = tmp_path / "bad.pipe"
+    pipe.write_text("let d = dm 4\nlet g = dm2gdc d\nlet c = code 4 2,2\n"
+                    f"result adjoin g y={y} code=c fill=4:c\n")
+    status, _ = run(["build", "--pipeline", str(pipe)])
+    assert status == 2
+    assert capsys.readouterr().err == f"error: line 4: want y >= 0 ideal points: {y}\n"
+
+
 def test_verify_manifest_with_a_wrong_declared_size_lists_it(tmp_path, capsys):
     from cccodes.dataio import data_root
     text = (data_root() / "manifests" / "c22" / "type-2^10.man").read_text()

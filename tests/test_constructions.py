@@ -133,6 +133,112 @@ def test_adjoin_more_than_one_point_needs_grouped_fillers():
         adjoin_points(g, 2, first, {4: misplaced})
 
 
+def _c31(n):
+    # A one-word [3,1] code of length n: a filler of another composition.
+    return Code(n, C31, 6, [Codeword(((0, 1, 2), (3,)), n)])
+
+
+def _misplaced(n):
+    # An empty [2,2] GDC of length n whose one 2-group is its first two points.
+    return Gdc(empty_code(n, C22), GroupPartition.of([[0, 1]] + [[x] for x in range(2, n)]))
+
+
+PLAIN = "filler for size 4 must be a GDC of type 1^4 2^1"
+MISPLACED = "filler must be a GDC of type 1^s y^1 with the y-group on its final points"
+
+
+# (faults, y, first code, filler of the groups of size 4, message).  The host
+# is the [2,2] GDC of type 4^4, so each slot holds 4 + y points.  With y = 0
+# a case also runs through fill_groups, where the filler fills every group.
+FAULTS = [
+    ("missing", 0, empty_code(4, C22), None, "no filler for group size 4"),
+    ("composition", 0, empty_code(4, C22), _c31(4), "filler composition mismatch"),
+    ("length", 0, empty_code(4, C22), empty_code(5, C22),
+     "filler length 5 does not match slot of size 4"),
+    ("composition+length", 0, empty_code(4, C22), _c31(5), "filler composition mismatch"),
+    ("length", 1, empty_code(5, C22), empty_code(4, C22),
+     "filler length 4 does not match slot of size 5"),
+    ("first-length+missing", 1, empty_code(4, C22), None,
+     "filler length 4 does not match slot of size 5"),
+    ("first-composition+length", 1, _c31(5), empty_code(4, C22), "filler composition mismatch"),
+    ("plain", 2, empty_code(6, C22), empty_code(6, C22), PLAIN),
+    ("plain+length", 2, empty_code(6, C22), empty_code(7, C22), PLAIN),
+    ("composition+plain", 2, empty_code(6, C22), _c31(6), "filler composition mismatch"),
+    ("misplaced", 2, empty_code(6, C22), _misplaced(6), MISPLACED),
+    ("misplaced+length", 2, empty_code(6, C22), _misplaced(7), MISPLACED),
+    ("first-length+plain", 2, empty_code(5, C22), empty_code(6, C22),
+     "filler length 5 does not match slot of size 6"),
+]
+
+
+@pytest.mark.parametrize("distance", [6, 8])
+@pytest.mark.parametrize("faults, y, first, filler, message", FAULTS,
+                         ids=[f"{case[0]}-y{case[1]}" for case in FAULTS])
+def test_fill_and_adjoin_name_the_same_fault_first(faults, y, first, filler, message, distance):
+    # Each fault is named in the same order by both constructions: the
+    # distance, then group by group (the first code before the fillers)
+    # the filler's presence, composition, type when y > 1, and length.
+    g = dm_to_gdc(build_dm(4))  # [2,2], type 4^4
+    host = Gdc(Code(g.n, C22, distance, g.code.words), g.partition)
+    fillers = {} if filler is None else {4: filler}
+    calls = [("adjoining", lambda: adjoin_points(host, y, first, fillers))]
+    if y == 0:
+        calls.append(("filling", lambda: fill_groups(host, fillers)))
+    for job, call in calls:
+        with pytest.raises(ConstructionError) as err:
+            call()
+        assert str(err.value) == (message if distance == 6 else f"{job} requires d <= 2(w-1)")
+
+
+@pytest.mark.parametrize("y", [-1, -4])
+def test_adjoin_refuses_fewer_than_zero_ideal_points(y):
+    g = dm_to_gdc(build_dm(4))
+    c4 = empty_code(4, C22)
+    with pytest.raises(ConstructionError) as err:
+        adjoin_points(g, y, c4, {4: c4})
+    assert str(err.value) == f"want y >= 0 ideal points: {y}"
+
+
+def _dm_words(d):
+    # dm_to_gdc's words as first written, each through the validating Codeword.
+    g, n = d.g, 4 * d.g
+    words = []
+    for j in range(g):
+        col = [d.rows[i][j] for i in range(4)]
+        for k in range(g):
+            words.append(Codeword(((d.add(col[0], k), g + d.add(col[1], k)),
+                                   (2 * g + d.add(col[2], k), 3 * g + d.add(col[3], k))), n))
+            words.append(Codeword(((2 * g + d.add(col[2], k), 3 * g + d.add(col[3], k)),
+                                   (d.add(col[0], d.add(1, k)), g + d.add(col[1], d.add(1, k)))), n))
+    return words
+
+
+def _srf_words(f):
+    # srf_to_gdc's words as first written, each through the validating Codeword.
+    n = 6 * f.side
+    words = []
+    for (r, c) in sorted(f.cells):
+        a, b = sorted(f.cells[(r, c)])
+        for j in range(6):
+            words.append(Codeword(((6 * a + j, 6 * b + j),
+                                   (6 * c + (1 + j) % 6, 6 * r + (4 + j) % 6)), n))
+            words.append(Codeword(((6 * c + (4 + j) % 6, 6 * r + (1 + j) % 6),
+                                   (6 * a + j, 6 * b + j)), n))
+    return words
+
+
+@pytest.mark.parametrize("g", [4, 5, 7, 8, 9, 12, 19])
+def test_dm_to_gdc_words_are_the_reference_words(g):
+    d = build_dm(g)
+    assert list(dm_to_gdc(d).code.words) == _dm_words(d)
+
+
+def test_srf_to_gdc_words_are_the_reference_words():
+    from cccodes.designs import search_skew_room_frame
+    for f in (shipped_frame(), search_skew_room_frame([1] * 7)):
+        assert list(srf_to_gdc(f).code.words) == _srf_words(f)
+
+
 def test_shorten_interior_point_relabels():
     code = Code(6, C22, 6, [Codeword(((0, 1), (2, 3)), 6),
                             Codeword(((1, 2), (4, 5)), 6),
