@@ -12,10 +12,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "data_root",
-    "iter_manifest_paths",
     "load_code",
     "load_manifest",
-    "develop_manifest",
 ]
 
 _ROOT = Path(__file__).parent / "data"

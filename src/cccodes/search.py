@@ -4,14 +4,28 @@ Two codewords are compatible unless they conflict in the verifier's sense
 (Hamming distance below d, see :func:`cccodes.core.conflict_rows`).  Codes of
 minimum distance d are exactly the cliques of the compatibility graph, so the
 maximum code size is its clique number, computed here with a Tomita-style
-search using greedy-coloring upper bounds.  One symmetry reduction is applied:
-coordinate permutations act transitively on codewords of a fixed composition,
-so some maximum code may be assumed to contain word 0, the lexicographically
-first codeword.  The graph is therefore built only on word 0's candidates
-(the later words off word 0's conflict row), kept in enumeration order, and
-the incumbent is seeded with their lexicographic greedy clique.  Each row of
-the graph is the complement of a bit-parallel conflict row, so set-up
-measures no pair distance.
+search using greedy-coloring upper bounds.  Two symmetry reductions are
+applied.  First, coordinate permutations act transitively on codewords of a
+fixed composition, so some maximum code may be assumed to contain word 0, the
+lexicographically first codeword.  The graph is therefore built only on word
+0's candidates (the later words off word 0's conflict row), kept in
+enumeration order, and the incumbent is seeded with their lexicographic
+greedy clique.  Each row of the graph is the complement of a bit-parallel
+conflict row, so set-up measures no pair distance.
+
+Second, the root branches once per orbit of the point maps that fix word 0
+(orbital branching, Ostrowski et al., Math. Programming 2011).  That group is
+Sym(class 1 of word 0) x ... x Sym(points outside word 0), and up to it a word
+is determined by how many points of each class of word 0 carry each symbol;
+these counts are read off the kernel's masks A(x, s) over the candidates.
+Each root child is searched with its vertex's orbit-mates still present, and
+only its later siblings lose the whole orbit.  This is sound: let K be a
+clique through word 0 and O the first orbit in branching order that K meets,
+with representative v.  Some g fixing word 0 maps a word of K & O onto v;
+g(K) is a clique (point maps preserve distance), it meets exactly the orbits
+that K meets, so it avoids every orbit removed before O, and it lies in v's
+child.  Removing O before computing v's child would lose the cliques that
+hold two words of O.  Deeper nodes branch on every vertex.
 
 When w >= 2 and d >= 2w-2 (the paper's weight 4, distance 6), two words with
 the same symbol s at a point x share no other point, since sharing a second
@@ -98,6 +112,25 @@ def _supports(n: int, comp: Composition) -> Iterator[tuple[tuple[int, ...], ...]
     return extend((), list(range(n)), comp.weights)
 
 
+def _orbits(first: tuple, a_mask: list[dict], full: int) -> list[int]:
+    # The orbits, as masks over the candidates, of the point maps that fix
+    # word 0: a word is determined up to them by how many points of each
+    # class of word 0 carry each symbol.  Counting levels per (symbol, class)
+    # as in the kernel, L[k] holds the words with at least k such points.
+    parts = [full] if full else []
+    for at in a_mask:
+        for cls in first:
+            levels = [full]
+            for x in cls:
+                a = at.get(x, 0)
+                levels.append(0)
+                for k in range(len(levels) - 1, 0, -1):
+                    levels[k] |= levels[k - 1] & a
+            exact = [lo & ~hi for lo, hi in zip(levels, levels[1:] + [0])]
+            parts = [p & e for p in parts for e in exact if p & e]
+    return parts
+
+
 class _BudgetExceeded(Exception):
     pass
 
@@ -128,6 +161,9 @@ class _CliqueSearch:
     ``(mask, room)`` cell per point x where some candidate has it: those
     candidates and how many words other than word 0 the cell may hold.  It
     is empty when the capacity premise does not hold.
+
+    ``expand`` takes each vertex's orbit mask at the root only, and there
+    branches once per orbit (the module docstring proves this exact).
     """
 
     def __init__(self, adj: list[int],
@@ -154,7 +190,8 @@ class _CliqueSearch:
                 and time.monotonic() > self.deadline):
             raise _BudgetExceeded
 
-    def expand(self, pmask: int, rmask: int, rsize: int) -> None:
+    def expand(self, pmask: int, rmask: int, rsize: int,
+               orbits: list[int] | None = None) -> None:
         self.nodes += 1
         self._check_budget()
         # k more words put k*w_s entries of symbol s into cells that each take
@@ -191,8 +228,13 @@ class _CliqueSearch:
                 return
             v = order[i]
             bit = 1 << v
+            if not pmask & bit:
+                continue
             pmask &= ~bit
             newp = pmask & adj[v]
+            # v's child keeps v's orbit-mates; only its later siblings lose them.
+            if orbits:
+                pmask &= ~orbits[v]
             nr = rsize + 1
             nm = rmask | bit
             if nr > self.best:
@@ -245,11 +287,17 @@ def max_code(n: int, d: int, comp: Composition,
         incidence = [(ws, [(m, cap - (x in first)) for x, m in at.items()])
                      for ws, at, first in zip(comp.weights, cells[0], words[0].supports)]
 
+    # The root's orbits, from the same A(x, s): each vertex's orbit mask.
+    full = (1 << len(cand)) - 1
+    orbits = [0] * len(cand)
+    for part in _orbits(words[0].supports, cells[0], full):
+        for v in core._ones(part):
+            orbits[v] = part
     searcher = _CliqueSearch(adj, incidence, budget.nodes, deadline)
     status = "exact"
     try:
         if cand:
-            searcher.expand((1 << len(cand)) - 1, 0, 0)
+            searcher.expand(full, 0, 0, orbits)
     except _BudgetExceeded:
         status = "lower-bound-only"
 

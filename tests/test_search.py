@@ -70,7 +70,7 @@ def test_malformed_budgets_are_refused(seconds, nodes):
 
 def test_an_infinite_budget_never_stops_the_search():
     out = max_code(8, 6, C22, SearchBudget(seconds=math.inf))
-    assert (out.status, out.size, out.nodes) == ("exact", 5, 432)
+    assert (out.status, out.size, out.nodes) == ("exact", 5, 20)
 
 
 def test_exact_n11_31():
@@ -82,7 +82,7 @@ def test_exact_n11_31():
 
 
 def test_budget_exhaustion_returns_lower_bound():
-    # n = 8 [2,2] needs 432 nodes (n = 9 [2,2] ends at the root).
+    # n = 8 [2,2] needs 20 nodes (n = 9 [2,2] ends at the root).
     out = max_code(8, 6, C22, budget=SearchBudget(nodes=10))
     assert out.status == "lower-bound-only"
     assert verify_gdc(out.witness).ok
@@ -106,15 +106,16 @@ def test_seconds_budget_is_honoured_during_set_up():
 def test_seconds_budget_is_honoured_during_branch_and_bound(monkeypatch):
     # The fake clock reads 0 during set-up and a day later in branch and
     # bound, which reads it at every 256th node: the first read ends the search.
+    # n = 11 [2,2] runs past node 256, which n = 8 no longer reaches.
     def clock():
         return 86400.0 if sys._getframe(1).f_code.co_name == "_check_budget" else 0.0
 
     monkeypatch.setattr(search.time, "monotonic", clock)
-    out = max_code(8, 6, C22, SearchBudget(seconds=10))
+    out = max_code(11, 6, C22, SearchBudget(seconds=10))
     assert out.status == "lower-bound-only"
     assert out.nodes > 0 and out.nodes % 256 == 0
     assert verify_gdc(out.witness).ok and len(out.witness) == out.size
-    assert 1 <= out.size <= SMALL_22[8]
+    assert 1 <= out.size <= upper_bound(11, C22).value
 
 
 def test_determinism():
@@ -141,8 +142,8 @@ def test_node_counts_fixed():
     # Branch and bound over the same graph explores the same tree.  At
     # n = 10, 11 [3,1] the greedy seed is optimal and the incidence-capacity
     # bound proves it at the root.
-    for n, comp, size, nodes in ((8, C22, 5, 432), (9, C31, 6, 641), (10, C31, 10, 1),
-                                 (11, C31, 11, 1), (10, C22, 15, 461)):
+    for n, comp, size, nodes in ((8, C22, 5, 20), (9, C31, 6, 26), (10, C31, 10, 1),
+                                 (11, C31, 11, 1), (10, C22, 15, 180)):
         out = max_code(n, 6, comp)
         assert (out.size, out.nodes) == (size, nodes), (n, comp)
 
@@ -154,7 +155,7 @@ def test_graph_set_up_measures_no_pair_distance(monkeypatch):
 
     monkeypatch.setattr(core, "hamming_distance", refuse)
     out = max_code(10, 6, C22)
-    assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
+    assert (out.status, out.size, out.nodes) == ("exact", 15, 180)
     assert len(out.witness) == 15
 
 
@@ -172,7 +173,7 @@ def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
 
     monkeypatch.setattr(core, "_cells", counting)
     out = max_code(10, 6, C22)
-    assert (out.status, out.size, out.nodes) == ("exact", 15, 461)
+    assert (out.status, out.size, out.nodes) == ("exact", 15, 180)
     assert built == [len(words), n_cand]
 
 
@@ -256,3 +257,53 @@ def test_incidence_capacity_premise():
                         cell = [u for u in words if x in u.supports[s]]
                         g = _graph(cell, d)
                         assert nx.max_weight_clique(g, weight=None)[1] <= cap, (comp, n, d, s, x)
+
+
+# Word 0's classes split in every way: two, three and one symbol, and two
+# classes of one point each.
+ORBIT_COMPS = (C22, C31, Composition((2, 1)), Composition((1, 1)), Composition((3,)),
+               Composition((2, 1, 1)))
+
+
+def _image(g, supports):
+    return tuple(tuple(sorted(g[x] for x in cls)) for cls in supports)
+
+
+def test_root_orbits_are_the_orbits_of_word_0s_stabiliser():
+    # Brute force: the orbits of word 0's candidates (by hamming_distance)
+    # under every point permutation that maps word 0 onto itself.
+    for comp in ORBIT_COMPS:
+        for n in range(comp.weight, 8):
+            words = enumerate_codewords(n, comp)
+            first = words[0].supports
+            stab = [g for g in itertools.permutations(range(n)) if _image(g, first) == first]
+            for d in range(2 * comp.weight + 1):
+                cand = [u for u in words[1:] if hamming_distance(words[0], u) >= max(d, 1)]
+                index = {u.supports: i for i, u in enumerate(cand)}
+                want = {frozenset(index[_image(g, u.supports)] for g in stab) for u in cand}
+                parts = search._orbits(first, core._cells(cand)[0], (1 << len(cand)) - 1)
+                assert sum(p.bit_count() for p in parts) == len(cand), (comp, n, d)
+                assert {frozenset(core._ones(p)) for p in parts} == want, (comp, n, d)
+
+
+def test_root_orbits_keep_every_size(monkeypatch):
+    # The same graph searched with the root's orbits and with each vertex its
+    # own orbit, which is the search without them, under a node budget: where
+    # both finish the sizes agree, and a finished side bounds the other.  The
+    # lengths stop where the sweep still takes about a second.
+    budget = SearchBudget(nodes=5000)
+    both = 0
+    for comp in ORBIT_COMPS:
+        for n in range(comp.weight, 10 - len(comp.weights)):
+            for d in range(2 * comp.weight + 1):
+                out = max_code(n, d, comp, budget)
+                with monkeypatch.context() as m:
+                    m.setattr(search, "_orbits",
+                              lambda first, a_mask, full: [1 << v for v in core._ones(full)])
+                    plain = max_code(n, d, comp, budget)
+                for o in (out, plain):
+                    assert verify_gdc(o.witness).ok and len(o.witness) == o.size
+                    if o.status == "exact":
+                        assert out.size <= o.size and plain.size <= o.size, (comp, n, d)
+                both += out.status == plain.status == "exact"
+    assert both >= 150
