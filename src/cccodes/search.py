@@ -13,6 +13,18 @@ enumeration order, and the incumbent is seeded with their lexicographic
 greedy clique.  Each row of the graph is the complement of a bit-parallel
 conflict row, so set-up measures no pair distance.
 
+Word 0's row is decided by orbit keys, not over every word.  A word's key
+gives, position by position, the class of word 0 that holds its point (0
+for a point outside word 0).  Its overlap with word 0 and its agreements
+with it are functions of the key, and so is its distance from word 0,
+w_u + w_v - overlap - agreements; a key is an invariant of the point maps
+that fix word 0.  So one conflict row, of word 0 over one word per key (26
+keys for [2,2] at n = 10), decides every word, and the kernel stays the one
+definition of conflicting words.  The only other mask build is over the
+candidates.  The greedy seed reads the conflict rows of the words it takes
+alone, and the graph is built when the first node passes the incidence test
+below: a root that the bound prunes never builds it.
+
 Second, the root branches once per orbit of the point maps that fix word 0
 (orbital branching, Ostrowski et al., Math. Programming 2011).  That group is
 Sym(class 1 of word 0) x ... x Sym(points outside word 0), and up to it a word
@@ -48,7 +60,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice
 
 from . import core
 from .core import Code, Codeword, Composition, _Record
@@ -153,9 +165,34 @@ def _adjacency(words: list[Codeword], d: int, cells: tuple,
     return adj
 
 
+def _candidates(sups: list[tuple], n: int, d: int) -> list[Codeword]:
+    # Word 0's candidates, the later words off its conflict row, in order,
+    # decided once per key (see the module docstring).  The word of word 0's
+    # key is word 0 itself, which conflicts with its copy and so drops out
+    # with the other conflicting words.
+    region = [0] * n
+    for s, cls in enumerate(sups[0], 1):
+        for x in cls:
+            region[x] = s
+    points = map(region.__getitem__, chain.from_iterable(chain.from_iterable(sups)))
+    keys = list(zip(*[points] * sum(map(len, sups[0]))))
+    reps = dict(zip(keys, sups))
+    _, row = next(core.conflict_rows(core._words([sups[0], *reps.values()]), d))
+    # Bit j + 1 of the row, read once as character j: key j's verdict.
+    bits = format(row >> 1, f"0{len(reps)}b")[::-1]
+    keep = dict(zip(reps, map("0".__eq__, bits)))
+    return core._words(compress(sups, map(keep.__getitem__, keys)))
+
+
 class _CliqueSearch:
     """Max clique with incidence-capacity and greedy-coloring bounds on
-    int-bitset adjacency.
+    int-bitset adjacency over ``words``, word 0's candidates.
+
+    ``cells`` are the kernel's masks over the words.  The incumbent starts
+    as the lexicographic greedy clique, read off the conflict rows of the
+    words it takes alone; ``adj``, every row's complement, is built (with
+    the deadline checked at each row) when the first node passes the
+    incidence test, so a root that the bound prunes never builds it.
 
     ``incidence`` holds, per symbol, its multiplicity w_s and one
     ``(mask, room)`` cell per point x where some candidate has it: those
@@ -166,21 +203,29 @@ class _CliqueSearch:
     branches once per orbit (the module docstring proves this exact).
     """
 
-    def __init__(self, adj: list[int],
+    def __init__(self, words: list[Codeword], d: int, cells: tuple,
                  incidence: list[tuple[int, list[tuple[int, int]]]],
                  max_nodes: int | None, deadline: float | None):
-        self.adj = adj
+        self.words, self.d, self.cells = words, d, cells
+        self.adj: list[int] | None = None
         self.incidence = incidence
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.nodes = 0
         # The incumbent starts as the lexicographic greedy clique, independent
-        # of any catalog data: each vertex in index order joins when it is
-        # adjacent to every vertex already taken.
-        mask = 0
-        for v, row in enumerate(adj):
-            if mask & row == mask:
-                mask |= 1 << v
+        # of any catalog data: each vertex in index order joins when no row of
+        # a vertex already taken covers it.  ``seen`` holds the vertices taken
+        # and those their rows cover, so the next to join is its lowest gap.
+        full = (1 << len(words)) - 1
+        mask = seen = 0
+
+        def picks() -> Iterator[int]:
+            while free := full & ~seen:
+                yield (free & -free).bit_length() - 1
+
+        for v, row in core._rows(words, d, cells, picks()):
+            mask |= 1 << v
+            seen |= row | 1 << v
         self.best, self.best_mask = mask.bit_count(), mask
 
     def _check_budget(self) -> None:
@@ -208,6 +253,8 @@ class _CliqueSearch:
             else:
                 return
         adj = self.adj
+        if adj is None:
+            adj = self.adj = _adjacency(self.words, self.d, self.cells, self.deadline)
         # Greedy coloring: vertices listed in increasing color; the color is an
         # upper bound on the clique extendable inside the remaining candidates.
         order: list[int] = []
@@ -256,27 +303,24 @@ def max_code(n: int, d: int, comp: Composition,
     # Symmetry reduction: search only codes through word 0, over its
     # candidates (the words off its conflict row) in enumeration order, on
     # one build of the kernel's masks over them.  The deadline is checked
-    # every 4,096 words of the enumeration, after each of the two mask
-    # builds and at each row of the graph; if it passes before the graph
-    # exists, word 0 alone is the witness.
+    # every 4,096 words of the enumeration, after the candidates' mask build
+    # and at each row of the graph; if it passes before the candidates'
+    # masks exist, word 0 alone is the witness, and if it passes in the
+    # graph, the greedy seed is.
     deadline = None if budget.seconds is None else t0 + budget.seconds
-    words: list[Codeword] = []
+    gen = _supports(n, comp)
+    sups = [next(gen)]
+    first = core._words(sups)[0]
     try:
-        gen = _supports(n, comp)
-        while chunk := core._words(islice(gen, 4096)):
-            words += chunk
+        while chunk := list(islice(gen, 4096)):
+            sups += chunk
             _check_deadline(deadline)
-        cells = core._cells(words)
-        _check_deadline(deadline)
-        _, row0 = next(core._rows(words, d, cells))
-        # Row 0's bits, read once: bit j is character j.
-        bits = format(row0, f"0{len(words)}b")[::-1]
-        cand = [u for u, bit in zip(words[1:], bits[1:]) if bit == "0"]
+        cand = _candidates(sups, n, d)
+        del sups
         cells = core._cells(cand)
         _check_deadline(deadline)
-        adj = _adjacency(cand, d, cells, deadline)
     except _BudgetExceeded:
-        return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, words[:1]),
+        return SearchOutcome("lower-bound-only", 1, Code(n, comp, d, [first]),
                              0, time.monotonic() - t0)
 
     # The incidence-capacity cells are the A(x, s) over cand.  Word 0 is
@@ -284,16 +328,21 @@ def max_code(n: int, d: int, comp: Composition,
     incidence: list[tuple[int, list[tuple[int, int]]]] = []
     if comp.weight >= 2 and d >= 2 * comp.weight - 2:
         cap = (n - 1) // (comp.weight - 1)
-        incidence = [(ws, [(m, cap - (x in first)) for x, m in at.items()])
-                     for ws, at, first in zip(comp.weights, cells[0], words[0].supports)]
+        incidence = [(ws, [(m, cap - (x in cls)) for x, m in at.items()])
+                     for ws, at, cls in zip(comp.weights, cells[0], first.supports)]
 
     # The root's orbits, from the same A(x, s): each vertex's orbit mask.
+    # Each part's bits are read off its binary string, in time linear in the
+    # candidates, where core._ones would shift the whole mask once per bit.
     full = (1 << len(cand)) - 1
     orbits = [0] * len(cand)
-    for part in _orbits(words[0].supports, cells[0], full):
-        for v in core._ones(part):
+    for part in _orbits(first.supports, cells[0], full):
+        bits = format(part, "b")[::-1]
+        v = bits.find("1")
+        while v >= 0:
             orbits[v] = part
-    searcher = _CliqueSearch(adj, incidence, budget.nodes, deadline)
+            v = bits.find("1", v + 1)
+    searcher = _CliqueSearch(cand, d, cells, incidence, budget.nodes, deadline)
     status = "exact"
     try:
         if cand:
@@ -302,6 +351,6 @@ def max_code(n: int, d: int, comp: Composition,
         status = "lower-bound-only"
 
     # cand follows word 0 in enumeration order, so the witness stays sorted.
-    witness = Code(n, comp, d, [words[0]] + [cand[i] for i in core._ones(searcher.best_mask)])
+    witness = Code(n, comp, d, [first] + [cand[i] for i in core._ones(searcher.best_mask)])
     return SearchOutcome(status, 1 + searcher.best, witness,
                          searcher.nodes, time.monotonic() - t0)

@@ -159,10 +159,12 @@ def test_graph_set_up_measures_no_pair_distance(monkeypatch):
     assert len(out.witness) == 15
 
 
-def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
-    # Once over all words, for word 0's conflict row, and once over its
-    # candidates, for the graph's rows and the incidence-capacity cells.
+def test_one_search_builds_a_key_row_and_the_candidates_masks(monkeypatch):
+    # Once over word 0 and one word per key, for word 0's conflict row, and
+    # once over its candidates, for the graph's rows and the incidence cells.
     words = enumerate_codewords(10, C22)
+    region = {x: s for s, cls in enumerate(words[0].supports, 1) for x in cls}
+    keys = {tuple(region.get(x, 0) for cls in u.supports for x in cls) for u in words}
     n_cand = sum(hamming_distance(words[0], u) >= 6 for u in words[1:])
     built = []
     real = core._cells
@@ -174,7 +176,7 @@ def test_one_search_builds_the_kernel_masks_twice(monkeypatch):
     monkeypatch.setattr(core, "_cells", counting)
     out = max_code(10, 6, C22)
     assert (out.status, out.size, out.nodes) == ("exact", 15, 180)
-    assert built == [len(words), n_cand]
+    assert built == [1 + len(keys), n_cand] == [27, 720]
 
 
 def test_the_budget_is_read_during_enumeration(monkeypatch):
@@ -198,22 +200,67 @@ def test_the_budget_is_read_during_enumeration(monkeypatch):
 
 
 def test_the_budget_is_read_after_each_mask_build(monkeypatch):
-    # The fake clock passes the deadline during the first mask build, so the
-    # second one, over word 0's candidates, is never made.
+    # The fake clock passes the deadline during the mask build over word 0's
+    # candidates, so the graph is never built and word 0 is the witness.
+    words = enumerate_codewords(10, C22)
+    n_cand = sum(hamming_distance(words[0], u) >= 6 for u in words[1:])
     now = [0]
     built = []
     real = core._cells
 
     def building(ws):
         built.append(len(ws))
-        now[0] = 2
+        if len(ws) == n_cand:
+            now[0] = 2
         return real(ws)
 
+    def refuse(*args):
+        raise AssertionError("the graph was built")
+
     monkeypatch.setattr(core, "_cells", building)
+    monkeypatch.setattr(search, "_adjacency", refuse)
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
     out = max_code(10, 6, C22, SearchBudget(seconds=1))
     assert (out.status, out.size, out.nodes) == ("lower-bound-only", 1, 0)
-    assert built == [len(enumerate_codewords(10, C22))]
+    assert out.witness.words == (words[0],)
+    assert built == [27, n_cand]
+
+
+def test_the_graph_is_built_only_past_the_incidence_test(monkeypatch):
+    # A root that the incidence-capacity bound prunes never builds the graph.
+    calls = []
+    real = search._adjacency
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(search, "_adjacency", counting)
+    for n, comp, size, nodes, builds in ((10, C31, 10, 1, 0), (11, C31, 11, 1, 0),
+                                         (9, C22, 9, 1, 0), (10, C22, 15, 180, 1)):
+        calls.clear()
+        out = max_code(n, 6, comp)
+        assert (out.status, out.size, out.nodes) == ("exact", size, nodes), (n, comp)
+        assert len(calls) == builds, (n, comp)
+
+
+def test_a_deadline_in_the_graph_build_keeps_the_greedy_seed(monkeypatch):
+    # The fake clock passes the deadline once the graph build starts, which
+    # reads it at its first row: the root's greedy seed is the witness.
+    seed = max_code(10, 6, C22, SearchBudget(nodes=0)).witness
+    now = [0]
+    real = search._adjacency
+
+    def late(*args):
+        now[0] = 2
+        return real(*args)
+
+    monkeypatch.setattr(search, "_adjacency", late)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    out = max_code(10, 6, C22, SearchBudget(seconds=1))
+    assert (out.status, out.size, out.nodes) == ("lower-bound-only", 9, 1)
+    assert out.witness.words == seed.words
+    assert verify_gdc(out.witness).ok
 
 
 def _graph(words, d):
@@ -263,6 +310,17 @@ def test_incidence_capacity_premise():
 # classes of one point each.
 ORBIT_COMPS = (C22, C31, Composition((2, 1)), Composition((1, 1)), Composition((3,)),
                Composition((2, 1, 1)))
+
+
+def test_candidates_are_the_words_off_word_0s_row():
+    # The key filter against hamming_distance, in enumeration order.
+    for comp in ORBIT_COMPS:
+        for n in range(comp.weight, 9):
+            sups = list(search._supports(n, comp))
+            words = enumerate_codewords(n, comp)
+            for d in range(2 * comp.weight + 1):
+                want = [u for u in words[1:] if hamming_distance(words[0], u) >= max(d, 1)]
+                assert search._candidates(sups, n, d) == want, (comp, n, d)
 
 
 def _image(g, supports):
