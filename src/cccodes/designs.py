@@ -72,62 +72,63 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _combine(moduli: tuple[int, ...], x: int, y: int, sign: int) -> int:
+    """x + sign * y in Z_{m1} x ... x Z_{mr}, ``moduli = (m1, ..., mr)``, on
+    the mixed-radix encoding (least-significant factor first), coordinate by
+    coordinate."""
+    out, mult = 0, 1
+    for m in moduli:
+        out += (x % m + sign * (y % m)) % m * mult
+        x //= m
+        y //= m
+        mult *= m
+    return out
+
+
 class GfTable:
     """Addition/multiplication tables for GF(q), q prime or a shipped prime power.
 
-    Elements are encoded as integers in [0, q): for q = p^e the base-p digits
-    are the polynomial coefficients (low degree first), so the additive group
-    is Z_p^e with ``moduli = (p,) * e`` in the mixed-radix encoding of
-    :class:`DifferenceMatrix`.
+    GF(p^e) is GF(p)[x] modulo the irreducible polynomial of ``_IRREDUCIBLE``,
+    and GF(p) is the case e = 1, modulo x.  Elements are encoded as integers
+    in [0, q) whose base-p digits are the polynomial coefficients (low degree
+    first), so the additive group is Z_p^e with ``moduli = (p,) * e`` in the
+    mixed-radix encoding of :func:`_combine`.
     """
 
     def __init__(self, q: int):
         self.q = q
         if _is_prime(q):
-            self.add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-            self.mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-            self.moduli = (q,)
-            return
-        if q not in _IRREDUCIBLE:
+            p, coeffs = q, (0,)
+        elif q in _IRREDUCIBLE:
+            p, coeffs = _IRREDUCIBLE[q]
+        else:
             raise DesignError(f"no field data for order {q}")
-        p, coeffs = _IRREDUCIBLE[q]
         e = len(coeffs)
-        self.moduli = (p,) * e
+        self.moduli = moduli = (p,) * e
+        self.add = add = tuple(tuple(_combine(moduli, a, b, 1) for b in range(q))
+                               for a in range(q))
 
-        def digits(x: int) -> list[int]:
-            out = []
-            for _ in range(e):
-                out.append(x % p)
-                x //= p
+        def multiples(r: int) -> list[int]:
+            # 0, r, 2r, ..., (p-1)r
+            out, plus_r = [0], add[r]
+            for _ in range(1, p):
+                out.append(plus_r[out[-1]])
             return out
 
-        def undigits(ds: list[int]) -> int:
-            x = 0
-            for d in reversed(ds):
-                x = x * p + d
-            return x
+        # x * a shifts a's digits up one place, and its top digit t comes back
+        # as t x^e = -t * coeffs: c[k] is k times the element of coeffs.
+        top, c = q // p, multiples(sum(ci * p ** i for i, ci in enumerate(coeffs)))
 
-        def polymul(a: int, b: int) -> int:
-            da, db = digits(a), digits(b)
-            prod = [0] * (2 * e - 1)
-            for i, ai in enumerate(da):
-                if ai:
-                    for j, bj in enumerate(db):
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-            # reduce by x^e = -coeffs
-            for k in range(2 * e - 2, e - 1, -1):
-                c = prod[k]
-                if c:
-                    prod[k] = 0
-                    for i, ci in enumerate(coeffs):
-                        prod[k - e + i] = (prod[k - e + i] - c * ci) % p
-            return undigits(prod[:e])
+        def row(a: int) -> tuple[int, ...]:
+            # b -> a*b is GF(p)-linear: a*b is the sum over b's digits b_i of
+            # b_i * (a x^i), so a's row grows one digit of b at a time, low first.
+            out = multiples(a)
+            for _ in range(1, e):
+                a = add[a % top * p][c[-(a // top) % p]]
+                out = [add[s][t] for t in multiples(a) for s in out]
+            return tuple(out)
 
-        self.add = tuple(
-            tuple(undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
-                  for b in range(q))
-            for a in range(q))
-        self.mul = tuple(tuple(polymul(a, b) for b in range(q)) for a in range(q))
+        self.mul = tuple(map(row, range(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +224,11 @@ class DifferenceMatrix(_Record):
     rows: tuple[tuple[int, ...], ...]
     moduli: tuple[int, ...]
 
-    def _combine(self, x: int, y: int, sign: int) -> int:
-        """x + sign * y, coordinate by coordinate."""
-        out, mult = 0, 1
-        for m in self.moduli:
-            out += (x % m + sign * (y % m)) % m * mult
-            x //= m
-            y //= m
-            mult *= m
-        return out
-
     def add(self, x: int, y: int) -> int:
-        return self._combine(x, y, 1)
+        return _combine(self.moduli, x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
-        return self._combine(x, y, -1)
+        return _combine(self.moduli, x, y, -1)
 
 
 def verify_dm(d: DifferenceMatrix) -> VerificationReport:
@@ -290,8 +281,7 @@ def build_dm(g: int) -> DifferenceMatrix:
 
     moduli = (2, 2, g // 4) if g % 4 == 0 else (g,)
     # minus[x][y] = x - y in the group, computed once for the whole search.
-    sub = DifferenceMatrix(g, 4, (), moduli).sub
-    minus = [[sub(x, y) for y in range(g)] for x in range(g)]
+    minus = [[_combine(moduli, x, y, -1) for y in range(g)] for x in range(g)]
 
     # Normalized backtracking search: row0 = all zeros (column translates),
     # row1 = identity (column order); choose row2/row3 column by column so

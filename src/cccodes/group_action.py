@@ -8,10 +8,10 @@ orbit lengths: words are never deduplicated, because transcription bugs show
 up precisely as collapsed or colliding orbits, which the verifier then reports
 as duplicates next to any size or type that differs from the declared one.
 
-Manifest grammar (sections in square brackets, each at most once; `#`
-comments).  A section, meta key or directive not listed here is an error, and
-every fault on a line, or in a section as a whole, raises ManifestError with
-a message that starts ``line N: ``::
+Manifest grammar (sections in square brackets, each at most once, as is
+each meta key; `#` comments).  A section, meta key or directive not listed
+here is an error, and every fault on a line, or in a section as a whole,
+raises ManifestError with a message that starts ``line N: ``::
 
     [meta]
     composition = 2,2        # or 3,1
@@ -139,11 +139,13 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
             if key not in heads:
                 raise ValueError(f"missing [{key}] section")
 
-        meta: dict = {"expected_size": None, "expected_type": None}
+        meta: dict = {}
         for lineno, line in sections["meta"]:
             key, _, value = map(str.strip, line.partition("="))
             if key not in _META:
                 raise ValueError(f"want one of {', '.join(_META)} = VALUE: {line!r}")
+            if key in meta:
+                raise ValueError(f"repeated meta key: {line!r}")
             meta[key] = _META[key](value)
         lineno = heads["meta"]
         if "composition" not in meta or "distance" not in meta:
@@ -240,7 +242,7 @@ def parse_manifest(text: str, name: str = "") -> Manifest:
     except ValueError as e:
         raise ManifestError(str(e) if lineno is None else f"line {lineno}: {e}") from None
     return Manifest(n, meta["composition"], meta["distance"], Permutation(image), partition,
-                    tuple(orbits), meta["expected_size"], meta["expected_type"], name)
+                    tuple(orbits), meta.get("expected_size"), meta.get("expected_type"), name)
 
 
 def _cycles(image: tuple[int, ...]) -> list[tuple[list[int], int]]:

@@ -23,7 +23,9 @@ keys for [2,2] at n = 10), decides every word, and the kernel stays the one
 definition of conflicting words.  The only other mask build is over the
 candidates.  The greedy seed reads the conflict rows of the words it takes
 alone, and the graph is built when the first node passes the incidence test
-below: a root that the bound prunes never builds it.
+below: a root that the bound prunes never builds it.  A graph whose rows
+would take more than 2^31 bits (256 MiB) is never built; the search then
+ends as a spent budget does, with the greedy seed as its witness.
 
 Second, the root branches once per orbit of the point maps that fix word 0
 (orbital branching, Ostrowski et al., Math. Programming 2011).  That group is
@@ -147,6 +149,10 @@ class _BudgetExceeded(Exception):
     pass
 
 
+# The most bits the graph's rows, N^2 for N candidates, may take (256 MiB).
+_GRAPH_BITS = 1 << 31
+
+
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise _BudgetExceeded
@@ -199,8 +205,9 @@ class _CliqueSearch:
     candidates and how many words other than word 0 the cell may hold.  It
     is empty when the capacity premise does not hold.
 
-    ``expand`` takes each vertex's orbit mask at the root only, and there
-    branches once per orbit (the module docstring proves this exact).
+    ``expand`` takes the orbits, a partition of the candidates into masks,
+    at the root only, and there branches once per orbit (the module
+    docstring proves this exact).
     """
 
     def __init__(self, words: list[Codeword], d: int, cells: tuple,
@@ -254,6 +261,8 @@ class _CliqueSearch:
                 return
         adj = self.adj
         if adj is None:
+            if len(self.words) ** 2 > _GRAPH_BITS:
+                raise _BudgetExceeded
             adj = self.adj = _adjacency(self.words, self.d, self.cells, self.deadline)
         # Greedy coloring: vertices listed in increasing color; the color is an
         # upper bound on the clique extendable inside the remaining candidates.
@@ -281,7 +290,7 @@ class _CliqueSearch:
             newp = pmask & adj[v]
             # v's child keeps v's orbit-mates; only its later siblings lose them.
             if orbits:
-                pmask &= ~orbits[v]
+                pmask &= ~next(p for p in orbits if p >> v & 1)
             nr = rsize + 1
             nm = rmask | bit
             if nr > self.best:
@@ -306,7 +315,7 @@ def max_code(n: int, d: int, comp: Composition,
     # every 4,096 words of the enumeration, after the candidates' mask build
     # and at each row of the graph; if it passes before the candidates'
     # masks exist, word 0 alone is the witness, and if it passes in the
-    # graph, the greedy seed is.
+    # graph, or the graph would pass _GRAPH_BITS, the greedy seed is.
     deadline = None if budget.seconds is None else t0 + budget.seconds
     gen = _supports(n, comp)
     sups = [next(gen)]
@@ -331,17 +340,9 @@ def max_code(n: int, d: int, comp: Composition,
         incidence = [(ws, [(m, cap - (x in cls)) for x, m in at.items()])
                      for ws, at, cls in zip(comp.weights, cells[0], first.supports)]
 
-    # The root's orbits, from the same A(x, s): each vertex's orbit mask.
-    # Each part's bits are read off its binary string, in time linear in the
-    # candidates, where core._ones would shift the whole mask once per bit.
+    # The root's orbits, from the same A(x, s), as a partition of the candidates.
     full = (1 << len(cand)) - 1
-    orbits = [0] * len(cand)
-    for part in _orbits(first.supports, cells[0], full):
-        bits = format(part, "b")[::-1]
-        v = bits.find("1")
-        while v >= 0:
-            orbits[v] = part
-            v = bits.find("1", v + 1)
+    orbits = _orbits(first.supports, cells[0], full)
     searcher = _CliqueSearch(cand, d, cells, incidence, budget.nodes, deadline)
     status = "exact"
     try:

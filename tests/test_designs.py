@@ -1,5 +1,6 @@
 """Ingredient designs: fields, TDs, difference matrices, Room frames, PBDs."""
 
+import hashlib
 import re
 from itertools import product
 from math import gcd
@@ -43,8 +44,26 @@ def test_gf_tables_satisfy_axioms():
         for a, b, c in product(sample, repeat=3):
             assert mul[a][mul[b][c]] == mul[mul[a][b]][c], (q, a, b, c)
             assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], (q, a, b, c)
+    # A prime field is GF(p^1); its tables are the integers mod p.
+    for q in (2, 3, 5, 7, 11, 13, 101):
+        gf = GfTable(q)
+        assert gf.moduli == (q,)
+        assert gf.add == tuple(tuple((a + b) % q for b in range(q)) for a in range(q)), q
+        assert gf.mul == tuple(tuple((a * b) % q for b in range(q)) for a in range(q)), q
     with pytest.raises(DesignError):
         GfTable(6)
+
+
+@pytest.mark.parametrize("build, sha256", [
+    (lambda: build_dm(8), "dac2266880dce3baf1a5486e59da27d07b1368cdbcf9e30a91ab720c769af327"),
+    (lambda: build_dm(9), "547169a43d7b27434a41ed2e2822a084e74df66abda6ae4b768a98a877bbabb0"),
+    (lambda: build_dm(16), "974b5a31cf5c7bf779f2c81f4d5055a567b29a5759fa0fe9245419eed0039fec"),
+    (lambda: build_dm(27), "2945b82ed1a45864a38784c3ed9e3898e20f8a4aae39be6613538dfb1bafef35"),
+    (lambda: build_td(4, 27), "08c803c72ec3bfe10e75957b116826607ab5dcff29a936c0a9f95e368d0e8212"),
+])
+def test_field_designs_keep_their_bytes(build, sha256):
+    # The GF(q) routes of build_dm and build_td, pinned byte for byte.
+    assert hashlib.sha256(write_design_text(build()).encode()).hexdigest() == sha256
 
 
 def test_build_td_small():

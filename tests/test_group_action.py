@@ -332,6 +332,14 @@ GROUPS_AT_9 = ("shift 1 on c0", "shift 1 on c0\n[groups]")
     (edit(("distance = 6", "distance = 6\nexpected_sise = 61")),
      f"line 5: want {META}: 'expected_sise = 61'"),
     (edit(("distance = 6", "")), "line 2: meta must declare composition and distance"),
+    (edit(("distance = 6", "distance = 6\ndistance = 5")),
+     "line 5: repeated meta key: 'distance = 5'"),
+    (edit(("distance = 6", "distance = 6\ncomposition = 3,1")),
+     "line 5: repeated meta key: 'composition = 3,1'"),
+    (edit(("distance = 6", "distance = 6\nexpected_size = 20\nexpected_size = 21")),
+     "line 6: repeated meta key: 'expected_size = 21'"),
+    (edit(("distance = 6", "distance = 6\nexpected_type = 1^20\nexpected_type = 4^5")),
+     "line 6: repeated meta key: 'expected_type = 4^5'"),
     (edit(("= 6", "= six")), "line 4: invalid literal for int() with base 10: 'six'"),
     (edit(("distance = 6", "distance = 6\nexpected_type = 2^-1 3^7")),
      "line 5: want group sizes and counts of at least 1: '2^-1'"),

@@ -263,6 +263,23 @@ def test_a_deadline_in_the_graph_build_keeps_the_greedy_seed(monkeypatch):
     assert verify_gdc(out.witness).ok
 
 
+def test_a_graph_past_the_memory_limit_is_never_built(monkeypatch):
+    # 720 candidates at n = 10 would take 720^2 bits of rows: past the limit,
+    # the search stops with the root's greedy seed and builds no graph.
+    seed = max_code(10, 6, C22, SearchBudget(nodes=0)).witness
+    calls = []
+    monkeypatch.setattr(search, "_GRAPH_BITS", 100)
+    monkeypatch.setattr(search, "_adjacency", lambda *args: calls.append(args))
+    out = max_code(10, 6, C22)
+    assert (out.status, out.size, out.nodes) == ("lower-bound-only", 9, 1)
+    assert out.witness.words == seed.words
+    assert verify_gdc(out.witness).ok
+    assert calls == []
+    # n = 9's root never needs the graph, so the limit leaves it exact.
+    out = max_code(9, 6, C22)
+    assert (out.status, out.size) == ("exact", 9)
+
+
 def _graph(words, d):
     # The compatibility graph straight from hamming_distance, sharing no code
     # with the conflict kernel.
